@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from . import fpoly
@@ -200,18 +201,57 @@ def _irreducibility_warnings(K: ValuedField, g: Poly) -> List[str]:
     if g.degree >= 2 and K.is_zero(g[0]):
         warnings.append("constant term is zero: x divides g")
     if K.kind == "Qp" and 2 <= g.degree <= 3:
-        # rational root test over Q: candidates divide the constant term
+        # rational root test over Q, for integer roots only
         c0 = g[0]
         if c0 != 0 and c0.denominator == 1 and all(g[k].denominator == 1 for k in range(g.degree + 1)):
-            n0 = abs(c0.numerator)
-            for r in range(1, n0 + 1):
-                if n0 % r:
-                    continue
-                for s in (r, -r):
-                    if K.is_zero(g.evaluate(Q(s))):
-                        warnings.append(f"rational root {s}: g is reducible over Q")
-                        return warnings
+            roots = _integer_roots([g[k].numerator for k in range(g.degree + 1)])
+            if roots:
+                s = min(roots, key=lambda r: (abs(r), r < 0))
+                warnings.append(f"rational root {s}: g is reducible over Q")
     return warnings
+
+
+def _integer_roots(cs: List[int]) -> set:
+    """Integer roots of an integer quadratic or cubic (coefficients low to
+    high, nonzero constant term) in O(log |c0|) evaluations."""
+    if len(cs) == 3:
+        c, b, a = cs
+        disc = b * b - 4 * a * c
+        if disc < 0 or isqrt(disc) ** 2 != disc:
+            return set()
+        s = isqrt(disc)
+        return {(-b + t) // (2 * a) for t in (s, -s) if (-b + t) % (2 * a) == 0}
+
+    def f(x):
+        return ((cs[3] * x + cs[2]) * x + cs[1]) * x + cs[0]
+
+    # every integer root divides c0; f is monotone between the critical
+    # points (-b +- sqrt(b^2 - 3ac)) / 3a, each known here to within 4/3
+    n0 = abs(cs[0])
+    d, c, b, a = cs
+    disc = b * b - 3 * a * c
+    pieces, near = [(-n0, n0)], []
+    if disc > 0:
+        s = isqrt(disc)
+        lo, hi = sorted(((-b + s) // (3 * a), (-b - s) // (3 * a)))
+        pieces = [(-n0, lo - 3), (lo + 3, hi - 3), (hi + 3, n0)]
+        near = [x for m in (lo, hi) for x in range(m - 2, m + 3) if -n0 <= x <= n0]
+    roots = {x for x in near if f(x) == 0}
+    for lo, hi in pieces:
+        lo, hi = max(lo, -n0), min(hi, n0)
+        if lo > hi:
+            continue
+        up = f(hi) >= f(lo)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            v = f(mid)
+            if (v >= 0) if up else (v <= 0):
+                hi = mid
+            else:
+                lo = mid + 1
+        if f(lo) == 0:
+            roots.add(lo)
+    return roots
 
 
 def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,

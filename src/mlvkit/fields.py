@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
+from math import gcd
 from typing import Dict
 
 from . import fpoly
@@ -355,32 +357,35 @@ class FpPerfField(ValuedField):
     # -- level bookkeeping ---------------------------------------------------
 
     def _normalize(self, k: int, a: RF) -> PerfElem:
-        B = self.coeff_field
-
-        def drop(cc):
-            if any(not B.is_zero(c) for i, c in enumerate(cc) if i % self.p):
-                return None
-            return tuple(cc[i] for i in range(0, len(cc), self.p))
-
+        # u -> u^(1/p) applies while every nonzero exponent is divisible by
+        # p: that is v_p of the gcd of the exponents, capped at k
+        p = self.p
         while k > 0:
-            n2 = drop(a.num)
-            d2 = drop(a.den)
-            if n2 is None or d2 is None:
+            g = gcd(*compress(range(len(a.num)), a.num),
+                    *compress(range(len(a.den)), a.den))
+            drop = 0
+            while drop < k and g % p == 0:
+                g //= p
+                drop += 1
+            if drop == 0:
                 break
-            a = self.rff.make(n2, d2)
-            k -= 1
+            step = p ** drop
+            a = self.rff.make(a.num[::step], a.den[::step])
+            k -= drop
         return PerfElem(k, a)
 
     def _promote(self, e: PerfElem, k: int) -> RF:
         if k < e.level:
             raise ValueError("cannot demote a perfect-closure element")
+        if k == e.level:
+            return e.rf
         step = self.p ** (k - e.level)
 
         def up(cc):
-            out = [self.coeff_field.zero()] * ((len(cc) - 1) * step + 1) if cc else []
-            for i, c in enumerate(cc):
-                if not self.coeff_field.is_zero(c):
-                    out[i * step] = c
+            if not cc:
+                return ()
+            out = [0] * ((len(cc) - 1) * step + 1)
+            out[::step] = cc
             return tuple(out)
 
         return RF(up(e.rf.num), up(e.rf.den))

@@ -9,12 +9,21 @@ function fields and the valued base fields.
 
 from __future__ import annotations
 
+from itertools import compress, count
 from typing import Sequence, Tuple
+
+# ffield imports this module; only ffield.GFp is read, and only at call time
+from . import ffield
 
 Coeffs = Tuple  # tuple of field elements
 
 
 def norm(F, cc) -> Coeffs:
+    if type(F) is ffield.GFp:
+        if not cc or cc[-1]:
+            return tuple(cc)
+        # canonical ints: the last truthy entry is the last nonzero one
+        return tuple(cc[:next(compress(count(len(cc), -1), reversed(cc)), 0)])
     cc = list(cc)
     while cc and F.is_zero(cc[-1]):
         cc.pop()
@@ -46,6 +55,19 @@ def is_zero(f: Coeffs) -> bool:
     return not f
 
 
+def low_deg(F, f) -> int:
+    """Exponent of the lowest nonzero term."""
+    if type(F) is ffield.GFp:
+        k = next(compress(count(), f), None)
+        if k is not None:
+            return k
+    else:
+        for k, c in enumerate(f):
+            if not F.is_zero(c):
+                return k
+    raise ValueError("zero polynomial has no valuation")
+
+
 def lc(F, f):
     if not f:
         return F.zero()
@@ -64,12 +86,23 @@ def add(F, f, g) -> Coeffs:
     if len(f) < len(g):
         f, g = g, f
     out = list(f)
+    if type(F) is ffield.GFp:
+        p = F.p
+        for i, b in _terms(g):
+            out[i] = (out[i] + b) % p
+        return norm(F, out)
     for i, b in enumerate(g):
         out[i] = F.add(out[i], b)
     return norm(F, out)
 
 
 def neg(F, f) -> Coeffs:
+    if type(F) is ffield.GFp:
+        p = F.p
+        out = [0] * len(f)
+        for i, a in _terms(f):
+            out[i] = p - a
+        return tuple(out)
     return tuple(F.neg(a) for a in f)
 
 
@@ -86,13 +119,39 @@ def smul(F, a, f) -> Coeffs:
 def mul(F, f, g) -> Coeffs:
     if not f or not g:
         return ()
+    if type(F) is ffield.GFp:
+        return _mul_gfp(F, f, g)
+    gi = [(j, b) for j, b in enumerate(g) if not F.is_zero(b)]
     out = [F.zero()] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if F.is_zero(a):
             continue
-        for j, b in enumerate(g):
+        for j, b in gi:
             out[i + j] = F.add(out[i + j], F.mul(a, b))
     return norm(F, out)
+
+
+def _mul_gfp(F, f, g) -> Coeffs:
+    """Product over GF(p): ints in [0, p), products summed, one reduction each."""
+    p = F.p
+    if len(g) == 1:
+        f, g = g, f
+    if len(f) == 1:
+        # most products in rational-function arithmetic have a constant side
+        a = f[0]
+        return tuple(g) if a == 1 else tuple([a * b % p for b in g])
+    fi = _terms(f)
+    gi = _terms(g)
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in fi:
+        for j, b in gi:
+            out[i + j] += a * b
+    if len(fi) * len(gi) < len(out):
+        # sparse: reduce only the exponents that products reached
+        for k in {i + j for i, _ in fi for j, _ in gi}:
+            out[k] %= p
+        return norm(F, out)
+    return norm(F, [c % p for c in out])
 
 
 def mul_xk(F, f, k: int) -> Coeffs:
@@ -104,10 +163,13 @@ def mul_xk(F, f, k: int) -> Coeffs:
 def divmod_(F, f, g) -> Tuple[Coeffs, Coeffs]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    if type(F) is ffield.GFp:
+        return _divmod_gfp(F, f, g)
     gl_inv = F.inv(g[-1])
+    dg = len(g) - 1
+    gi = [(i, b) for i, b in enumerate(g) if not F.is_zero(b)]
     r = list(f)
     q = [F.zero()] * max(0, len(f) - len(g) + 1)
-    dg = len(g) - 1
     while len(r) >= len(g) and r:
         while r and F.is_zero(r[-1]):
             r.pop()
@@ -116,10 +178,34 @@ def divmod_(F, f, g) -> Tuple[Coeffs, Coeffs]:
         c = F.mul(r[-1], gl_inv)
         k = len(r) - 1 - dg
         q[k] = c
-        for i, b in enumerate(g):
+        for i, b in gi:
             r[k + i] = F.sub(r[k + i], F.mul(c, b))
         r.pop()
     return norm(F, q), norm(F, r)
+
+
+def _divmod_gfp(F, f, g) -> Tuple[Coeffs, Coeffs]:
+    """Division over GF(p); remainder entries are reduced only when read."""
+    p = F.p
+    dg = len(g) - 1
+    gl_inv = pow(g[-1], -1, p)
+    gi = _terms(g[:-1])
+    r = list(f)
+    q = [0] * max(0, len(f) - dg)
+    for k in range(len(f) - 1 - dg, -1, -1):
+        c = r[k + dg] % p
+        if c:
+            c = c * gl_inv % p
+            q[k] = c
+            for i, b in gi:
+                r[k + i] -= c * b
+    return norm(F, q), norm(F, [c % p for c in r[:dg]])
+
+
+def _terms(cc) -> list:
+    """(exponent, coefficient) of the nonzero canonical GF(p) ints in cc."""
+    # compress skips the zeros in C: perfect-closure tuples are mostly zero
+    return [(i, cc[i]) for i in compress(range(len(cc)), cc)]
 
 
 def mod(F, f, g) -> Coeffs:

@@ -35,10 +35,17 @@ class RatFuncField(Field):
         if fpoly.is_zero(num):
             return RF((), (B.one(),))
         if fpoly.deg(num) > 0 and fpoly.deg(den) > 0:
-            g = fpoly.gcd_(B, num, den)
-            if fpoly.deg(g) > 0:
-                num = fpoly.divmod_(B, num, g)[0]
-                den = fpoly.divmod_(B, den, g)[0]
+            kn = fpoly.low_deg(B, num)
+            kd = fpoly.low_deg(B, den)
+            if kn == fpoly.deg(num) or kd == fpoly.deg(den):
+                # a monomial c*v^k shares only the factor v^min with the other side
+                m = min(kn, kd)
+                num, den = num[m:], den[m:]
+            else:
+                g = fpoly.gcd_(B, num, den)
+                if fpoly.deg(g) > 0:
+                    num = fpoly.divmod_(B, num, g)[0]
+                    den = fpoly.divmod_(B, den, g)[0]
         if B.is_one(den[-1]):
             return RF(tuple(num), tuple(den))
         c = B.inv(den[-1])
@@ -86,13 +93,13 @@ class RatFuncField(Field):
         """Order of vanishing at var = 0 (None for the zero element)."""
         if fpoly.is_zero(a.num):
             return None
-        return _low_deg(self.base, a.num) - _low_deg(self.base, a.den)
+        return fpoly.low_deg(self.base, a.num) - fpoly.low_deg(self.base, a.den)
 
     def split_order(self, a: RF) -> Tuple[int, RF]:
         """(k, u) with a = var^k * u and u a unit at var = 0."""
         B = self.base
-        kn = _low_deg(B, a.num)
-        kd = _low_deg(B, a.den)
+        kn = fpoly.low_deg(B, a.num)
+        kd = fpoly.low_deg(B, a.den)
         return kn - kd, RF(a.num[kn:], a.den[kd:])
 
     def residue_at_zero(self, a: RF):
@@ -147,9 +154,3 @@ class RatFuncField(Field):
     def __repr__(self):
         return f"Frac({self.base!r}[{self.varname}])"
 
-
-def _low_deg(B, cc) -> int:
-    for i, c in enumerate(cc):
-        if not B.is_zero(c):
-            return i
-    raise ValueError("zero polynomial has no valuation")

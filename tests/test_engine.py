@@ -378,3 +378,62 @@ def test_quartics_with_known_ramification_over_q2():
     r2 = mac_lane_chains(K, g2)
     b2 = r2.branches[0]
     assert b2.status == TERMINATED and (b2.e, b2.f, b2.d) == (4, 1, 1)
+
+
+def _trial_division_warning(g):
+    """The rational-root test as plain trial division over the divisors
+    of the constant term: the smallest |s| first, positive before negative."""
+    n0 = abs(g[0].numerator)
+    for r in range(1, n0 + 1):
+        if n0 % r:
+            continue
+        for s in (r, -r):
+            if g.evaluate(Q(s)) == 0:
+                return [f"rational root {s}: g is reducible over Q"]
+    return []
+
+
+def test_rational_root_test_on_a_large_constant_is_prompt():
+    import time
+    K = QpField(2)
+    for text in ("x^2 - 17*2^26", "x^2 - 17*2^200", "x^3 + x - 17*2^200"):
+        start = time.perf_counter()
+        r = mac_lane_chains(K, parse_poly(text, K))
+        assert time.perf_counter() - start < 2.0
+        assert not any("rational root" in w for w in r.warnings)
+    r = mac_lane_chains(K, parse_poly("x^2 - 9*2^40", K))
+    assert "rational root 3145728: g is reducible over Q" in r.warnings
+
+
+def test_rational_root_test_matches_trial_division():
+    from mlvkit.engine import _irreducibility_warnings
+    K = QpField(3)
+    rng = random.Random(0x5EED)
+    checked = 0
+    while checked < 400:
+        degree = rng.choice((2, 3))
+        lead = rng.choice((1, 1, 1, -1, 2, -3))
+        if rng.random() < 0.5:
+            # a product of integer linear factors times a leading constant
+            coeffs = [lead]
+            for root in (rng.randint(-40, 40) for _ in range(degree)):
+                coeffs = [a - root * b for a, b in zip([0] + coeffs, coeffs + [0])]
+        else:
+            coeffs = [rng.randint(-10 ** 4, 10 ** 4) for _ in range(degree)] + [lead]
+        if coeffs[0] == 0 or abs(coeffs[0]) > 10 ** 4:
+            continue
+        g = Poly.from_ints(K, coeffs)
+        assert _irreducibility_warnings(K, g) == _trial_division_warning(g), coeffs
+        checked += 1
+
+
+@pytest.mark.parametrize("text,q,budget", [("x^4+x+1/t", 4, 8), ("x^2+x+1/t", 2, 12)])
+def test_artin_schreier_probes_at_large_budgets(text, q, budget):
+    P = FpPerfField(2)
+    r = mac_lane_chains(P, parse_poly(text, P), max_limit_probes=budget)
+    assert len(r.branches) == 1
+    b = r.branches[0]
+    assert b.status == LIMIT_SUSPECTED
+    assert [e["gamma"] for e in b.trajectory] == [Q(-1, q ** (l + 1)) for l in range(budget + 1)]
+    assert b.d is None and b.d_lower >= 2
+    assert isinstance(finite_complete_sequence(r), NoSequence)
