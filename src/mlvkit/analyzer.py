@@ -109,7 +109,14 @@ def tame_report(K: ValuedField, suite: Sequence[Poly]) -> TameReport:
     witness: Optional[dict] = None
     if not gr_ok:
         witness = {"kind": "GR_IMPERFECT", "witness": gw}
+    # the engine needs a finite residue field; when gr(K) already decides
+    # NOT_TAME the suite entries are recorded as unexplored
+    unexplored = not gr_ok and K.residue_field.order is None
     for g in suite:
+        if unexplored:
+            per.append({"g": g, "fcs": None, "fcs_reason": "RESIDUE_UNSUPPORTED",
+                        "te1": None, "te2": None, "te3": None, "suspected": None})
+            continue
         report = mac_lane_chains(K, g)
         seq = finite_complete_sequence(report)
         te = te_conditions(K, report)

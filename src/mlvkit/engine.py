@@ -26,8 +26,8 @@ from math import isqrt
 from typing import Dict, List, Optional, Tuple
 
 from . import fpoly
-from .errors import (DepthExceeded, IndexOutOfRange, NotMonic,
-                     ResidueUnsupported, ZeroInput)
+from .errors import (BadBound, DepthExceeded, IndexOutOfRange,
+                     InvariantViolated, NotMonic, ResidueUnsupported, ZeroInput)
 from .ffield import factor_monic
 from .fields import ValuedField
 from .indval import InductiveValuation, truncation_eval
@@ -257,6 +257,8 @@ def _integer_roots(cs: List[int]) -> set:
 def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
                     max_limit_probes: int = 8) -> ExtensionReport:
     """All extensions of v to K[x]/(g), as branches of augmentation chains."""
+    _check_bound("max_depth", max_depth)
+    _check_bound("max_limit_probes", max_limit_probes)
     if not g.is_monic():
         raise NotMonic("g must be monic")
     if K.residue_field.order is None:
@@ -308,11 +310,17 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
     return _assemble(K, g, n, branches, warnings, bounds)
 
 
+def _check_bound(name: str, value: int) -> None:
+    if value < 0:
+        raise BadBound(f"{name} must be >= 0, got {value}")
+
+
 def _finish_terminated(node: InductiveValuation) -> Branch:
     e = node.ramification_index()
     f = node.inertia_degree()
     nb = node.degree
-    assert nb % (e * f) == 0
+    if nb % (e * f) != 0:
+        raise InvariantViolated(f"e*f = {e * f} does not divide the degree {nb}")
     return Branch(node, TERMINATED, e, f, nb // (e * f), None,
                   [st.phi for st in node.stages()], [], 0)
 
@@ -408,6 +416,7 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     """
     if m < 1:
         raise ZeroInput("degree must be >= 1")
+    _check_bound("probe_budget", probe_budget)
     b = _branch(report, branch_index)
     stages = b.chain.stages()
     match = [st for st in stages if st.degree == m]
@@ -460,7 +469,8 @@ def finite_complete_sequence(report: ExtensionReport, branch_index: int = 0,
                 if truncation_eval(nu, q, f) == nu(f):
                     ok = True
                     break
-        assert ok, f"complete-set contract failed on {f}"
+        if not ok:
+            raise InvariantViolated(f"complete-set contract failed on {f}")
     return seq
 
 

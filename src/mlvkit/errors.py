@@ -14,6 +14,12 @@ class MlvError(Exception):
         super().__init__(message or self.code)
 
 
+class InvariantViolated(MlvError):
+    """An internal consistency check failed: a bug, never a property of the input."""
+
+    code = "INVARIANT_VIOLATED"
+
+
 class FieldError(MlvError):
     code = "FIELD_ERROR"
 
@@ -92,6 +98,10 @@ class ResidueUnsupported(EngineError):
 
 class DepthExceeded(EngineError):
     code = "DEPTH_EXCEEDED"
+
+
+class BadBound(EngineError):
+    code = "BAD_BOUND"
 
 
 class IndexOutOfRange(EngineError):

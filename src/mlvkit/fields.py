@@ -156,6 +156,9 @@ class QpField(ValuedField):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def mul(self, a, b):
         return a * b
 

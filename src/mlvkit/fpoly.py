@@ -163,24 +163,27 @@ def mul_xk(F, f, k: int) -> Coeffs:
 def divmod_(F, f, g) -> Tuple[Coeffs, Coeffs]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    if len(f) < len(g):
+        return (), norm(F, f)
     if type(F) is ffield.GFp:
         return _divmod_gfp(F, f, g)
-    gl_inv = F.inv(g[-1])
+    # a monic divisor (nearly every key and modulus) needs no inverse
+    gl_inv = None if F.eq(g[-1], F.one()) else F.inv(g[-1])
     dg = len(g) - 1
-    gi = [(i, b) for i, b in enumerate(g) if not F.is_zero(b)]
+    # the leading term is left out: it only cancels the term popped below
+    gi = [(i, b) for i, b in enumerate(g[:-1]) if not F.is_zero(b)]
     r = list(f)
-    q = [F.zero()] * max(0, len(f) - len(g) + 1)
-    while len(r) >= len(g) and r:
-        while r and F.is_zero(r[-1]):
-            r.pop()
-        if len(r) < len(g):
-            break
-        c = F.mul(r[-1], gl_inv)
-        k = len(r) - 1 - dg
+    q = [F.zero()] * (len(f) - dg)
+    while len(r) > dg:
+        c = r.pop()
+        if F.is_zero(c):
+            continue
+        if gl_inv is not None:
+            c = F.mul(c, gl_inv)
+        k = len(r) - dg
         q[k] = c
         for i, b in gi:
             r[k + i] = F.sub(r[k + i], F.mul(c, b))
-        r.pop()
     return norm(F, q), norm(F, r)
 
 
@@ -191,7 +194,7 @@ def _divmod_gfp(F, f, g) -> Tuple[Coeffs, Coeffs]:
     gl_inv = pow(g[-1], -1, p)
     gi = _terms(g[:-1])
     r = list(f)
-    q = [0] * max(0, len(f) - dg)
+    q = [0] * (len(f) - dg)
     for k in range(len(f) - 1 - dg, -1, -1):
         c = r[k + dg] % p
         if c:
@@ -287,6 +290,8 @@ def evaluate(F, f, a):
 
 def taylor_shift(F, f, a) -> Coeffs:
     """Coefficients of f in powers of (x - a), by repeated synthetic division."""
+    if F.is_zero(a):
+        return norm(F, f)
     cc = list(f)
     out = []
     while cc:

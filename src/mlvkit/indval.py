@@ -32,7 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (ImperfectResidueUnsupported, InfiniteGammaInInterior,
-                     NotAKeyPolynomial, ValueNotIncreased, ZeroInput)
+                     InvariantViolated, NotAKeyPolynomial, ValueNotIncreased,
+                     ZeroInput)
 from .ffield import ExtField, Field, is_irreducible
 from .fields import ValuedField
 from .poly import Poly, phi_expansion
@@ -156,7 +157,8 @@ class InductiveValuation:
         else:
             node.kappa = self.kappa
             node.zgen = self.kappa.neg(node.rbar[0])
-        assert not node.kappa.is_zero(node.zgen), "residual generator must be a unit"
+        if node.kappa.is_zero(node.zgen):
+            raise InvariantViolated("residual generator must be a unit")
         return node
 
     def _certify_key(self, phi: Poly) -> tuple:
@@ -284,7 +286,8 @@ class InductiveValuation:
         iv, vp = rho._split(v)
         is_, sp = rho._split(w + v)
         delta, rem = divmod(iw + iv - is_, rho.e_rel)
-        assert rem == 0 and delta in (0, 1)
+        if rem != 0 or delta not in (0, 1):
+            raise InvariantViolated(f"twist carry {delta} (remainder {rem}) is not 0 or 1")
         tau = self._embed(rho._twist(wp, vp))
         if delta == 1:
             e_gamma = rho.e_rel * rho.gamma
@@ -375,7 +378,8 @@ class InductiveValuation:
         H: Dict[int, object] = {}
         for k in effective:
             b, w = data[k]
-            assert (k - i0) % self.e_rel == 0
+            if (k - i0) % self.e_rel != 0:
+                raise InvariantViolated(f"exponent {k} is not {i0} mod e = {self.e_rel}")
             mpow = (k - i0) // self.e_rel
             num = kap.mul(b, self._twist(w, mpow * self.e_rel * self.gamma))
             H[mpow] = kap.div(num, self._ymul(mpow))
@@ -408,7 +412,9 @@ class InductiveValuation:
         lam = kap.inv(self._ymul(fR))
         H = [kap.mul(lam, c) for c in rbar]
         Q_ = self._lift_homog(H, 0, w0)
-        assert Q_.degree == fR * self.e_rel * self.m and Q_.is_monic()
+        if Q_.degree != fR * self.e_rel * self.m or not Q_.is_monic():
+            raise InvariantViolated(
+                f"lifted key {Q_.to_str()} is not monic of degree {fR * self.e_rel * self.m}")
         return Q_
 
     # -- residual data, public invariants ------------------------------------------

@@ -145,13 +145,15 @@ def phi_expansion(f: Poly, phi: Poly) -> ExpansionResult:
         raise ConstantBase("expansion base must be nonconstant")
     if not phi.is_monic():
         raise NonMonicBase("expansion base must be monic")
-    out: List[Poly] = []
-    cur = f
     if f.is_zero():
         return ExpansionResult(phi, ())
-    while not cur.is_zero():
+    out: List[Poly] = []
+    cur = f
+    # each quotient here has degree >= 0, so the last coefficient is nonzero
+    while cur.degree >= phi.degree:
         cur, r = cur.divmod(phi)
         out.append(r)
+    out.append(cur)
     return ExpansionResult(phi, tuple(out))
 
 

@@ -105,6 +105,29 @@ def test_tame_command(capsys):
     assert d["witness"]["kind"] == "GR_IMPERFECT"
 
 
+def test_tame_over_imperfect_residue_uses_the_graded_witness(capsys):
+    # the engine cannot branch over GF(2)(c), but gr(K) already decides
+    code, out, _ = run(capsys, "tame", "--field", "FpC(2,c,t)",
+                       "--suite", "x^2+t;x^3+c", "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert d["overall"] == "NOT_TAME"
+    assert d["witness"] == {"kind": "GR_IMPERFECT",
+                            "witness": {"kind": "RESIDUE_WITNESS", "value": "c"}}
+    assert [e["g"] for e in d["perExtension"]] == ["x^2 + t", "x^3 + c"]
+    for e in d["perExtension"]:
+        assert e["fcs"] is None and e["fcsReason"] == "RESIDUE_UNSUPPORTED"
+        assert e["te1"] is None and e["te2"] is None and e["te3"] is None
+
+
+@pytest.mark.parametrize("flag", ["--limit-probes", "--max-depth"])
+def test_negative_bound_is_engine_error(capsys, flag):
+    code, out, err = run(capsys, "extend", "--field", "Qp(2)", "--poly", "x^2-2",
+                         flag, "-3", "--json")
+    assert code == 3 and out == ""
+    assert "BAD_BOUND" in err
+
+
 def test_kahler_command(capsys):
     code, out, _ = run(capsys, "kahler", "--field", "Qp(2)", "--poly", "x^2-2", "--json")
     assert code == 0

@@ -265,6 +265,61 @@ def test_depth_exceeded():
         mac_lane_chains(K, g, max_depth=0)
 
 
+def test_negative_bounds_are_rejected():
+    from mlvkit.analyzer import alg_max_evidence
+    from mlvkit.errors import BadBound
+    K = QpField(2)
+    g = parse_poly("x^2-2", K)
+    for kwargs in ({"max_depth": -1}, {"max_limit_probes": -3}):
+        with pytest.raises(BadBound) as exc:
+            mac_lane_chains(K, g, **kwargs)
+        assert exc.value.code == "BAD_BOUND"
+    mac_lane_chains(K, g, max_limit_probes=0)  # zero is a bound, not an error
+    rep = mac_lane_chains(K, g)
+    assert psi_m_scan(rep, 0, 1, probe_budget=0).outcome == "MAX_ATTAINED"
+    with pytest.raises(BadBound):
+        psi_m_scan(rep, 0, 1, probe_budget=-1)
+    with pytest.raises(BadBound):
+        alg_max_evidence(K, g, budget=-1)
+
+
+def test_fcs_contract_failure_is_a_typed_error(monkeypatch):
+    from mlvkit import engine
+    from mlvkit.errors import InvariantViolated
+    K = QpField(2)
+    rep = mac_lane_chains(K, parse_poly("x^2-2", K))
+    monkeypatch.setattr(engine, "truncation_eval", lambda nu, q, f: None)
+    with pytest.raises(InvariantViolated) as exc:
+        finite_complete_sequence(rep)
+    assert exc.value.code == "INVARIANT_VIOLATED"
+
+
+def test_fcs_contract_failure_survives_optimized_mode():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mlvkit
+    code = (
+        "from mlvkit import engine\n"
+        "from mlvkit.errors import InvariantViolated\n"
+        "from mlvkit.fields import QpField\n"
+        "from mlvkit.parsing import parse_poly\n"
+        "K = QpField(2)\n"
+        "rep = engine.mac_lane_chains(K, parse_poly('x^2-2', K))\n"
+        "engine.truncation_eval = lambda nu, q, f: None\n"
+        "try:\n"
+        "    engine.finite_complete_sequence(rep)\n"
+        "except InvariantViolated as exc:\n"
+        "    print(exc.code)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(mlvkit.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "INVARIANT_VIOLATED"
+
+
 def test_artin_schreier_is_defectless_over_the_imperfect_base():
     # over Fq(2,t) the value 1/2 is outside the group, so x^2+x+1/t is an
     # honest ramified extension; the defect only appears over the perfect

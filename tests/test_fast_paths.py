@@ -1,16 +1,24 @@
-"""Differential properties of the sparse arithmetic paths.
+"""Differential properties of the sparse arithmetic paths and early exits.
 
 ``RatFuncField.make`` cancels v^k directly when one side is a monomial,
 ``fpoly`` runs plain int loops over the nonzero terms when the field is
 exactly ``GFp``, and ``FpPerfField`` moves between levels with slices.
-Each is compared here with the general algorithm it stands in for.
+``phi_expansion`` takes its last coefficient without dividing, ``divmod_``
+returns at once for a shorter dividend and skips the inverse of a monic
+divisor's leading coefficient, ``taylor_shift`` at 0 is the identity and
+``QpField.sub`` is one Fraction subtraction.  Each is compared here with
+the general algorithm it stands in for.
 """
 
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction as Q
+
+from hypothesis import example, given, settings, strategies as st
 
 from mlvkit import fpoly
 from mlvkit.ffield import ExtField, GFp, GFq
-from mlvkit.fields import FpPerfField, PerfElem
+from mlvkit.fields import FpPerfField, PerfElem, QpField
+from mlvkit.parsing import parse_field
+from mlvkit.poly import Poly, phi_expansion
 from mlvkit.ratfunc import RF, RatFuncField
 
 
@@ -129,3 +137,147 @@ def test_perf_levels_equal_the_levelwise_algorithm(case):
     assert e == levelwise_normalize(K, k, a)
     for level in range(e.level, e.level + 3):
         assert K._normalize(level, K._promote(e, level)) == e
+
+
+# ---------------------------------------------------------------------------
+# Early exits on the phi-expansion path
+# ---------------------------------------------------------------------------
+
+VALUED = [parse_field(d) for d in ("Qp(2)", "Fq(4,t)", "FpPerf(2,t)", "FpC(2,c,t)")]
+
+
+def second_generator(K):
+    """An element independent of the uniformizer: 3, a GF(4) generator,
+    t^(1/2) and c respectively."""
+    if K.kind == "Qp":
+        return K.from_int(3)
+    if K.kind == "Fqt":
+        return K.lift(K.residue_field.gen())
+    if K.kind == "FpPerf":
+        return K.canonical_unit(Q(1, 2))
+    return K.c()
+
+
+def valued_element(K, d):
+    """(d0 + d1*w + d2*u) / (1 + d3*u) with u = canonical_unit(1) and w the
+    second generator; the denominator never vanishes."""
+    u, w = K.canonical_unit(Q(1)), second_generator(K)
+    num = K.add(K.add(K.from_int(d[0]), K.mul(K.from_int(d[1]), w)),
+                K.mul(K.from_int(d[2]), u))
+    return K.div(num, K.add(K.one(), K.mul(K.from_int(d[3]), u)))
+
+
+def valued_coeffs(K, max_len):
+    digits = st.tuples(*[st.integers(-3, 3)] * 4)
+    return st.lists(digits, max_size=max_len).map(
+        lambda ds: tuple(valued_element(K, d) for d in ds))
+
+
+def strip(F, cc) -> tuple:
+    cc = list(cc)
+    while cc and F.is_zero(cc[-1]):
+        cc.pop()
+    return tuple(cc)
+
+
+def ref_divmod(F, f, g):
+    """Schoolbook long division: invert the leading coefficient and update
+    every term of the divisor, including the one that cancels."""
+    inv = F.inv(g[-1])
+    r = list(f)
+    q = [F.zero()] * max(0, len(f) - len(g) + 1)
+    while len(r) >= len(g):
+        c = F.mul(r[-1], inv)
+        k = len(r) - len(g)
+        q[k] = c
+        for i, b in enumerate(g):
+            r[k + i] = F.sub(r[k + i], F.mul(c, b))
+        r = list(strip(F, r))
+    return strip(F, q), tuple(r)
+
+
+def ref_taylor(F, f, a) -> tuple:
+    """Coefficients of f in powers of (x - a) by repeated synthetic division."""
+    cc = list(f)
+    out = []
+    while cc:
+        q = []
+        acc = F.zero()
+        for c in reversed(cc):
+            acc = F.add(F.mul(acc, a), c)
+            q.append(acc)
+        out.append(q.pop())
+        cc = list(reversed(q))
+    return strip(F, out)
+
+
+def same(F, f, g) -> bool:
+    return len(f) == len(g) and all(F.eq(a, b) for a, b in zip(f, g))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_phi_expansion_equals_repeated_division(data):
+    for K in VALUED:
+        f = Poly(K, data.draw(valued_coeffs(K, 9)))
+        low = data.draw(valued_coeffs(K, 3))
+        phi = Poly(K, low + (K.zero(),) * data.draw(st.integers(0, 2)) + (K.one(),))
+        if phi.degree < 1:
+            phi = Poly(K, (K.zero(), K.one()))
+        ref = []
+        cur = f.coeffs
+        while cur:
+            cur, r = ref_divmod(K, cur, phi.coeffs)
+            ref.append(r)
+        exp = phi_expansion(f, phi)
+        assert len(exp.coeffs) == len(ref)
+        assert all(same(K, c.coeffs, r) for c, r in zip(exp.coeffs, ref))
+        assert exp.reconstruct() == f
+
+
+def division_cases():
+    """(field, coefficient strategy) pairs that take the generic loops."""
+    small = st.integers(0, 63)
+    gf = [(B, st.lists(small, max_size=8).map(
+        lambda ns, B=B: tuple(element(B, n) for n in ns)))
+        for B in (GenericGFp(5), GFq(4), RatFuncField(GFp(2), "c"))]
+    qp = QpField(3)
+    fracs = st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                     max_size=8).map(tuple)
+    exact = GFp(5)
+    ints = st.lists(st.integers(0, 4), max_size=8).map(tuple)
+    return gf + [(qp, fracs), (exact, ints)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_divmod_by_monic_and_non_monic_equals_long_division(data):
+    for F, coeffs in division_cases():
+        f = strip(F, data.draw(coeffs))
+        g = strip(F, data.draw(coeffs))
+        if not g:
+            continue
+        monic = fpoly.smul(F, F.inv(g[-1]), g)
+        for d in (g, monic):
+            q, r = fpoly.divmod_(F, f, d)
+            q0, r0 = ref_divmod(F, f, d)
+            assert same(F, q, q0) and same(F, r, r0)
+            if len(f) < len(d):
+                assert q == () and same(F, r, f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_taylor_shift_equals_synthetic_division(data):
+    for K in VALUED:
+        f = strip(K, data.draw(valued_coeffs(K, 8)))
+        a = valued_element(K, data.draw(st.tuples(*[st.integers(-3, 3)] * 4)))
+        for centre in (K.zero(), a):
+            assert same(K, fpoly.taylor_shift(K, f, centre), ref_taylor(K, f, centre))
+
+
+@given(st.fractions(), st.fractions())
+@example(Q(0), Q(1, 3))
+def test_qp_sub_equals_add_of_negation(a, b):
+    K = QpField(2)
+    assert K.sub(a, b) == K.add(a, K.neg(b))
