@@ -17,9 +17,10 @@ from . import fpoly
 from .engine import (TERMINATED, ExtensionReport, NoSequence,
                      finite_complete_sequence, induced_value,
                      mac_lane_chains, psi_m_scan)
-from .errors import (DenominatorVanishes, GammaNotPositive, NotPurelyInertial,
-                     NotPurelyRamified)
-from .ffield import ExtField, GFp, find_irreducible
+from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
+                     GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
+                     ZeroInput)
+from .ffield import ExtField, GFp, _is_prime, find_irreducible
 from .fields import ValuedField
 from .graded import frobenius_surjective
 from .poly import Poly
@@ -322,6 +323,8 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
     elements of GF(q), q >= p^16 by default.  Returns the first l0 from
     which value and coefficient stay constant for three consecutive l.
     """
+    if l_start < 0 or l_max < l_start:
+        raise BadBound(f"need 0 <= l_start <= l_max, got l_start = {l_start}, l_max = {l_max}")
     if q is None:
         q = p ** 16
     F = _sample_field(p, q)
@@ -330,7 +333,7 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
         cs = [_random_nonzero(F, rng) for _ in range(l_max + 1)]
         num, den = _materialize(expr, F, cs)
         if num.is_zero():
-            raise ZeroDivisionError("expression is identically zero")
+            raise ZeroInput("expression is identically zero")
         try:
             rows = []
             for ell in range(l_start, l_max + 1):
@@ -367,16 +370,18 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
 
 
 def _sample_field(p: int, q: int):
-    if q == p:
-        return GFp(p)
+    if not _is_prime(p):
+        raise BadFieldOrder(f"p = {p} is not prime")
     # q = p^m with a deterministic modulus
     m = 0
     qq = q
-    while qq > 1:
-        if qq % p:
-            raise ValueError("q must be a power of p")
+    while qq > 1 and qq % p == 0:
         qq //= p
         m += 1
+    if qq != 1 or m == 0:
+        raise BadFieldOrder(f"q = {q} is not a power of p = {p}")
+    if m == 1:
+        return GFp(p)
     return ExtField(GFp(p), find_irreducible(p, m), varname="w")
 
 

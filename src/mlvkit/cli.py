@@ -19,7 +19,7 @@ from . import graded
 from .analyzer import NOT_STABILIZED, classify_kahler, stable_value, tame_report
 from .engine import (LIMIT_SUSPECTED, Branch, ExtensionReport, NoSequence,
                      finite_complete_sequence, mac_lane_chains)
-from .errors import MlvError, ParseError
+from .errors import BadFieldOrder, MlvError, ParseError
 from .fields import ValuedField
 from .parsing import (parse_choice_overrides, parse_element, parse_expression,
                       parse_field, parse_graded, parse_poly)
@@ -272,8 +272,12 @@ def cmd_kahler(args) -> int:
 
 def cmd_stable_value(args) -> int:
     ast = parse_expression(args.expr)
-    res = stable_value(args.p, ast, q=args.q, l_start=args.l_start,
-                       l_max=args.l_max, seed=args.seed)
+    try:
+        res = stable_value(args.p, ast, q=args.q, l_start=args.l_start,
+                           l_max=args.l_max, seed=args.seed)
+    except BadFieldOrder as exc:
+        # --p and --q name the field, like a --field descriptor
+        raise ParseError(str(exc)) from exc
     if res == NOT_STABILIZED:
         out = {"schemaVersion": SCHEMA_VERSION, "outcome": "NOT_STABILIZED",
                "expr": args.expr, "seed": args.seed}

@@ -21,6 +21,7 @@ the trivial lower bound 1.
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
 from math import isqrt
 from typing import Dict, List, Optional, Tuple
@@ -279,7 +280,8 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
         return _assemble(K, g, n, branches, warnings, bounds)
 
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work: List[Tuple[InductiveValuation, int, int, List[dict], Optional[InductiveValuation]]] = []
+    work: deque[Tuple[InductiveValuation, int, int, List[dict],
+                      Optional[InductiveValuation]]] = deque()
     if 0 not in pts:
         work.append((InductiveValuation.depth_zero(K, K.zero(), INFINITY), 0, 0, [], None))
     for gamma in polygon_gammas(pts):
@@ -287,7 +289,7 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
         work.append((node, 0, 0, [_traj_entry(node, g)], None))
 
     while work:
-        node, stag, sep, traj, prev_node = work.pop(0)
+        node, stag, sep, traj, prev_node = work.popleft()
         if node.is_terminal():
             branches.append(_finish_terminated(node))
             continue

@@ -44,6 +44,12 @@ class NegativeExponent(FieldError):
     code = "NEGATIVE_EXPONENT"
 
 
+class BadFieldOrder(FieldError):
+    """A requested finite field order is not a prime power of the given p."""
+
+    code = "BAD_FIELD_ORDER"
+
+
 class PolyError(MlvError):
     code = "POLY_ERROR"
 

@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (ImperfectResidueUnsupported, InfiniteGammaInInterior,
-                     InvariantViolated, NotAKeyPolynomial, ValueNotIncreased,
-                     ZeroInput)
+                     InvariantViolated, NonMonicBase, NotAKeyPolynomial,
+                     ValueNotIncreased, ZeroInput)
 from .ffield import ExtField, Field, is_irreducible
 from .fields import ValuedField
 from .poly import Poly, phi_expansion
@@ -232,18 +232,27 @@ class InductiveValuation:
     def evaluate(self, f: Poly) -> Value:
         if f.is_zero():
             return INFINITY
+        prev = self.prev
+        if prev is not None and f.degree < self.m:
+            # the phi-expansion of f is [f]
+            return prev.evaluate(f)
         key = f.coeffs
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        best: Optional[Value] = None
-        for k, c in enumerate(self.expansion(f)):
-            if c.is_zero():
-                continue
-            v = vadd(self._coeff_value(c), vmul(k, self.gamma))
-            if best is None or v < best:
-                best = v
-        out = INFINITY if best is None else best
+        if prev is not None and is_inf(self.gamma):
+            # every term f_k phi^k with k >= 1 has value oo
+            r = f.mod(self.phi)
+            out = INFINITY if r.is_zero() else prev.evaluate(r)
+        else:
+            best: Optional[Value] = None
+            for k, c in enumerate(self.expansion(f)):
+                if c.is_zero():
+                    continue
+                v = vadd(self._coeff_value(c), vmul(k, self.gamma))
+                if best is None or v < best:
+                    best = v
+            out = INFINITY if best is None else best
         if len(self._eval_cache) < 4096:
             self._eval_cache[key] = out
         return out
@@ -556,10 +565,16 @@ def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:
     """
     if q.degree < 1:
         raise ZeroInput("truncation base must be nonconstant")
-    exp = phi_expansion(f, q)
-    if not exp.coeffs:
+    if not q.is_monic():
+        raise NonMonicBase("truncation base must be monic")
+    if f.is_zero():
         return INFINITY
     vq = nu(q)
+    if is_inf(vq):
+        # every term f_k q^k with k >= 1 has value oo
+        r = f.mod(q)
+        return INFINITY if r.is_zero() else nu(r)
+    exp = phi_expansion(f, q)
     best: Optional[Value] = None
     for k, c in enumerate(exp.coeffs):
         if c.is_zero():

@@ -8,8 +8,8 @@ from mlvkit.analyzer import (NOT_APPLICABLE, NOT_STABILIZED, MaxAttained,
                              kahler_purely_ramified, stable_value, tame_report,
                              te1_witness, te_conditions)
 from mlvkit.engine import mac_lane_chains
-from mlvkit.errors import (GammaNotPositive, NotPurelyInertial,
-                           NotPurelyRamified)
+from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive,
+                           NotPurelyInertial, NotPurelyRamified, ZeroInput)
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.parsing import parse_expression, parse_poly
 from mlvkit.values import ValueGroup, value_str
@@ -198,6 +198,28 @@ def test_stable_value_rational_and_taylor_consistency():
     assert r.stable_value == 1 and r.l0 == 2
     r2 = stable_value(2, parse_expression("S*S - T"), seed=2)
     assert r2.stable_value == 1  # v(s^2 - t) = min(2, 1) = 1
+
+
+@pytest.mark.parametrize("kwargs, error", [
+    ({"l_max": 0}, BadBound),
+    ({"l_start": 5, "l_max": 4}, BadBound),
+    ({"l_start": -1}, BadBound),
+    ({"p": 4}, BadFieldOrder),
+    ({"p": 1}, BadFieldOrder),
+    ({"q": 6}, BadFieldOrder),
+    ({"q": 1}, BadFieldOrder),
+    ({"expr": "S-S"}, ZeroInput),
+])
+def test_stable_value_bad_input_is_typed(kwargs, error):
+    args = {"p": 2, "expr": "S", **kwargs}
+    with pytest.raises(error):
+        stable_value(args.pop("p"), parse_expression(args.pop("expr")), **args)
+
+
+def test_stable_value_field_orders():
+    # q = p and q = p^2 name valid sampling fields
+    assert stable_value(2, parse_expression("S"), q=2).stable_value == 1
+    assert stable_value(3, parse_expression("S"), q=9).stable_value == 1
 
 
 def test_stable_value_denominator_vanishes():

@@ -128,6 +128,21 @@ def test_negative_bound_is_engine_error(capsys, flag):
     assert "BAD_BOUND" in err
 
 
+@pytest.mark.parametrize("argv, code, token", [
+    (["--l-max", "0"], 3, "BAD_BOUND"),
+    (["--l-start", "5", "--l-max", "4"], 3, "BAD_BOUND"),
+    (["--p", "4"], 2, "4 is not prime"),
+    (["--q", "6"], 2, "6 is not a power of p = 2"),
+    (["--expr", "S-S"], 3, "ZERO_INPUT"),
+])
+def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
+    base = {"--p": "2", "--expr": "S"}
+    opts = dict(base, **dict(zip(argv[::2], argv[1::2])))
+    got, out, err = run(capsys, "stable-value", *[a for kv in opts.items() for a in kv])
+    assert (got, out) == (code, "")
+    assert token in err
+
+
 def test_kahler_command(capsys):
     code, out, _ = run(capsys, "kahler", "--field", "Qp(2)", "--poly", "x^2-2", "--json")
     assert code == 0

@@ -6,20 +6,30 @@ exactly ``GFp``, and ``FpPerfField`` moves between levels with slices.
 ``phi_expansion`` takes its last coefficient without dividing, ``divmod_``
 returns at once for a shorter dividend and skips the inverse of a monic
 divisor's leading coefficient, ``taylor_shift`` at 0 is the identity and
-``QpField.sub`` is one Fraction subtraction.  Each is compared here with
+``QpField.sub`` is one Fraction subtraction.  ``InductiveValuation.evaluate``
+hands inputs of lower degree than the key to the previous stage and
+reduces once modulo the key at a terminal stage, and ``truncation_eval``
+reduces once modulo a base of infinite value.  Each is compared here with
 the general algorithm it stands in for.
 """
 
 from fractions import Fraction as Q
+from functools import lru_cache
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from corpus import FPPERF2, FQ2T, QP2
 from mlvkit import fpoly
+from mlvkit.engine import TERMINATED, mac_lane_chains
+from mlvkit.errors import NonMonicBase
 from mlvkit.ffield import ExtField, GFp, GFq
 from mlvkit.fields import FpPerfField, PerfElem, QpField
-from mlvkit.parsing import parse_field
+from mlvkit.indval import truncation_eval
+from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly, phi_expansion
 from mlvkit.ratfunc import RF, RatFuncField
+from mlvkit.values import INFINITY, vadd, vmul
 
 
 class GenericGFp(GFp):
@@ -281,3 +291,87 @@ def test_taylor_shift_equals_synthetic_division(data):
 def test_qp_sub_equals_add_of_negation(a, b):
     K = QpField(2)
     assert K.sub(a, b) == K.add(a, K.neg(b))
+
+
+# chains of the corpus polynomials, plus a few deeper ones; the Fq(2,t)
+# polynomials are read over Fq(4,t)
+CHAIN_INPUTS = {
+    "Qp(2)": QP2 + ["(x^2-2)^2-8", "(((x^2-2)^2-8)^2-128)^2-2^15"],
+    "Fq(4,t)": FQ2T + ["(x^2+t)^2+t^3*x"],
+    "FpPerf(2,t)": FPPERF2,
+}
+
+
+@lru_cache(maxsize=None)
+def chain_branches(desc):
+    K = parse_field(desc)
+    out = []
+    for s in CHAIN_INPUTS[desc]:
+        g = parse_poly(s, K)
+        out += [(g, b) for b in mac_lane_chains(K, g, max_limit_probes=3).branches]
+    return K, tuple(out)
+
+
+def ref_evaluate(stage, f):
+    """min_k v(f_k) + k*gamma over the full expansion, recursively."""
+    if f.is_zero():
+        return INFINITY
+    if stage.prev is None:
+        K = stage.K
+        terms = [(k, K.valuate(c)) for k, c in enumerate(f.taylor_coeffs(stage.center))
+                 if not K.is_zero(c)]
+    else:
+        terms = [(k, ref_evaluate(stage.prev, c))
+                 for k, c in enumerate(phi_expansion(f, stage.phi).coeffs) if not c.is_zero()]
+    return min(vadd(v, vmul(k, stage.gamma)) for k, v in terms)
+
+
+def ref_truncation(nu, q, f):
+    """min_k nu(f_k) + k*nu(q) over the full q-expansion."""
+    vq = nu(q)
+    vals = [vadd(nu(c), vmul(k, vq))
+            for k, c in enumerate(phi_expansion(f, q).coeffs) if not c.is_zero()]
+    return min(vals) if vals else INFINITY
+
+
+def draw_poly(data, K, lo, hi):
+    """A polynomial with lo..hi coefficients (the top ones may vanish)."""
+    digits = st.tuples(*[st.integers(-3, 3)] * 4)
+    ds = data.draw(st.lists(digits, min_size=lo, max_size=hi))
+    return Poly(K, tuple(valued_element(K, d) for d in ds))
+
+
+@pytest.mark.parametrize("desc", list(CHAIN_INPUTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_evaluate_equals_the_full_expansion_at_every_stage(desc, data):
+    K, branches = chain_branches(desc)
+    g, b = data.draw(st.sampled_from(branches))
+    stages = b.chain.stages()
+    stage = data.draw(st.sampled_from(stages))
+    m = stage.degree
+    below = draw_poly(data, K, 0, m)
+    above = draw_poly(data, K, m + 1, 3 * m + 2)
+    for f in (below, above, stage.phi * below, g * below):
+        assert stage.evaluate(f) == ref_evaluate(stage, f)
+    if stage.is_terminal() and not below.is_zero():
+        assert stage.evaluate(stage.phi * above) is INFINITY
+
+
+@pytest.mark.parametrize("desc", list(CHAIN_INPUTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_truncation_eval_equals_the_full_expansion(desc, data):
+    K, branches = chain_branches(desc)
+    g, b = data.draw(st.sampled_from([(g, b) for g, b in branches if b.status == TERMINATED]))
+    nu = b.chain.evaluate
+    assert nu(g) is INFINITY
+    f = draw_poly(data, K, 1, 3 * g.degree + 1)
+    for q in [st_.phi for st_ in b.chain.stages()]:
+        assert truncation_eval(nu, q, f) == ref_truncation(nu, q, f)
+    h = draw_poly(data, K, 1, g.degree + 1)
+    if not h.is_zero():
+        assert truncation_eval(nu, g, g * h) is INFINITY
+        assert ref_truncation(nu, g, g * h) is INFINITY
+    with pytest.raises(NonMonicBase):
+        truncation_eval(nu, g * Poly.const(K, K.canonical_unit(Q(1))), f)

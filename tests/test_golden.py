@@ -8,18 +8,60 @@ says why.
 import hashlib
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from corpus import corpus
-from mlvkit.cli import report_to_dict
+from mlvkit.cli import main, report_to_dict
 from mlvkit.engine import NoSequence, finite_complete_sequence, mac_lane_chains
 
 ROOT = Path(__file__).resolve().parents[1]
 
 RUN_CORPUS_JSON_SHA256 = "25a644fa6748855a21006b0fcaf1cb2a74d6f98282891618bd0c8300acc8f8cb"
 REPORTS_AND_FCS_SHA256 = "7c83d118aa55d388f50035961f65ce490ade75fec4cb87af7d7f9a7dd5498545"
+README_CLI_SHA256 = {  # stdout of each README CLI example, by argv
+    "extend --field Qp(2) --poly x^2-2":
+        "a51d4644479550069c5d0ae143f68b27985c7df859394750e097a930ceda42d0",
+    "extend --field Qp(2) --poly x^2-2 --max-depth 32 --limit-probes 8 --json":
+        "cb41689cbe771c4b9709ebaea933473cdeeaffe7cdeae42167042d848ea62512",
+    "field --field FpPerf(2,t) --valuate t^(1/2)+t --residue 1/(1+t) --choice 3/4":
+        "b44c02f7af7c6d0b23be2be9ccfdef2d9dc8a35f5befaa98a2b3396e92ca50cf",
+    "graded --field Qp(3) --mul T^1 T^1 --choice 1=3,2=18":
+        "c13cd9a6651d39538656c753c45efb563ed92900ab3a51689c79991eb409fda4",
+    "graded --field FpC(2,c,t) --surjective --json":
+        "5b0fbfe4192109572d01dcea50e95a9fbeb9cfd1d3f51dc34dd43ad24fa8fcd5",
+    "graded --field Qp(2) --initial-form 12 --frobenius T^2":
+        "1b0e5794db9b9fdfa7506ee3540645def81448e0b40878f4eb33720eefb07697",
+    "tame --field FpPerf(2,t) --suite x^3+t;x^2+x+1/t --json":
+        "060f09f77524107706b4d9fe0a5a5d0f214595960928d5d4978338d8089c6731",
+    "kahler --field Qp(2) --poly x^2-2":
+        "8b753a8ccebe12d88e6e1ac06090e2c92bff2476e891bfd850e0fb6f46379a04",
+    "stable-value --p 2 --expr S - (c1*T + c2*T^2) --seed 0 --l-max 12":
+        "e1f64345826f9bb8f474c050108bdb6f39589f5163232b60c900b5f60e67dbb2",
+}
+
+
+def _readme_cli_commands():
+    """argv lists for each `mlvkit ...` line of the README "CLI" block.
+
+    A line with optional `[--opt value]` parts is run twice: without them
+    and with all of them.
+    """
+    text = (ROOT / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out = []
+    for line in block.splitlines():
+        if not line.startswith("mlvkit "):
+            continue
+        forms = [re.sub(r"\s*\[[^\]]*\]", "", line), line.replace("[", "").replace("]", "")]
+        for form in dict.fromkeys(forms):
+            out.append(shlex.split(form)[1:])
+    return out
 
 
 def test_run_corpus_json_is_pinned():
@@ -42,3 +84,10 @@ def test_reports_and_complete_sequences_are_pinned():
             fcs = seq.reason if isinstance(seq, NoSequence) else ";".join(q.to_str() for q in seq)
             h.update(fcs.encode() + b"\n")
     assert h.hexdigest() == REPORTS_AND_FCS_SHA256
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_examples_are_pinned(argv, capsys):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == README_CLI_SHA256[" ".join(argv)]
