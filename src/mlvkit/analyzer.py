@@ -20,7 +20,7 @@ from .engine import (TERMINATED, ExtensionReport, NoSequence,
 from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
                      GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
                      ZeroInput)
-from .ffield import ExtField, GFp, _is_prime, find_irreducible
+from .ffield import GFp, GFq, _is_prime, _p_power_exponent
 from .fields import ValuedField
 from .graded import frobenius_surjective
 from .poly import Poly
@@ -38,9 +38,6 @@ class TEVerdict:
     te2: bool
     te3: bool
     suspected: bool  # qualifies the verdicts when the report is not settled
-
-    def all_hold(self) -> bool:
-        return self.te1 and self.te2 and self.te3
 
 
 def te_conditions(K: ValuedField, report: ExtensionReport) -> TEVerdict:
@@ -345,8 +342,9 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
                 if fpoly.is_zero(nt):
                     rows.append((ell, None, None))
                     continue
-                val = _low_ord(F, nt) - _low_ord(F, dt)
-                coeff = F.div(nt[_low_ord(F, nt)], dt[_low_ord(F, dt)])
+                kn, kd = fpoly.low_deg(F, nt), fpoly.low_deg(F, dt)
+                val = kn - kd
+                coeff = F.div(nt[kn], dt[kd])
                 rows.append((ell, val, coeff))
         except DenominatorVanishes:
             if attempt < retries:
@@ -372,17 +370,14 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
 def _sample_field(p: int, q: int):
     if not _is_prime(p):
         raise BadFieldOrder(f"p = {p} is not prime")
-    # q = p^m with a deterministic modulus
-    m = 0
-    qq = q
-    while qq > 1 and qq % p == 0:
-        qq //= p
-        m += 1
-    if qq != 1 or m == 0:
+    try:
+        m = _p_power_exponent(q, p)
+    except ValueError:
+        m = 0
+    if m == 0:
         raise BadFieldOrder(f"q = {q} is not a power of p = {p}")
-    if m == 1:
-        return GFp(p)
-    return ExtField(GFp(p), find_irreducible(p, m), varname="w")
+    # q = p^m with the deterministic modulus
+    return GFq(q, "w")
 
 
 def _random_nonzero(F, rng: random.Random):
@@ -394,13 +389,6 @@ def _random_nonzero(F, rng: random.Random):
                                     for _ in range(F.degree)])
         if not F.is_zero(x):
             return x
-
-
-def _low_ord(F, cc) -> int:
-    for i, c in enumerate(cc):
-        if not F.is_zero(c):
-            return i
-    raise ValueError("zero polynomial")
 
 
 def _materialize(expr, F, cs) -> Tuple[BivariatePoly, BivariatePoly]:

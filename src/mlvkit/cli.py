@@ -165,6 +165,16 @@ def cmd_extend(args) -> int:
     return 0
 
 
+def _frobenius_witness(K, witness):
+    """JSON form of a Frobenius witness (kind, value), or None."""
+    if witness is None:
+        return None
+    kind, val = witness
+    return {"kind": kind,
+            "value": value_str(val) if kind == "VALUE_WITNESS"
+            else K.residue_field.elem_str(val)}
+
+
 def cmd_graded(args) -> int:
     K = parse_field(args.field)
     if args.choice:
@@ -189,13 +199,8 @@ def cmd_graded(args) -> int:
                               "result": graded.element_str(K, graded.from_term(K, t))}
     if args.surjective:
         verdict, witness = graded.frobenius_surjective(K)
-        w = None
-        if witness is not None:
-            kind, val = witness
-            w = {"kind": kind,
-                 "value": value_str(val) if kind == "VALUE_WITNESS"
-                 else K.residue_field.elem_str(val)}
-        out["frobeniusSurjective"] = {"verdict": verdict, "witness": w}
+        out["frobeniusSurjective"] = {"verdict": verdict,
+                                      "witness": _frobenius_witness(K, witness)}
     if args.json:
         print(_dump(out))
     else:
@@ -228,11 +233,8 @@ def cmd_tame(args) -> int:
         w = dict(tr.witness)
         if "g" in w:
             w["g"] = w["g"].to_str()
-        if "witness" in w and w["witness"] is not None:
-            kind, val = w["witness"]
-            w["witness"] = {"kind": kind,
-                            "value": value_str(val) if kind == "VALUE_WITNESS"
-                            else K.residue_field.elem_str(val)}
+        if "witness" in w:
+            w["witness"] = _frobenius_witness(K, w["witness"])
         out["witness"] = w
     if args.json:
         print(_dump(out))

@@ -60,10 +60,6 @@ class Branch:
     stagnation: int
     prev_chain: Optional[InductiveValuation] = None
 
-    @property
-    def local_degree(self) -> Optional[int]:
-        return self.chain.degree if self.status == TERMINATED else None
-
 
 @dataclass
 class ExtensionReport:
@@ -191,7 +187,7 @@ def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuatio
         for gamma in gammas:
             child = node.augment(key, gamma, _rbar=rbar)
             if child.phi == key:
-                child._exp_cache[g.coeffs] = exp_coeffs
+                child.seed_expansion(g, exp_coeffs)
             children.append(child)
     return children, separated
 

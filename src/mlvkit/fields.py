@@ -10,6 +10,11 @@ of the valuation on the nonnegative value group):
 * ``Fpct(p)``         -- rational functions over GF(p)(c), t-adic
                          (imperfect residue field GF(p)(c)).
 
+``Fqt`` and ``Fpct`` are one construction, ``TadicField``: B(t) with the
+t-adic valuation for a coefficient field B that is also the residue
+field.  B = GF(q) is perfect and B = GF(p)(c) is not, which is exactly
+what the Frobenius criterion on gr(K) tells apart.
+
 Elements are plain data: ``Fraction`` for Qp, ``RF`` pairs for the
 t-adic families, and ``PerfElem`` (a level plus an RF in u = t^(1/p^k))
 for the perfect closure.  Perfect-closure elements are normalized to the
@@ -24,6 +29,7 @@ nontrivial twists in the graded ring.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -100,7 +106,11 @@ class ValuedField(Field):
         return other
 
     def _clone(self) -> "ValuedField":
-        raise NotImplementedError
+        # descriptors are immutable apart from the override table, which
+        # starts empty in the copy
+        other = copy.copy(self)
+        other.choice_overrides = {}
+        return other
 
     def residue_perfect(self):
         """("PERFECT", None) or ("IMPERFECT", witness residue element)."""
@@ -137,9 +147,6 @@ class QpField(ValuedField):
         self.char = 0
         self.value_group = ValueGroup(Q(1), None)
         self.residue_field = GFp(p)
-
-    def _clone(self):
-        return QpField(self.p)
 
     _ZERO = Q(0)
     _ONE = Q(1)
@@ -235,23 +242,18 @@ class QpField(ValuedField):
         return f"Qp({self.p})"
 
 
-class FqtField(ValuedField):
-    """GF(q)(t) with the t-adic valuation.  Elements are RF over GF(q)."""
+class TadicField(ValuedField):
+    """B(t) with the t-adic valuation, for a coefficient field B that is
+    also the residue field.  Elements are RF over B."""
 
-    kind = "Fqt"
-
-    def __init__(self, q: int):
+    def __init__(self, B: Field):
         super().__init__()
-        self.coeff_field = GFq(q)
-        self.q = q
-        self.p = self.coeff_field.char
-        self.char = self.p
-        self.rff = RatFuncField(self.coeff_field, "t")
+        self.coeff_field = B
+        self.p = B.char
+        self.char = B.char
+        self.rff = RatFuncField(B, "t")
         self.value_group = ValueGroup(Q(1), None)
-        self.residue_field = self.coeff_field
-
-    def _clone(self):
-        return FqtField(self.q)
+        self.residue_field = B
 
     def zero(self):
         return self.rff.zero()
@@ -270,7 +272,7 @@ class FqtField(ValuedField):
 
     def inv(self, a):
         if self.rff.is_zero(a):
-            raise InvertZero("division by zero in Fq(t)")
+            raise InvertZero(f"division by zero in {self.descriptor_str()}")
         return self.rff.inv(a)
 
     def eq(self, a, b):
@@ -313,12 +315,16 @@ class FqtField(ValuedField):
         return self.rff.make((one,), tk)
 
     def residue_perfect(self):
-        return "PERFECT", None
+        # a finite residue field is perfect; GF(p)(c) is not, c has no p-th root
+        B = self.coeff_field
+        if B.order is not None:
+            return "PERFECT", None
+        return "IMPERFECT", B.var()
 
     def pth_root(self, a):
         r = self.rff.pth_root(a)
         if r is None:
-            raise ArithmeticError("element is not a p-th power in Fq(t)")
+            raise ArithmeticError(f"element is not a p-th power in {self.descriptor_str()}")
         return r
 
     def accepts(self, a):
@@ -326,6 +332,16 @@ class FqtField(ValuedField):
 
     def elem_str(self, a):
         return self.rff.elem_str(a)
+
+
+class FqtField(TadicField):
+    """GF(q)(t) with the t-adic valuation; residue field GF(q)."""
+
+    kind = "Fqt"
+
+    def __init__(self, q: int):
+        super().__init__(GFq(q))
+        self.q = q
 
     @property
     def key(self):
@@ -353,9 +369,6 @@ class FpPerfField(ValuedField):
         self.rff = RatFuncField(self.coeff_field, "u")
         self.value_group = ValueGroup(Q(1), p)
         self.residue_field = self.coeff_field
-
-    def _clone(self):
-        return FpPerfField(self.p)
 
     # -- level bookkeeping ---------------------------------------------------
 
@@ -522,100 +535,17 @@ def _perf_str(K: FpPerfField, a: PerfElem) -> str:
     return f"{ns}/{ds}"
 
 
-class FpctField(ValuedField):
+class FpctField(TadicField):
     """GF(p)(c)(t) with the t-adic valuation; residue field GF(p)(c)."""
 
     kind = "Fpct"
 
     def __init__(self, p: int):
-        super().__init__()
-        self.p = p
-        self.char = p
-        self.cfield = RatFuncField(GFp(p), "c")  # residue field GF(p)(c)
-        self.rff = RatFuncField(self.cfield, "t")
-        self.value_group = ValueGroup(Q(1), None)
-        self.residue_field = self.cfield
-
-    def _clone(self):
-        return FpctField(self.p)
-
-    def zero(self):
-        return self.rff.zero()
-
-    def one(self):
-        return self.rff.one()
-
-    def t(self):
-        return self.rff.var()
+        super().__init__(RatFuncField(GFp(p), "c"))
 
     def c(self):
-        return self.rff.make(fpoly.const(self.cfield, self.cfield.var()),
-                             (self.cfield.one(),))
-
-    def add(self, a, b):
-        return self.rff.add(a, b)
-
-    def neg(self, a):
-        return self.rff.neg(a)
-
-    def mul(self, a, b):
-        return self.rff.mul(a, b)
-
-    def inv(self, a):
-        if self.rff.is_zero(a):
-            raise InvertZero("division by zero in Fp(c)(t)")
-        return self.rff.inv(a)
-
-    def eq(self, a, b):
-        return self.rff.eq(a, b)
-
-    def is_zero(self, a):
-        return self.rff.is_zero(a)
-
-    def from_int(self, n):
-        return self.rff.from_int(n)
-
-    def valuate(self, a) -> Value:
-        k = self.rff.ord_var(a)
-        return INFINITY if k is None else Q(k)
-
-    def residue(self, a):
-        v = self.valuate(a)
-        if is_inf(v):
-            return self.cfield.zero()
-        if v < 0:
-            raise NegativeValue(f"t-adic value {v} < 0")
-        return self.rff.residue_at_zero(a)
-
-    def lift(self, r):
-        return self.rff.make(fpoly.const(self.cfield, r), (self.cfield.one(),))
-
-    def canonical_unit(self, w):
-        w = Q(w)
-        if w.denominator != 1:
-            raise NotInValueGroup(f"{w} is not in Z")
-        k = w.numerator
-        one = self.cfield.one()
-        zero = self.cfield.zero()
-        tk = (zero,) * abs(k) + (one,)
-        if k >= 0:
-            return self.rff.make(tk, (one,))
-        return self.rff.make((one,), tk)
-
-    def residue_perfect(self):
-        return "IMPERFECT", self.cfield.var()
-
-    def pth_root(self, a):
-        r = self.rff.pth_root(a)
-        if r is None:
-            raise ArithmeticError("element is not a p-th power")
-        return r
-
-    def accepts(self, a):
-        return isinstance(a, RF) and all(isinstance(c, RF) for c in a.num + a.den)
-
-    def elem_str(self, a):
-        return self.rff.elem_str(a)
+        B = self.coeff_field
+        return self.rff.make(fpoly.const(B, B.var()), (B.one(),))
 
     @property
     def key(self):
@@ -628,6 +558,8 @@ class FpctField(ValuedField):
 def _rf_over(B: Field, a: RF) -> bool:
     if isinstance(B, GFp):
         return all(isinstance(c, int) and 0 <= c < B.p for c in a.num + a.den)
+    if isinstance(B, RatFuncField):
+        return all(isinstance(c, RF) for c in a.num + a.den)
     return all(isinstance(c, tuple) for c in a.num + a.den)
 
 
@@ -665,10 +597,6 @@ def value_group_p_divisible(G: ValueGroup, p: int):
     """("YES", None) or ("NO", witness) for p-divisibility of G."""
     ok, witness = G.p_divisible(p)
     return ("YES", None) if ok else ("NO", witness)
-
-
-def residue_perfect(K: ValuedField):
-    return K.residue_perfect()
 
 
 def make_field(kind: str, *args) -> ValuedField:

@@ -154,12 +154,6 @@ def _mul_gfp(F, f, g) -> Coeffs:
     return norm(F, [c % p for c in out])
 
 
-def mul_xk(F, f, k: int) -> Coeffs:
-    if not f:
-        return ()
-    return (F.zero(),) * k + tuple(f)
-
-
 def divmod_(F, f, g) -> Tuple[Coeffs, Coeffs]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")

@@ -220,9 +220,13 @@ class InductiveValuation:
             out = [Poly.const(self.K, c) for c in f.taylor_coeffs(self.center)]
         else:
             out = list(phi_expansion(f, self.phi).coeffs)
-        if len(self._exp_cache) < 512:
-            self._exp_cache[f.coeffs] = out
+        self.seed_expansion(f, out)
         return out
+
+    def seed_expansion(self, f: Poly, coeffs: List[Poly]) -> None:
+        """Memoize the phi-expansion of f; the table keeps at most 512 entries."""
+        if len(self._exp_cache) < 512:
+            self._exp_cache[f.coeffs] = coeffs
 
     def _coeff_value(self, c: Poly) -> Value:
         if self.prev is None:

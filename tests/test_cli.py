@@ -98,11 +98,19 @@ def test_field_command(capsys):
 
 
 def test_tame_command(capsys):
-    code, out, _ = run(capsys, "tame", "--field", "Qp(2)", "--suite", "x^2-2", "--json")
-    assert code == 0
-    d = json.loads(out)
-    assert d["overall"] == "NOT_TAME"
-    assert d["witness"]["kind"] == "GR_IMPERFECT"
+    for field, suite, kind in [("Qp(2)", "x^2-2", "VALUE_WITNESS"),
+                               ("FpC(2,c,t)", "x^2+t", "RESIDUE_WITNESS")]:
+        code, out, _ = run(capsys, "tame", "--field", field, "--suite", suite, "--json")
+        assert code == 0
+        d = json.loads(out)
+        assert d["overall"] == "NOT_TAME"
+        assert d["witness"]["kind"] == "GR_IMPERFECT"
+        # tame and graded serialize the same Frobenius witness
+        code, out, _ = run(capsys, "graded", "--field", field, "--surjective", "--json")
+        assert code == 0
+        graded_witness = json.loads(out)["frobeniusSurjective"]["witness"]
+        assert graded_witness["kind"] == kind
+        assert d["witness"]["witness"] == graded_witness
 
 
 def test_tame_over_imperfect_residue_uses_the_graded_witness(capsys):

@@ -115,6 +115,8 @@ def test_choice_guards():
 def test_residue_perfect():
     assert QpField(7).residue_perfect()[0] == "PERFECT"
     assert FpPerfField(3).residue_perfect()[0] == "PERFECT"
+    assert FqtField(2).residue_perfect() == ("PERFECT", None)
+    assert FqtField(4).residue_perfect() == ("PERFECT", None)
     verdict, witness = FpctField(2).residue_perfect()
     assert verdict == "IMPERFECT"
     C = FpctField(2)
@@ -144,6 +146,15 @@ def test_mixed_fields():
     P = FpPerfField(2)
     with pytest.raises(MixedFields):
         field_arith(P, ADD, F.t(), P.t())
+    # the t-adic fields share the RF representation; the coefficients differ
+    F3, C3 = FqtField(3), FpctField(3)
+    with pytest.raises(MixedFields):
+        field_arith(C3, MUL, F3.t(), C3.t())
+    with pytest.raises(MixedFields):
+        field_arith(F3, MUL, C3.c(), F3.t())
+    F4, C2 = FqtField(4), FpctField(2)
+    with pytest.raises(MixedFields):
+        field_arith(F4, ADD, C2.c(), F4.t())
 
 
 def test_perf_level_normalization_idempotent():
@@ -154,6 +165,21 @@ def test_perf_level_normalization_idempotent():
     # promoting then renormalizing returns the original
     up = P._promote(e, e.level + 2)
     assert P._normalize(e.level + 2, up) == e
+
+
+@pytest.mark.parametrize("K", all_fields(), ids=lambda k: k.descriptor_str())
+def test_with_choice_overrides_copies_the_descriptor(K):
+    gamma = K.value_group.gen
+    eps = K.canonical_unit(gamma)
+    elt = K.mul(eps, K.add(K.one(), eps))  # value gamma, not epsilon(gamma)
+    L = K.with_choice_overrides({gamma: elt})
+    assert type(L) is type(K)
+    assert L.key == K.key and L.descriptor_str() == K.descriptor_str()
+    assert L.eq(L.choice(gamma), elt)
+    assert K.eq(K.choice(gamma), eps)
+    # every copy starts from an empty override table
+    M = L.with_choice_overrides({})
+    assert M.eq(M.choice(gamma), eps)
 
 
 # -- valuation axioms (V1)-(V3) on random pairs ------------------------------
