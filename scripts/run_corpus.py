@@ -25,7 +25,7 @@ def main():
     for K, polys in corpus():
         for g in polys:
             rep = mac_lane_chains(K, g)
-            seq = finite_complete_sequence(rep, check_samples=10)
+            seq = finite_complete_sequence(rep)
             rows.append({
                 "field": K.descriptor_str(),
                 "poly": g.to_str(),

@@ -102,7 +102,7 @@ def report_text(report: ExtensionReport) -> str:
         dstr = str(b.d) if b.d is not None else f">= {b.d_lower}"
         lines.append(f"  branch {i}: {b.status}  e = {b.e}  f = {b.f}  d = {dstr}")
         lines.append(f"    chain: {b.chain.chain_str()}")
-        if b.status == LIMIT_SUSPECTED and b.trajectory:
+        if b.status == LIMIT_SUSPECTED and len(b.trajectory) > 1:
             vals = ", ".join(value_str(e["gamma"]) for e in b.trajectory[1:7])
             lines.append(f"    value trajectory: {vals}, ...")
     sumefd = report.sum_efd

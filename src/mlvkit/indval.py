@@ -26,7 +26,6 @@ factorizations meaningful.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -508,57 +507,6 @@ class InductiveValuation:
         if vf != vg:
             return False
         return self.evaluate(f - g) > vf
-
-    def equiv_divides(self, h: Poly, f: Poly) -> bool:
-        """Whether the monic h equivalence-divides f at this valuation."""
-        r = f.mod(h)
-        if r.is_zero():
-            return True
-        return self.evaluate(r) > self.evaluate(f)
-
-    def is_minimal(self, f: Poly, trials: int = 24, seed: int = 7) -> bool:
-        """Probe-certified strong minimality of a monic f.
-
-        Checks (a) the expansion-min identity nu(h) = min_k nu(h_k f^k)
-        over a probe family, and (b) that no lower-degree monic probe
-        equivalence-divides f.  A failure is a definitive no; a pass is
-        certification over the family only.
-        """
-        if not f.is_monic() or f.degree < 1:
-            raise NotAKeyPolynomial("minimality applies to monic nonconstant f")
-        K = self.K
-        rng = random.Random(seed)
-        probes: List[Poly] = []
-        xpol = Poly.x(K)
-        for j in range(0, 2 * f.degree + 1):
-            for k in range(0, 2):
-                probe = Poly.monomial(K, K.one(), j) * (f ** k)
-                if probe.degree <= 2 * f.degree and not probe.is_zero():
-                    probes.append(probe)
-        for _ in range(trials):
-            cc = [K.from_int(rng.randrange(-9, 10)) for _ in range(2 * f.degree + 1)]
-            probes.append(Poly(K, cc))
-        for h in probes:
-            if h.is_zero():
-                continue
-            exp = phi_expansion(h, f)
-            vals = []
-            for k, c in enumerate(exp.coeffs):
-                if c.is_zero():
-                    continue
-                vals.append(vadd(self.evaluate(c), vmul(k, self.evaluate(f))))
-            if vals and self.evaluate(h) != min(vals):
-                return False
-        # lower-degree divisor probes
-        divisors: List[Poly] = [st.phi for st in self.stages() if st.phi.degree < f.degree]
-        divisors.append(xpol)
-        for n in (-2, -1, 0, 1, 2):
-            divisors.append(xpol - Poly.const(K, K.from_int(n)))
-        for h in divisors:
-            if 1 <= h.degree < f.degree and h.is_monic():
-                if self.equiv_divides(h, f):
-                    return False
-        return True
 
 
 def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:

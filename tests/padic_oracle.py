@@ -167,6 +167,26 @@ def _shift_poly(coeffs: List[int], a: int, mod: int) -> List[int]:
     return out
 
 
+def rational_root_free(coeffs: List[int]) -> bool:
+    """Whether the monic x^n + c_(n-1) x^(n-1) + ... + c_0 has no rational
+    root; ``coeffs`` are c_0, ..., c_(n-1), without the leading 1.  A root
+    is an integer dividing c_0, and c_0 = 0 counts as the root 0."""
+    c0 = coeffs[0]
+    if c0 == 0:
+        return False
+    for r in range(1, abs(c0) + 1):
+        if abs(c0) % r:
+            continue
+        for s in (r, -r):
+            acc, power = 0, 1
+            for c in coeffs + [1]:
+                acc += c * power
+                power *= s
+            if acc == 0:
+                return False
+    return True
+
+
 def padic_extensions(p: int, int_coeffs: List[int], N: int = 40) -> List[Tuple[int, int]]:
     """Sorted (e, f) pairs of the extensions of v_p to Q[x]/(g).
 

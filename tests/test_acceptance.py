@@ -9,7 +9,7 @@ import random
 from fractions import Fraction as Q
 
 from corpus import corpus
-from padic_oracle import padic_extensions
+from padic_oracle import padic_extensions, rational_root_free
 from mlvkit import graded as G
 from mlvkit.analyzer import stable_value
 from mlvkit.engine import (LIMIT_SUSPECTED, TERMINATED, NoSequence,
@@ -133,7 +133,7 @@ def test_criterion_5_theorem_linkage_over_corpus():
         for g in polys:
             r = mac_lane_chains(K, g)
             b = r.branches[0]
-            seq = finite_complete_sequence(r, check_samples=100)
+            seq = finite_complete_sequence(r)
             has_seq = not isinstance(seq, NoSequence)
             assert has_seq == (r.unibranched and b.status == TERMINATED
                                and b.d == 1), (K.descriptor_str(), g.to_str())
@@ -162,23 +162,6 @@ def test_criterion_6_kahler_criteria():
     print("ACCEPT 6 Kaehler criteria (inertial, discrete ramified, non-discrete ramified): PASS")
 
 
-def _rational_root_free(coeffs):
-    c0 = coeffs[0]
-    if c0 == 0:
-        return False
-    for r in range(1, abs(c0) + 1):
-        if abs(c0) % r:
-            continue
-        for s in (r, -r):
-            acc, power = 0, 1
-            for c in coeffs + [1]:
-                acc += c * power
-                power *= s
-            if acc == 0:
-                return False
-    return True
-
-
 def test_criterion_7_oracle_equivalence():
     checked = 0
     for p in (2, 3):
@@ -186,7 +169,7 @@ def test_criterion_7_oracle_equivalence():
         for deg in (1, 2, 3):
             for cc in itertools.product(range(-4, 5), repeat=deg):
                 coeffs = list(cc)
-                if deg > 1 and not _rational_root_free(coeffs):
+                if deg > 1 and not rational_root_free(coeffs):
                     continue
                 g = Poly.from_ints(K, coeffs + [1])
                 rep = mac_lane_chains(K, g)

@@ -30,6 +30,20 @@ def test_extend_text_chain_notation(capsys):
     assert "finite complete sequence: x, x^2 - 2" in out
 
 
+def test_extend_text_at_probe_budget_zero(capsys):
+    code, out, _ = run(capsys, "extend", "--field", "Qp(2)", "--poly", "x^2-2",
+                       "--limit-probes", "0")
+    assert code == 0
+    assert "LIMIT_SUSPECTED  e = 2  f = 1  d = 1" in out
+    assert "value trajectory" not in out
+    assert "finite complete sequence: NONE (UNRESOLVED)" in out
+    code, out, _ = run(capsys, "extend", "--field", "FpPerf(2,t)", "--poly", "x^2+x+1/t",
+                       "--limit-probes", "1")
+    assert code == 0
+    assert "    value trajectory: -1/4, ...\n" in out
+    assert "finite complete sequence: NONE (DEFECT_SUSPECTED)" in out
+
+
 def test_graded_override_example(capsys):
     code, out, _ = run(capsys, "graded", "--field", "Qp(3)",
                        "--mul", "T^1", "T^1", "--choice", "1=3,2=18")

@@ -158,6 +158,19 @@ def test_finite_complete_sequence():
         == NoSequence("DEFECT_SUSPECTED")
 
 
+def test_stall_with_defect_one_is_unresolved():
+    # at probe budget 0, sum e*f = n already forces d = 1, but g is no key
+    K = QpField(2)
+    r = mac_lane_chains(K, parse_poly("x^2-2", K), max_limit_probes=0)
+    b = r.branches[0]
+    assert r.unibranched and b.status == LIMIT_SUSPECTED and b.d == 1
+    assert finite_complete_sequence(r) == NoSequence("UNRESOLVED")
+    P = FpPerfField(2)
+    r = mac_lane_chains(P, parse_poly("x^2+x+1/t", P), max_limit_probes=0)
+    assert r.branches[0].d is None and r.branches[0].d_lower == 2
+    assert finite_complete_sequence(r) == NoSequence("DEFECT_SUSPECTED")
+
+
 def test_defect_op():
     K = QpField(2)
     d1 = defect(mac_lane_chains(K, parse_poly("x^2-2", K)))
@@ -206,7 +219,7 @@ def test_fcs_complete_set_contract_on_corpus():
     for K, polys in corpus():
         for g in polys:
             r = mac_lane_chains(K, g)
-            seq = finite_complete_sequence(r, check_samples=25)
+            seq = finite_complete_sequence(r)
             b = r.branches[0]
             expect = r.unibranched and b.status == TERMINATED and b.d == 1
             assert (not isinstance(seq, NoSequence)) == expect, \
@@ -253,6 +266,54 @@ def test_oracle_agreement_spot_checks():
             padic_extensions(p, list(cc))
 
 
+def test_induced_value_matches_padic_roots():
+    """nu(f) = v_p(f(eta)) along each branch of a split g, with the roots eta
+    lifted by the oracle's own Hensel iteration mod p^N."""
+    from padic_oracle import _poly_eval, _vp, _zp_roots, padic_extensions, rational_root_free
+    N = 40
+    rng = random.Random(2024)
+    stable = unstable = 0
+    for p in (2, 3, 5):
+        K = QpField(p)
+        pN = p ** N
+        for n in (2, 3):
+            found = attempts = 0
+            while found < 6 and attempts < 3000:
+                attempts += 1
+                coeffs = [rng.randrange(-12, 13) for _ in range(n)]
+                if not rational_root_free(coeffs) or \
+                        padic_extensions(p, coeffs + [1], N) != [(1, 1)] * n:
+                    continue
+                found += 1
+                roots = _zp_roots(coeffs + [1], p, N)
+                rep = mac_lane_chains(K, Poly.from_ints(K, coeffs + [1]))
+                assert len(rep.branches) == n == len(roots)
+                matched = set()
+                for i, b in enumerate(rep.branches):
+                    centre = -b.key_polys[-1][0]
+                    num, den = centre.numerator, centre.denominator
+                    # the root nearest the centre: max v_p(centre - eta)
+                    eta = max(roots, key=lambda r: _vp(num - den * r, p, N))
+                    matched.add(eta)
+                    for _ in range(30):
+                        f = [rng.randrange(-9, 10) for _ in range(rng.randrange(1, 6))]
+                        if not any(f):
+                            continue
+                        fe = _poly_eval(f, eta, pN)
+                        if fe == 0:
+                            continue  # v_p(f(eta)) >= N: not pinned down
+                        val = induced_value(rep, i, Poly.from_ints(K, f))
+                        if val is UNSTABLE:
+                            unstable += 1
+                            continue
+                        assert val == _vp(fe, p, N), (p, coeffs, i, f, val)
+                        stable += 1
+                assert len(matched) == n, (p, coeffs)
+            assert found == 6, (p, n)
+    print(f"induced values against p-adic roots: {stable} agree, {unstable} UNSTABLE")
+    assert stable >= 2000
+
+
 def test_depth_exceeded():
     from mlvkit.errors import DepthExceeded
     K = QpField(2)
@@ -283,18 +344,19 @@ def test_negative_bounds_are_rejected():
         alg_max_evidence(K, g, budget=-1)
 
 
-def test_fcs_contract_failure_is_a_typed_error(monkeypatch):
-    from mlvkit import engine
+def test_invariant_failure_is_a_typed_error(monkeypatch):
+    # e*f = 3 cannot divide the degree 2 of the terminated chain of x^2 - 2
     from mlvkit.errors import InvariantViolated
+    from mlvkit.indval import InductiveValuation
     K = QpField(2)
-    rep = mac_lane_chains(K, parse_poly("x^2-2", K))
-    monkeypatch.setattr(engine, "truncation_eval", lambda nu, q, f: None)
+    monkeypatch.setattr(InductiveValuation, "ramification_index", lambda self: 3)
     with pytest.raises(InvariantViolated) as exc:
-        finite_complete_sequence(rep)
+        mac_lane_chains(K, parse_poly("x^2-2", K))
     assert exc.value.code == "INVARIANT_VIOLATED"
+    assert "e*f = 3 does not divide the degree 2" in str(exc.value)
 
 
-def test_fcs_contract_failure_survives_optimized_mode():
+def test_invariant_failure_survives_optimized_mode():
     import os
     import subprocess
     import sys
@@ -305,19 +367,22 @@ def test_fcs_contract_failure_survives_optimized_mode():
         "from mlvkit import engine\n"
         "from mlvkit.errors import InvariantViolated\n"
         "from mlvkit.fields import QpField\n"
+        "from mlvkit.indval import InductiveValuation\n"
         "from mlvkit.parsing import parse_poly\n"
         "K = QpField(2)\n"
-        "rep = engine.mac_lane_chains(K, parse_poly('x^2-2', K))\n"
-        "engine.truncation_eval = lambda nu, q, f: None\n"
+        "InductiveValuation.ramification_index = lambda self: 3\n"
         "try:\n"
-        "    engine.finite_complete_sequence(rep)\n"
+        "    engine.mac_lane_chains(K, parse_poly('x^2-2', K))\n"
         "except InvariantViolated as exc:\n"
-        "    print(exc.code)\n")
+        "    print(exc.code)\n"
+        "    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(mlvkit.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, timeout=60)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "INVARIANT_VIOLATED"
+    lines = out.stdout.splitlines()
+    assert lines[0] == "INVARIANT_VIOLATED"
+    assert "e*f = 3 does not divide the degree 2" in lines[1]
 
 
 def test_artin_schreier_is_defectless_over_the_imperfect_base():

@@ -72,8 +72,8 @@ def test_run_corpus_json_is_pinned():
 
 
 def test_reports_and_complete_sequences_are_pinned():
-    """report_to_dict JSON and the default FCS (100 self-check samples) of
-    every corpus polynomial, one line each."""
+    """report_to_dict JSON and the finite complete sequence (or its
+    NoSequence reason) of every corpus polynomial, one line each."""
     h = hashlib.sha256()
     for K, polys in corpus():
         for g in polys:

@@ -103,13 +103,13 @@ def test_equiv_examples():
         gauss.equiv(x, Poly(K, ()))
 
 
-def test_is_minimal_examples():
+def test_is_key_examples():
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))
-    assert gauss.is_minimal(Poly.x(K))
-    assert not gauss.is_minimal(Poly.from_ints(K, [0, 0, 1]))  # x^2 = x * x
+    assert gauss.is_key(Poly.x(K))
+    assert not gauss.is_key(Poly.from_ints(K, [0, 0, 1]))  # x^2 = x * x
     mu = IV.depth_zero(K, Q(0), Q(1, 2))
-    assert mu.is_minimal(Poly.from_ints(K, [-2, 0, 1]))
+    assert mu.is_key(Poly.from_ints(K, [-2, 0, 1]))
 
 
 def test_residual_polynomial_examples():
