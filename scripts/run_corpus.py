@@ -12,7 +12,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from corpus import corpus  # noqa: E402
-from mlvkit.cli import report_to_dict  # noqa: E402
 from mlvkit.engine import NoSequence, finite_complete_sequence, mac_lane_chains  # noqa: E402
 
 

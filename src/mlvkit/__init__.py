@@ -3,7 +3,7 @@ chains, graded rings and tameness criteria over concrete valued fields."""
 
 from .values import INFINITY, Q, Value, ValueGroup
 from .fields import (FpPerfField, FpctField, FqtField, QpField, ValuedField,
-                     field_arith, make_field, value_group_p_divisible)
+                     field_arith, value_group_p_divisible)
 from .poly import ExpansionResult, Poly, hasse_derivative, phi_expansion, poly_arith
 from .graded import (GradedTerm, SemigroupRingElement, TwistTable,
                      check_psi_homomorphism, frobenius, frobenius_surjective,
@@ -22,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY", "Q", "Value", "ValueGroup",
     "QpField", "FqtField", "FpPerfField", "FpctField", "ValuedField",
-    "field_arith", "make_field", "value_group_p_divisible",
+    "field_arith", "value_group_p_divisible",
     "Poly", "ExpansionResult", "phi_expansion", "hasse_derivative", "poly_arith",
     "GradedTerm", "SemigroupRingElement", "TwistTable", "initial_form",
     "twisted_mul", "check_psi_homomorphism", "frobenius",

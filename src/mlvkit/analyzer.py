@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import fpoly
 from .engine import (TERMINATED, ExtensionReport, NoSequence,
@@ -20,9 +20,10 @@ from .engine import (TERMINATED, ExtensionReport, NoSequence,
 from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
                      GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
                      ZeroInput)
-from .ffield import GFp, GFq, _is_prime, _p_power_exponent
+from .ffield import GFq, _is_prime, _p_power_exponent, _random_elem
 from .fields import ValuedField
 from .graded import frobenius_surjective
+from .parsing import eval_bivariate
 from .poly import Poly
 from .values import Q, Value, ValueGroup, is_inf, value_str
 
@@ -268,36 +269,6 @@ def drvg_check(G: ValueGroup, p: int) -> DrvgResult:
 # probability is Schwartz-Zippel bounded by (total degree)/q.
 
 
-class BivariatePoly:
-    """Polynomial in T and S with GF(q) coefficients, stored as a list
-    (indexed by S-degree) of T-coefficient tuples."""
-
-    def __init__(self, F, s_coeffs: List[tuple]):
-        self.F = F
-        cc = list(s_coeffs)
-        while cc and fpoly.is_zero(cc[-1]):
-            cc.pop()
-        self.s_coeffs = cc
-
-    def is_zero(self) -> bool:
-        return not self.s_coeffs
-
-    def substitute_s(self, s_poly: tuple) -> tuple:
-        """Univariate polynomial in T after S -> s_poly(T)."""
-        F = self.F
-        acc: tuple = ()
-        for ct in reversed(self.s_coeffs):
-            acc = fpoly.add(F, fpoly.mul(F, acc, s_poly), ct)
-        return acc
-
-    def total_degree(self) -> int:
-        best = -1
-        for j, ct in enumerate(self.s_coeffs):
-            if not fpoly.is_zero(ct):
-                best = max(best, j + fpoly.deg(ct))
-        return best
-
-
 @dataclass(frozen=True)
 class StableValueResult:
     stable_value: int
@@ -315,28 +286,34 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
                  l_max: int = 12, seed: int = 0, retries: int = 5):
     """t-adic value and initial coefficient of f(t, s_(0l)) for growing l.
 
-    ``expr`` is a pair (num, den) of BivariatePoly, or an AST evaluator
-    produced by parsing; the c_i are sampled uniformly from the nonzero
-    elements of GF(q), q >= p^16 by default.  Returns the first l0 from
-    which value and coefficient stay constant for three consecutive l.
+    ``expr`` is a syntax tree from ``parsing.parse_expression`` in T, S and
+    the c_i; the c_i are sampled uniformly from the nonzero elements of
+    GF(q), q >= p^16 by default.  Returns the first l0 from which value
+    and coefficient stay constant for three consecutive l.
     """
     if l_start < 0 or l_max < l_start:
         raise BadBound(f"need 0 <= l_start <= l_max, got l_start = {l_start}, l_max = {l_max}")
     if q is None:
         q = p ** 16
     F = _sample_field(p, q)
+    R = fpoly.PolyRing(F)
     for attempt in range(retries + 1):
         rng = random.Random((seed, attempt).__hash__() & 0x7FFFFFFF)
-        cs = [_random_nonzero(F, rng) for _ in range(l_max + 1)]
-        num, den = _materialize(expr, F, cs)
-        if num.is_zero():
+        cs = []
+        while len(cs) <= l_max:
+            c = _random_elem(F, rng)
+            if not F.is_zero(c):
+                cs.append(c)
+        num, den = eval_bivariate(expr, F, cs)
+        if not num:
             raise ZeroInput("expression is identically zero")
         try:
             rows = []
             for ell in range(l_start, l_max + 1):
                 s_poly = fpoly.norm(F, [F.zero()] + cs[1:ell + 1])
-                nt = num.substitute_s(s_poly)
-                dt = den.substitute_s(s_poly)
+                # S -> s_(0l) by Horner's rule over F[T]
+                nt = fpoly.evaluate(R, num, s_poly)
+                dt = fpoly.evaluate(R, den, s_poly)
                 if fpoly.is_zero(dt):
                     raise DenominatorVanishes(f"denominator vanishes at l = {ell}")
                 if fpoly.is_zero(nt):
@@ -350,7 +327,7 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
             if attempt < retries:
                 continue
             raise
-        bound = Q(max(num.total_degree(), den.total_degree(), 1), q)
+        bound = Q(max(_total_degree(num), _total_degree(den), 1), q)
         # the stable point is the start of the constant suffix, which must
         # hold for at least three consecutive l
         last = rows[-1]
@@ -380,23 +357,6 @@ def _sample_field(p: int, q: int):
     return GFq(q, "w")
 
 
-def _random_nonzero(F, rng: random.Random):
-    while True:
-        if isinstance(F, GFp):
-            x = rng.randrange(F.p)
-        else:
-            x = fpoly.norm(F.base, [rng.randrange(F.base.p)
-                                    for _ in range(F.degree)])
-        if not F.is_zero(x):
-            return x
-
-
-def _materialize(expr, F, cs) -> Tuple[BivariatePoly, BivariatePoly]:
-    """Turn the parsed expression into (num, den) BivariatePoly over F,
-    with c_i symbols bound to the sampled values."""
-    if isinstance(expr, tuple) and len(expr) == 2 and \
-            isinstance(expr[0], BivariatePoly):
-        return expr
-    # expr is an AST from parsing.parse_expression
-    from .parsing import eval_bivariate
-    return eval_bivariate(expr, F, cs)
+def _total_degree(f) -> int:
+    """Total degree in S and T of a polynomial in S over F[T]; -1 for zero."""
+    return max((j + fpoly.deg(c) for j, c in enumerate(f) if c), default=-1)

@@ -54,9 +54,12 @@ class Branch:
     f: int
     d: Optional[int]
     d_lower: Optional[int]
-    key_polys: List[Poly]
     trajectory: List[dict]  # probes at the stagnant degree (incl. entry node)
     prev_chain: Optional[InductiveValuation] = None
+
+    @property
+    def key_polys(self) -> List[Poly]:
+        return [st.phi for st in self.chain.stages()]
 
 
 @dataclass
@@ -269,8 +272,7 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
 
     if n == 1:
         chain = InductiveValuation.depth_zero(K, K.neg(g[0]), INFINITY)
-        branches.append(Branch(chain, TERMINATED, 1, 1, 1, None,
-                               [chain.phi], []))
+        branches.append(Branch(chain, TERMINATED, 1, 1, 1, None, []))
         return _assemble(K, g, n, branches, warnings, bounds)
 
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
@@ -317,16 +319,14 @@ def _finish_terminated(node: InductiveValuation) -> Branch:
     nb = node.degree
     if nb % (e * f) != 0:
         raise InvariantViolated(f"e*f = {e * f} does not divide the degree {nb}")
-    return Branch(node, TERMINATED, e, f, nb // (e * f), None,
-                  [st.phi for st in node.stages()], [])
+    return Branch(node, TERMINATED, e, f, nb // (e * f), None, [])
 
 
 def _finish_limit(node: InductiveValuation, traj: List[dict],
                   prev_node: Optional[InductiveValuation]) -> Branch:
     e = node.ramification_index()
     f = node.inertia_degree()
-    return Branch(node, LIMIT_SUSPECTED, e, f, None, None,
-                  [st.phi for st in node.stages()], traj, prev_node)
+    return Branch(node, LIMIT_SUSPECTED, e, f, None, None, traj, prev_node)
 
 
 def _assemble(K, g, n, branches: List[Branch], warnings, bounds) -> ExtensionReport:
@@ -457,7 +457,7 @@ def finite_complete_sequence(report: ExtensionReport, branch_index: int = 0):
     if b.status != TERMINATED:
         # no defect, but the probe budget ran out before g became a key
         return NoSequence("UNRESOLVED")
-    return [st.phi for st in b.chain.stages()]
+    return b.key_polys
 
 
 def defect(report: ExtensionReport) -> List[dict]:

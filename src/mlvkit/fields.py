@@ -126,14 +126,6 @@ class ValuedField(Field):
     def __repr__(self):
         return self.descriptor_str()
 
-    # -- generic helpers -----------------------------------------------------
-
-    def sub(self, a, b):
-        return self.add(a, self.neg(b))
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
 
 class QpField(ValuedField):
     """Rationals with the p-adic valuation.  Elements are Fractions."""
@@ -491,10 +483,34 @@ class FpPerfField(ValuedField):
         return isinstance(a, PerfElem) and _rf_over(self.coeff_field, a.rf)
 
     def elem_str(self, a):
-        if a.level == 0:
-            B = self.coeff_field
-            return RatFuncField(B, "t").elem_str(RF(a.rf.num, a.rf.den))
-        return _perf_str(self, a)
+        B = self.coeff_field
+        den = self.p ** a.level
+
+        def side(cc):
+            parts = []
+            for i in range(len(cc) - 1, -1, -1):
+                c = cc[i]
+                if B.is_zero(c):
+                    continue
+                e = Q(i, den)
+                if e == 0:
+                    parts.append(B.elem_str(c))
+                    continue
+                es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
+                    "t" if e == 1 else f"t^{e.numerator}")
+                cs = B.elem_str(c)
+                parts.append(es if cs == "1" else f"{cs}*{es}")
+            return " + ".join(parts) if parts else "0"
+
+        ns = side(a.rf.num)
+        if fpoly.eq(B, a.rf.den, (B.one(),)):
+            return ns
+        ds = side(a.rf.den)
+        if " + " in ns:
+            ns = f"({ns})"
+        if " + " in ds:
+            ds = f"({ds})"
+        return f"{ns}/{ds}"
 
     @property
     def key(self):
@@ -502,37 +518,6 @@ class FpPerfField(ValuedField):
 
     def descriptor_str(self):
         return f"FpPerf({self.p},t)"
-
-
-def _perf_str(K: FpPerfField, a: PerfElem) -> str:
-    B = K.coeff_field
-    den = K.p ** a.level
-
-    def side(cc):
-        parts = []
-        for i in range(len(cc) - 1, -1, -1):
-            c = cc[i]
-            if B.is_zero(c):
-                continue
-            e = Q(i, den)
-            if e == 0:
-                parts.append(B.elem_str(c))
-                continue
-            es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
-                "t" if e == 1 else f"t^{e.numerator}")
-            cs = B.elem_str(c)
-            parts.append(es if cs == "1" else f"{cs}*{es}")
-        return " + ".join(parts) if parts else "0"
-
-    ns = side(a.rf.num)
-    if fpoly.eq(B, a.rf.den, (B.one(),)):
-        return ns
-    ds = side(a.rf.den)
-    if " + " in ns:
-        ns = f"({ns})"
-    if " + " in ds:
-        ds = f"({ds})"
-    return f"{ns}/{ds}"
 
 
 class FpctField(TadicField):
@@ -597,15 +582,3 @@ def value_group_p_divisible(G: ValueGroup, p: int):
     """("YES", None) or ("NO", witness) for p-divisibility of G."""
     ok, witness = G.p_divisible(p)
     return ("YES", None) if ok else ("NO", witness)
-
-
-def make_field(kind: str, *args) -> ValuedField:
-    if kind == "Qp":
-        return QpField(*args)
-    if kind == "Fqt":
-        return FqtField(*args)
-    if kind == "FpPerf":
-        return FpPerfField(*args)
-    if kind == "Fpct":
-        return FpctField(*args)
-    raise ValueError(f"unknown field kind {kind}")

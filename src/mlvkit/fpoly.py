@@ -10,6 +10,7 @@ function fields and the valued base fields.
 from __future__ import annotations
 
 from itertools import compress, count
+from math import comb
 from typing import Sequence, Tuple
 
 # ffield imports this module; only ffield.GFp is read, and only at call time
@@ -28,10 +29,6 @@ def norm(F, cc) -> Coeffs:
     while cc and F.is_zero(cc[-1]):
         cc.pop()
     return tuple(cc)
-
-
-def zero(F) -> Coeffs:
-    return ()
 
 
 def const(F, a) -> Coeffs:
@@ -66,12 +63,6 @@ def low_deg(F, f) -> int:
             if not F.is_zero(c):
                 return k
     raise ValueError("zero polynomial has no valuation")
-
-
-def lc(F, f):
-    if not f:
-        return F.zero()
-    return f[-1]
 
 
 def eq(F, f, g) -> bool:
@@ -205,6 +196,33 @@ def _terms(cc) -> list:
     return [(i, cc[i]) for i in compress(range(len(cc)), cc)]
 
 
+class PolyRing:
+    """F[T] as a coefficient ring for the ring functions of this module
+    (const, x, add, neg, mul, pow_, evaluate): a polynomial in S over F[T]
+    is a tuple of F[T] tuples, and coefficient products keep the paths above."""
+
+    def __init__(self, F):
+        self.F = F
+
+    def zero(self) -> Coeffs:
+        return ()
+
+    def one(self) -> Coeffs:
+        return (self.F.one(),)
+
+    def is_zero(self, f) -> bool:
+        return not f
+
+    def add(self, f, g) -> Coeffs:
+        return add(self.F, f, g)
+
+    def neg(self, f) -> Coeffs:
+        return neg(self.F, f)
+
+    def mul(self, f, g) -> Coeffs:
+        return mul(self.F, f, g)
+
+
 def mod(F, f, g) -> Coeffs:
     return divmod_(F, f, g)[1]
 
@@ -265,8 +283,6 @@ def deriv(F, f) -> Coeffs:
 
 def hasse(F, f, i: int) -> Coeffs:
     """i-th Hasse derivative: x^k maps to binom(k, i) x^(k-i)."""
-    from math import comb
-
     if i == 0:
         return tuple(f)
     out = []

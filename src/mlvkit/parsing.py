@@ -1,20 +1,24 @@
 """Parsers for the CLI surface: field descriptors, elements, polynomials,
 graded-ring elements and bivariate rational expressions.
 
-One tokenizer and expression grammar feeds four small evaluators.  The
-grammar is the usual one: + - * / with parentheses, and ^ taking an
-integer or a parenthesized rational exponent.
+One tokenizer and expression grammar builds a syntax tree, and one fold
+evaluates it; each evaluator supplies only its leaves, its table of
+operations and its rule for ^.  The grammar is the usual one: + - * /
+with parentheses, and ^ taking an integer or a parenthesized rational
+exponent.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional
 
 from . import fpoly, graded
 from .errors import ParseError
-from .fields import ValuedField, make_field
+from .fields import FpctField, FpPerfField, FqtField, QpField, ValuedField
 from .poly import Poly
 from .values import Q, value_from_str
 
@@ -135,11 +139,31 @@ def parse_expression(s: str):
     return node
 
 
+def _fold(node, atom, ops, power, where=""):
+    """Evaluate a syntax tree bottom-up.
+
+    ``atom`` takes the "int" and "name" leaves, ``ops`` maps neg/add/sub/
+    mul/div to functions of the evaluated children (left to right), and
+    ``power(base_node, exp)`` gets the unevaluated base, since a rule may
+    depend on its syntax.  A kind missing from ``ops`` is a ParseError.
+    """
+    kind = node[0]
+    if kind in ("int", "name"):
+        return atom(node)
+    if kind == "pow":
+        return power(node[1], node[2])
+    op = ops.get(kind)
+    if op is None:
+        raise ParseError(f"bad node {kind!r}{where}")
+    return op(*[_fold(child, atom, ops, power, where) for child in node[1:]])
+
+
 # ---------------------------------------------------------------------------
 # Field descriptors
 # ---------------------------------------------------------------------------
 
 _DESC_RE = re.compile(r"([A-Za-z]+)\(([^)]*)\)")
+_FIELD_KINDS = {"Qp": QpField, "Fq": FqtField, "FpPerf": FpPerfField, "FpC": FpctField}
 
 
 def parse_field(s: str) -> ValuedField:
@@ -148,18 +172,13 @@ def parse_field(s: str) -> ValuedField:
     if not m:
         raise ParseError(f"bad field descriptor {s!r}")
     name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
+    cls = _FIELD_KINDS.get(name)
+    if cls is None:
+        raise ParseError(f"unknown field kind {name!r}")
     try:
-        if name == "Qp":
-            return make_field("Qp", int(args[0]))
-        if name == "Fq":
-            return make_field("Fqt", int(args[0]))
-        if name == "FpPerf":
-            return make_field("FpPerf", int(args[0]))
-        if name == "FpC":
-            return make_field("Fpct", int(args[0]))
+        return cls(int(args[0]))
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad field descriptor {s!r}: {exc}") from exc
-    raise ParseError(f"unknown field kind {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +195,25 @@ def _elem_pow(K: ValuedField, val, exp: Fraction):
     return K.canonical_unit(v * exp)
 
 
-def eval_element(node, K: ValuedField):
-    kind = node[0]
+def _elem_atom(K: ValuedField, leaf):
+    kind, v = leaf
     if kind == "int":
-        return K.from_int(node[1])
-    if kind == "name":
-        name = node[1]
-        if name == "t" and hasattr(K, "t"):
-            return K.t()
-        if name == "c" and K.kind == "Fpct":
-            return K.c()
-        raise ParseError(f"unknown symbol {name!r} in {K.descriptor_str()}")
-    if kind == "neg":
-        return K.neg(eval_element(node[1], K))
-    if kind == "add":
-        return K.add(eval_element(node[1], K), eval_element(node[2], K))
-    if kind == "sub":
-        return K.sub(eval_element(node[1], K), eval_element(node[2], K))
-    if kind == "mul":
-        return K.mul(eval_element(node[1], K), eval_element(node[2], K))
-    if kind == "div":
-        return K.div(eval_element(node[1], K), eval_element(node[2], K))
-    if kind == "pow":
-        return _elem_pow(K, eval_element(node[1], K), node[2])
-    raise ParseError(f"bad node {kind!r}")
+        return K.from_int(v)
+    if v == "t" and hasattr(K, "t"):
+        return K.t()
+    if v == "c" and K.kind == "Fpct":
+        return K.c()
+    raise ParseError(f"unknown symbol {v!r} in {K.descriptor_str()}")
+
+
+def eval_element(node, K: ValuedField):
+    atom = partial(_elem_atom, K)
+    ops = {"neg": K.neg, "add": K.add, "sub": K.sub, "mul": K.mul, "div": K.div}
+
+    def power(base, exp):
+        return _elem_pow(K, _fold(base, atom, ops, power), exp)
+
+    return _fold(node, atom, ops, power)
 
 
 def parse_element(s: str, K: ValuedField):
@@ -207,34 +221,28 @@ def parse_element(s: str, K: ValuedField):
 
 
 def eval_poly(node, K: ValuedField) -> Poly:
-    kind = node[0]
-    if kind == "name" and node[1] == "x":
-        return Poly.x(K)
-    if kind in ("int", "name"):
-        return Poly.const(K, eval_element(node, K))
-    if kind == "neg":
-        return -eval_poly(node[1], K)
-    if kind == "add":
-        return eval_poly(node[1], K) + eval_poly(node[2], K)
-    if kind == "sub":
-        return eval_poly(node[1], K) - eval_poly(node[2], K)
-    if kind == "mul":
-        return eval_poly(node[1], K) * eval_poly(node[2], K)
-    if kind == "div":
-        num = eval_poly(node[1], K)
-        den = eval_poly(node[2], K)
+    def atom(leaf):
+        if leaf == ("name", "x"):
+            return Poly.x(K)
+        return Poly.const(K, _elem_atom(K, leaf))
+
+    def div(num, den):
         if den.degree != 0:
             raise ParseError("cannot divide by a polynomial in x")
         return num.scale(K.inv(den[0]))
-    if kind == "pow":
-        base = eval_poly(node[1], K)
-        exp = node[2]
+
+    ops = {"neg": operator.neg, "add": operator.add, "sub": operator.sub,
+           "mul": operator.mul, "div": div}
+
+    def power(base_node, exp):
+        base = _fold(base_node, atom, ops, power)
         if base.degree == 0:
             return Poly.const(K, _elem_pow(K, base[0], exp))
         if exp.denominator != 1 or exp < 0:
             raise ParseError("polynomial exponents must be nonnegative integers")
         return base ** exp.numerator
-    raise ParseError(f"bad node {kind!r}")
+
+    return _fold(node, atom, ops, power)
 
 
 def parse_poly(s: str, K: ValuedField) -> Poly:
@@ -248,40 +256,42 @@ def parse_poly(s: str, K: ValuedField) -> Poly:
 
 def eval_graded(node, K: ValuedField, table) -> graded.SemigroupRingElement:
     R = K.residue_field
-    kind = node[0]
-    if kind == "int":
-        return graded.element(K, [(Q(0), R.from_int(node[1]))])
-    if kind == "name":
-        if node[1] == "T":
-            return graded.element(K, [(Q(1), R.one())])
-        raise ParseError(f"unknown symbol {node[1]!r} in a graded element")
-    if kind == "neg":
-        x = eval_graded(node[1], K, table)
+    where = " in a graded element"
+
+    def mono(exp, c):
+        return graded.element(K, [(exp, c)])
+
+    def atom(leaf):
+        kind, v = leaf
+        if kind == "int":
+            return mono(Q(0), R.from_int(v))
+        if v == "T":
+            return mono(Q(1), R.one())
+        raise ParseError(f"unknown symbol {v!r}{where}")
+
+    def neg(x):
         return graded.element(K, [(e, R.neg(c)) for e, c in x.terms])
-    if kind == "add":
-        return graded.add(K, eval_graded(node[1], K, table),
-                          eval_graded(node[2], K, table))
-    if kind == "sub":
-        rhs = eval_graded(node[2], K, table)
-        rhs = graded.element(K, [(e, R.neg(c)) for e, c in rhs.terms])
-        return graded.add(K, eval_graded(node[1], K, table), rhs)
-    if kind == "mul":
-        return graded.twisted_mul(K, eval_graded(node[1], K, table),
-                                  eval_graded(node[2], K, table), table)
-    if kind == "pow":
-        base_node, exp = node[1], node[2]
+
+    mul = partial(graded.twisted_mul, K, table=table)
+    ops = {"neg": neg, "add": lambda x, y: graded.add(K, x, y),
+           "sub": lambda x, y: graded.add(K, x, neg(y)), "mul": mul}
+
+    def power(base_node, exp):
+        # T^e is the unit monomial of exponent e; any other base is a
+        # twisted product of |e| factors
         if base_node == ("name", "T"):
             if exp < 0:
                 raise ParseError("graded exponents must be nonnegative")
-            return graded.element(K, [(exp, R.one())])
+            return mono(exp, R.one())
         if exp.denominator != 1 or exp < 0:
             raise ParseError("only T may carry fractional exponents")
-        out = graded.element(K, [(Q(0), R.one())])
-        base = eval_graded(base_node, K, table)
+        out = mono(Q(0), R.one())
+        base = _fold(base_node, atom, ops, power, where)
         for _ in range(exp.numerator):
-            out = graded.twisted_mul(K, out, base, table)
+            out = mul(out, base)
         return out
-    raise ParseError(f"bad node {kind!r} in a graded element")
+
+    return _fold(node, atom, ops, power, where)
 
 
 def parse_graded(s: str, K: ValuedField, table=None) -> graded.SemigroupRingElement:
@@ -309,86 +319,53 @@ def parse_choice_overrides(s: str, K: ValuedField) -> dict:
 
 
 def eval_bivariate(node, F, cs):
-    """Evaluate to (num, den) BivariatePoly over F, with c_i bound to cs[i]."""
-    from .analyzer import BivariatePoly
+    """Evaluate to (num, den), polynomials in S over F[T]: fpoly tuples over
+    fpoly.PolyRing(F), with c_i bound to cs[i]."""
+    R = fpoly.PolyRing(F)
+    one = fpoly.const(R, R.one())
 
-    one = BivariatePoly(F, [(F.one(),)])
+    def const(c):
+        return fpoly.const(R, fpoly.const(F, c))
 
-    def bconst(c):
-        return BivariatePoly(F, [(c,)])
-
-    def badd(a, b):
-        out = []
-        for j in range(max(len(a.s_coeffs), len(b.s_coeffs))):
-            ca = a.s_coeffs[j] if j < len(a.s_coeffs) else ()
-            cb = b.s_coeffs[j] if j < len(b.s_coeffs) else ()
-            out.append(fpoly.add(F, ca, cb))
-        return BivariatePoly(F, out)
-
-    def bneg(a):
-        return BivariatePoly(F, [fpoly.neg(F, c) for c in a.s_coeffs])
-
-    def bmul(a, b):
-        if a.is_zero() or b.is_zero():
-            return BivariatePoly(F, [])
-        out = [() for _ in range(len(a.s_coeffs) + len(b.s_coeffs) - 1)]
-        for i, ca in enumerate(a.s_coeffs):
-            if fpoly.is_zero(ca):
-                continue
-            for j, cb in enumerate(b.s_coeffs):
-                out[i + j] = fpoly.add(F, out[i + j], fpoly.mul(F, ca, cb))
-        return BivariatePoly(F, out)
-
-    def rec(n):
-        kind = n[0]
+    def atom(leaf):
+        kind, v = leaf
         if kind == "int":
-            return bconst(F.from_int(n[1])), one
-        if kind == "name":
-            name = n[1]
-            if name == "T":
-                return BivariatePoly(F, [(F.zero(), F.one())]), one
-            if name == "S":
-                return BivariatePoly(F, [(), (F.one(),)]), one
-            m = re.fullmatch(r"c(\d+)", name)
-            if m:
-                idx = int(m.group(1))
-                if not 1 <= idx < len(cs):
-                    raise ParseError(f"coefficient {name} beyond l_max")
-                return bconst(cs[idx]), one
-            raise ParseError(f"unknown symbol {name!r} in a bivariate expression")
-        if kind == "neg":
-            nn, dd = rec(n[1])
-            return bneg(nn), dd
-        if kind in ("add", "sub"):
-            n1, d1 = rec(n[1])
-            n2, d2 = rec(n[2])
-            if kind == "sub":
-                n2 = bneg(n2)
-            return badd(bmul(n1, d2), bmul(n2, d1)), bmul(d1, d2)
-        if kind == "mul":
-            n1, d1 = rec(n[1])
-            n2, d2 = rec(n[2])
-            return bmul(n1, n2), bmul(d1, d2)
-        if kind == "div":
-            n1, d1 = rec(n[1])
-            n2, d2 = rec(n[2])
-            if n2.is_zero():
-                raise ParseError("division by the zero expression")
-            return bmul(n1, d2), bmul(d1, n2)
-        if kind == "pow":
-            nn, dd = rec(n[1])
-            exp = n[2]
-            if exp.denominator != 1:
-                raise ParseError("bivariate exponents must be integers")
-            e = exp.numerator
-            if e < 0:
-                nn, dd = dd, nn
-                e = -e
-            rn, rd = one, one
-            for _ in range(e):
-                rn = bmul(rn, nn)
-                rd = bmul(rd, dd)
-            return rn, rd
-        raise ParseError(f"bad node {kind!r}")
+            return const(F.from_int(v)), one
+        if v == "T":
+            return (fpoly.x(F),), one
+        if v == "S":
+            return fpoly.x(R), one
+        m = re.fullmatch(r"c(\d+)", v)
+        if m:
+            idx = int(m.group(1))
+            if not 1 <= idx < len(cs):
+                raise ParseError(f"coefficient {v} beyond l_max")
+            return const(cs[idx]), one
+        raise ParseError(f"unknown symbol {v!r} in a bivariate expression")
 
-    return rec(node)
+    mul = partial(fpoly.mul, R)
+
+    def neg(a):
+        return fpoly.neg(R, a[0]), a[1]
+
+    def add(a, b):
+        return fpoly.add(R, mul(a[0], b[1]), mul(b[0], a[1])), mul(a[1], b[1])
+
+    def div(a, b):
+        if not b[0]:
+            raise ParseError("division by the zero expression")
+        return mul(a[0], b[1]), mul(a[1], b[0])
+
+    ops = {"neg": neg, "add": add, "sub": lambda a, b: add(a, neg(b)),
+           "mul": lambda a, b: (mul(a[0], b[0]), mul(a[1], b[1])), "div": div}
+
+    def power(base_node, exp):
+        num, den = _fold(base_node, atom, ops, power)
+        if exp.denominator != 1:
+            raise ParseError("bivariate exponents must be integers")
+        e = exp.numerator
+        if e < 0:
+            num, den, e = den, num, -e
+        return fpoly.pow_(R, num, e), fpoly.pow_(R, den, e)
+
+    return _fold(node, atom, ops, power)

@@ -35,10 +35,6 @@ class Poly:
     def const(K: ValuedField, a) -> "Poly":
         return Poly(K, (a,))
 
-    @staticmethod
-    def monomial(K: ValuedField, a, k: int) -> "Poly":
-        return Poly(K, (K.zero(),) * k + (a,))
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -51,9 +47,6 @@ class Poly:
 
     def is_monic(self) -> bool:
         return fpoly.is_monic(self.field, self.coeffs)
-
-    def lc(self):
-        return fpoly.lc(self.field, self.coeffs)
 
     def __getitem__(self, k: int):
         if 0 <= k < len(self.coeffs):

@@ -80,16 +80,6 @@ def vmul(n: int, g: Value) -> Value:
     return n * g
 
 
-def vmin(values: Iterable[Value]) -> Value:
-    best: Optional[Value] = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    if best is None:
-        raise ValueError("vmin of empty iterable")
-    return best
-
-
 def value_str(v: Value) -> str:
     if is_inf(v):
         return "inf"

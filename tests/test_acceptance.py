@@ -13,14 +13,13 @@ from padic_oracle import padic_extensions, rational_root_free
 from mlvkit import graded as G
 from mlvkit.analyzer import stable_value
 from mlvkit.engine import (LIMIT_SUSPECTED, TERMINATED, NoSequence,
-                           finite_complete_sequence, induced_value,
-                           mac_lane_chains, psi_m_scan)
+                           finite_complete_sequence, mac_lane_chains, psi_m_scan)
 from mlvkit.analyzer import kahler_purely_inertial, kahler_purely_ramified
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
 from mlvkit.parsing import parse_expression, parse_poly
 from mlvkit.poly import Poly
-from mlvkit.values import INFINITY, is_inf
+from mlvkit.values import INFINITY
 
 
 def test_criterion_1_exact_invariants_golden_corpus():

@@ -12,7 +12,7 @@ from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive,
                            NotPurelyInertial, NotPurelyRamified, ZeroInput)
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.parsing import parse_expression, parse_poly
-from mlvkit.values import ValueGroup, value_str
+from mlvkit.values import ValueGroup
 
 
 def test_te_conditions_examples():
@@ -209,6 +209,8 @@ def test_stable_value_rational_and_taylor_consistency():
     ({"q": 6}, BadFieldOrder),
     ({"q": 1}, BadFieldOrder),
     ({"expr": "S-S"}, ZeroInput),
+    ({"expr": "0"}, ZeroInput),
+    ({"expr": "2"}, ZeroInput),  # 2 = 0 in characteristic 2
 ])
 def test_stable_value_bad_input_is_typed(kwargs, error):
     args = {"p": 2, "expr": "S", **kwargs}

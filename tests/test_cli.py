@@ -4,7 +4,6 @@ import pytest
 
 from mlvkit.cli import main, report_from_json, report_to_dict
 from mlvkit.engine import mac_lane_chains
-from mlvkit.parsing import parse_field, parse_poly
 
 
 def run(capsys, *argv):
@@ -156,6 +155,7 @@ def test_negative_bound_is_engine_error(capsys, flag):
     (["--p", "4"], 2, "4 is not prime"),
     (["--q", "6"], 2, "6 is not a power of p = 2"),
     (["--expr", "S-S"], 3, "ZERO_INPUT"),
+    (["--expr", "T/0"], 2, "division by the zero expression"),
 ])
 def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     base = {"--p": "2", "--expr": "S"}

@@ -4,10 +4,9 @@ from fractions import Fraction as Q
 import pytest
 
 from mlvkit.errors import InvertZero, MixedFields, NegativeValue
-from mlvkit.fields import (ADD, INV, MUL, NEG, FpPerfField, FpctField,
-                           FqtField, PerfElem, QpField, field_arith,
-                           value_group_p_divisible)
-from mlvkit.values import INFINITY, is_inf, vadd
+from mlvkit.fields import (ADD, INV, MUL, FpPerfField, FpctField, FqtField,
+                           QpField, field_arith, value_group_p_divisible)
+from mlvkit.values import is_inf, vadd
 
 
 def stable_seed(K):

@@ -44,6 +44,7 @@ README_CLI_SHA256 = {  # stdout of each README CLI example, by argv
     "stable-value --p 2 --expr S - (c1*T + c2*T^2) --seed 0 --l-max 12":
         "e1f64345826f9bb8f474c050108bdb6f39589f5163232b60c900b5f60e67dbb2",
 }
+TAME_SURVEY_SHA256 = "f1803e45a14c3bc8cf609bffcf926b7675b33ef2eda7318de66fbad3473d1752"
 
 
 def _readme_cli_commands():
@@ -69,6 +70,14 @@ def test_run_corpus_json_is_pinned():
                          capture_output=True, check=True, timeout=300,
                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
     assert hashlib.sha256(out.stdout).hexdigest() == RUN_CORPUS_JSON_SHA256
+
+
+def test_tame_survey_is_pinned():
+    """The survey script: four field families and the appendix stable values."""
+    out = subprocess.run([sys.executable, str(ROOT / "scripts" / "tame_survey.py")],
+                         capture_output=True, check=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert hashlib.sha256(out.stdout).hexdigest() == TAME_SURVEY_SHA256
 
 
 def test_reports_and_complete_sequences_are_pinned():

@@ -7,7 +7,7 @@ import pytest
 from mlvkit import fpoly
 from mlvkit.errors import (NotAKeyPolynomial, ValueNotIncreased, ZeroInput)
 from mlvkit.ffield import is_irreducible
-from mlvkit.fields import FpPerfField, FqtField, QpField
+from mlvkit.fields import FqtField, QpField
 from mlvkit.indval import InductiveValuation as IV, truncation_eval
 from mlvkit.poly import Poly
 from mlvkit.values import INFINITY, is_inf, vadd

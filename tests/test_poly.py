@@ -5,8 +5,8 @@ import pytest
 
 from mlvkit.errors import ConstantBase, DivByZero, NonMonicBase
 from mlvkit.fields import FpPerfField, FqtField, QpField
-from mlvkit.poly import (ADD, DERIVATIVE, EUCLID_DIV, GCD, MUL, Poly,
-                         hasse_derivative, phi_expansion, poly_arith)
+from mlvkit.poly import (DERIVATIVE, EUCLID_DIV, GCD, Poly, hasse_derivative,
+                         phi_expansion, poly_arith)
 
 
 def test_zero_polynomial_degree_marker():

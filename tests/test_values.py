@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from mlvkit.values import (INFINITY, ValueGroup, frac_gcd, is_inf, value_from_str,
-                           value_str, vadd, vmin, vmul)
+from mlvkit.values import (INFINITY, ValueGroup, frac_gcd, value_from_str,
+                           value_str, vadd, vmul)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
