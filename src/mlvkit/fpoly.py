@@ -256,24 +256,27 @@ def xgcd(F, f, g):
 
 
 def pow_(F, f, n: int) -> Coeffs:
-    out = const(F, F.one())
-    base = f
-    while n > 0:
-        if n & 1:
-            out = mul(F, out, base)
-        base = mul(F, base, base)
-        n >>= 1
+    """f^n by left-to-right square-and-multiply, from the top bit of n."""
+    if n <= 0:
+        return const(F, F.one())
+    out = f
+    for bit in bin(n)[3:]:
+        out = mul(F, out, out)
+        if bit == "1":
+            out = mul(F, out, f)
     return out
 
 
 def powmod(F, f, n: int, m) -> Coeffs:
-    out = mod(F, const(F, F.one()), m)
+    """f^n mod m, with one reduction after each product."""
+    if n <= 0:
+        return mod(F, const(F, F.one()), m)
     base = mod(F, f, m)
-    while n > 0:
-        if n & 1:
+    out = base
+    for bit in bin(n)[3:]:
+        out = mod(F, mul(F, out, out), m)
+        if bit == "1":
             out = mod(F, mul(F, out, base), m)
-        base = mod(F, mul(F, base, base), m)
-        n >>= 1
     return out
 
 

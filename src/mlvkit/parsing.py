@@ -365,6 +365,8 @@ def eval_bivariate(node, F, cs):
             raise ParseError("bivariate exponents must be integers")
         e = exp.numerator
         if e < 0:
+            if not num:
+                raise ParseError("division by the zero expression")
             num, den, e = den, num, -e
         return fpoly.pow_(R, num, e), fpoly.pow_(R, den, e)
 

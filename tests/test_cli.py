@@ -156,6 +156,7 @@ def test_negative_bound_is_engine_error(capsys, flag):
     (["--q", "6"], 2, "6 is not a power of p = 2"),
     (["--expr", "S-S"], 3, "ZERO_INPUT"),
     (["--expr", "T/0"], 2, "division by the zero expression"),
+    (["--expr", "(T-T)^-1"], 2, "division by the zero expression"),
 ])
 def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     base = {"--p": "2", "--expr": "S"}

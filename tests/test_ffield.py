@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -42,6 +43,9 @@ def test_deterministic_moduli():
     # the degree-16 modulus behind the stable-value sampler
     m = find_irreducible(2, 16)
     assert fpoly.deg(m) == 16 and is_irreducible(GFp(2), m)
+    # pinned: the stableInitialCoeff strings are written in these moduli
+    assert m == fpoly.from_ints(GFp(2), [1, 1, 0, 1, 0, 1] + [0] * 10 + [1])
+    assert find_irreducible(3, 16) == fpoly.from_ints(GFp(3), [1, 0, 1, 1] + [0] * 12 + [1])
 
 
 def test_tower_of_towers():
@@ -96,3 +100,60 @@ def test_is_irreducible_examples():
     F3 = GFp(3)
     assert is_irreducible(F3, fpoly.from_ints(F3, [1, 0, 1]))
     assert not is_irreducible(F3, fpoly.from_ints(F3, [2, 0, 1]))
+
+
+def _elements(F):
+    if isinstance(F, GFp):
+        return list(range(F.p))
+    return [fpoly.norm(F.base, cc)
+            for cc in itertools.product(_elements(F.base), repeat=F.degree)]
+
+
+def _monics(F, n):
+    """Every monic polynomial of degree n over the finite field F."""
+    return [tuple(cc) + (F.one(),)
+            for cc in itertools.product(_elements(F), repeat=n)]
+
+
+def _irreducible_by_trial_division(F, f):
+    n = fpoly.deg(f)
+    return n >= 1 and all(fpoly.mod(F, f, g)
+                          for k in range(1, n // 2 + 1) for g in _monics(F, k))
+
+
+@pytest.mark.parametrize("F, max_deg", [(GFp(2), 8), (GFp(3), 5), (GFq(4), 4)],
+                         ids=repr)
+def test_is_irreducible_equals_trial_division(F, max_deg):
+    for n in range(max_deg + 1):
+        for f in _monics(F, n):
+            assert is_irreducible(F, f) == _irreducible_by_trial_division(F, f), f
+
+
+@pytest.mark.parametrize("F", [GFp(2), GFp(3), GFq(4)], ids=repr)
+def test_is_irreducible_rejects_squares(F):
+    rng = random.Random(7 + F.order)
+    for _ in range(40):
+        g = random_poly(F, rng, maxdeg=5)
+        h = random_poly(F, rng, maxdeg=4) if rng.random() < 0.7 else fpoly.const(F, F.one())
+        f = fpoly.mul(F, fpoly.mul(F, g, g), h)
+        assert not is_irreducible(F, f), f
+
+
+@pytest.mark.parametrize("n, products", [(0, 0), (1, 0), (2, 1), (3, 2), (8, 3), (13, 5)])
+def test_pow_makes_exact_square_and_multiply_products(monkeypatch, n, products):
+    F = GFp(5)
+    f = fpoly.from_ints(F, [1, 1])
+    m = fpoly.from_ints(F, [2, 0, 3, 1])
+    calls = []
+    mul = fpoly.mul
+    monkeypatch.setattr(fpoly, "mul", lambda *a: calls.append(1) or mul(*a))
+    got = fpoly.pow_(F, f, n)
+    assert len(calls) == products
+    calls.clear()
+    got_mod = fpoly.powmod(F, f, n, m)
+    assert len(calls) == products
+    expect = fpoly.const(F, F.one())
+    for _ in range(n):
+        expect = mul(F, expect, f)
+    assert got == expect
+    assert got_mod == fpoly.mod(F, expect, m)
