@@ -62,15 +62,16 @@ class Field:
         raise NotImplementedError
 
     def pow(self, a, n: int):
+        """a^n by left-to-right square-and-multiply, from the top bit of n."""
         if n < 0:
             return self.pow(self.inv(a), -n)
-        out = self.one()
-        base = a
-        while n > 0:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
+        if n == 0:
+            return self.one()
+        out = a
+        for bit in bin(n)[3:]:
+            out = self.mul(out, out)
+            if bit == "1":
+                out = self.mul(out, a)
         return out
 
     def pth_root(self, a):

@@ -16,11 +16,12 @@ field.  B = GF(q) is perfect and B = GF(p)(c) is not, which is exactly
 what the Frobenius criterion on gr(K) tells apart.
 
 Elements are plain data: ``Fraction`` for Qp, ``RF`` pairs for the
-t-adic families, and ``PerfElem`` (a level plus an RF in u = t^(1/p^k))
-for the perfect closure.  Perfect-closure elements are normalized to the
-minimal level.  Every descriptor also implements the generic Field
-protocol over its own elements, so the polynomial toolbox applies
-uniformly.
+t-adic families, and ``PerfElem`` for the perfect closure: the minimal
+level k plus, when the reduced denominator is a monomial, the sorted
+(exponent, coefficient) terms of a Laurent polynomial in u = t^(1/p^k),
+and otherwise a dense RF in u.  Every descriptor also implements the
+generic Field protocol over its own elements, so the polynomial toolbox
+applies uniformly.
 
 Default choice functions are the multiplicative ones (p^gamma, t^gamma);
 a descriptor may carry a finite override table, which is what produces
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Dict
+from typing import Dict, Optional
 
 from . import fpoly
 from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
@@ -46,12 +47,21 @@ from .values import INFINITY, Q, Value, ValueGroup, is_inf
 
 @dataclass(frozen=True)
 class PerfElem:
-    """Element of GF(p)(t^(1/p^oo)) at level k, i.e. a rational function
-    in u = t^(1/p^k).  Level is minimal: num and den are not both
-    polynomials in u^p unless k = 0."""
+    """Element of GF(p)(t^(1/p^oo)) at its minimal level k, written in
+    u = t^(1/p^k); the level is minimal when k = 0 or some exponent in u
+    is prime to p.
+
+    An element whose reduced denominator is a monomial c*u^m is stored
+    sparse: ``terms`` holds its nonzero terms as (exponent, coefficient)
+    pairs sorted by exponent, with the denominator folded into negative
+    (Laurent) exponents and coefficients ints in 1..p-1; zero has no
+    terms.  Any other element keeps the dense rational function in u as
+    ``rf``, with ``terms`` empty.  Both forms are canonical, so equal
+    elements compare equal with ``==``."""
 
     level: int
-    rf: RF
+    terms: tuple = ()
+    rf: Optional[RF] = None
 
 
 class ValuedField(Field):
@@ -346,9 +356,13 @@ class FqtField(TadicField):
 class FpPerfField(ValuedField):
     """The perfect closure GF(p)(t^(1/p^oo)), t-adic.
 
-    An element lives at a finite level k as a rational function in
-    u = t^(1/p^k); arithmetic promotes to a common level and then
-    renormalizes to the minimal level.
+    An element lives at its minimal level k in u = t^(1/p^k) (see
+    PerfElem).  Sparse operands combine their terms at the larger level,
+    and the result drops to its minimal level: the cost follows the
+    number of nonzero terms, not the degree in u.  An operation with a
+    dense operand promotes both to dense rational functions in u, runs
+    the RatFuncField arithmetic and turns the result back into terms
+    when its reduced denominator is a monomial.
     """
 
     kind = "FpPerf"
@@ -361,156 +375,208 @@ class FpPerfField(ValuedField):
         self.rff = RatFuncField(self.coeff_field, "u")
         self.value_group = ValueGroup(Q(1), p)
         self.residue_field = self.coeff_field
+        self._zero = PerfElem(0)
+        self._one = PerfElem(0, ((0, 1),))
 
     # -- level bookkeeping ---------------------------------------------------
 
-    def _normalize(self, k: int, a: RF) -> PerfElem:
-        # u -> u^(1/p) applies while every nonzero exponent is divisible by
-        # p: that is v_p of the gcd of the exponents, capped at k
-        p = self.p
-        while k > 0:
-            g = gcd(*compress(range(len(a.num)), a.num),
-                    *compress(range(len(a.den)), a.den))
-            drop = 0
-            while drop < k and g % p == 0:
-                g //= p
-                drop += 1
-            if drop == 0:
-                break
-            step = p ** drop
-            a = self.rff.make(a.num[::step], a.den[::step])
-            k -= drop
-        return PerfElem(k, a)
+    def _drop(self, k: int, g: int) -> int:
+        """How many levels an element at level k can drop when g is the gcd
+        of its exponents in u: u -> u^(1/p) applies while every exponent is
+        divisible by p, so v_p(g) capped at k (all k for g = 0, a constant)."""
+        drop = 0
+        while drop < k and g % self.p == 0:
+            g //= self.p
+            drop += 1
+        return drop
 
-    def _promote(self, e: PerfElem, k: int) -> RF:
-        if k < e.level:
-            raise ValueError("cannot demote a perfect-closure element")
-        if k == e.level:
-            return e.rf
+    def _sparse(self, k: int, terms: tuple) -> PerfElem:
+        """The element with these sorted nonzero terms in u = t^(1/p^k)."""
+        drop = self._drop(k, gcd(*[e for e, _ in terms])) if k else 0
+        if drop:
+            step = self.p ** drop
+            terms = tuple([(e // step, c) for e, c in terms])
+        return PerfElem(k - drop, terms)
+
+    def _from_rf(self, k: int, a: RF) -> PerfElem:
+        """The element a, a reduced rational function in u = t^(1/p^k)."""
+        num, den = a.num, a.den
+        if not any(den[:-1]):
+            # the monic denominator is u^m: fold it into the exponents
+            m = len(den) - 1
+            return self._sparse(k, tuple([(i - m, c) for i, c in enumerate(num) if c]))
+        drop = self._drop(k, gcd(*compress(range(len(num)), num),
+                                 *compress(range(len(den)), den))) if k else 0
+        if drop:
+            step = self.p ** drop
+            a = RF(num[::step], den[::step])
+        return PerfElem(k - drop, rf=a)
+
+    def _dense(self, e: PerfElem, k: int) -> RF:
+        """e as a reduced rational function in u = t^(1/p^k), k >= e.level."""
         step = self.p ** (k - e.level)
+        if e.rf is not None:
+            if step == 1:
+                return e.rf
+            return RF(_stretch(e.rf.num, step), _stretch(e.rf.den, step))
+        if not e.terms:
+            return self.rff.zero()
+        m = min(e.terms[0][0], 0)
+        num = [0] * ((e.terms[-1][0] - m) * step + 1)
+        for x, c in e.terms:
+            num[(x - m) * step] = c
+        return RF(tuple(num), (0,) * (-m * step) + (1,))
 
-        def up(cc):
-            if not cc:
-                return ()
-            out = [0] * ((len(cc) - 1) * step + 1)
-            out[::step] = cc
-            return tuple(out)
+    def _terms_at(self, e: PerfElem, k: int):
+        """The terms of sparse e in u = t^(1/p^k), k >= e.level."""
+        if e.level == k:
+            return e.terms
+        step = self.p ** (k - e.level)
+        return [(x * step, c) for x, c in e.terms]
 
-        return RF(up(e.rf.num), up(e.rf.den))
-
-    def _binop(self, a: PerfElem, b: PerfElem, op) -> PerfElem:
+    def _binop(self, a: PerfElem, b: PerfElem, combine, dense_op) -> PerfElem:
         k = max(a.level, b.level)
-        ra = self._promote(a, k)
-        rb = self._promote(b, k)
-        return self._normalize(k, op(ra, rb))
+        if a.rf is None and b.rf is None:
+            d = combine(self._terms_at(a, k), self._terms_at(b, k))
+            p = self.p
+            terms = []
+            for e in sorted(d):
+                c = d[e] % p
+                if c:
+                    terms.append((e, c))
+            return self._sparse(k, tuple(terms))
+        return self._from_rf(k, dense_op(self._dense(a, k), self._dense(b, k)))
 
     def zero(self):
-        return PerfElem(0, self.rff.zero())
+        return self._zero
 
     def one(self):
-        return PerfElem(0, self.rff.one())
+        return self._one
 
     def t(self):
-        return PerfElem(0, self.rff.var())
+        return PerfElem(0, ((1, 1),))
 
     def add(self, a, b):
-        return self._binop(a, b, self.rff.add)
+        if self.is_zero(a):
+            return b
+        if self.is_zero(b):
+            return a
+        return self._binop(a, b, _add_terms, self.rff.add)
 
     def neg(self, a):
-        return PerfElem(a.level, self.rff.neg(a.rf))
+        if a.rf is not None:
+            return PerfElem(a.level, rf=self.rff.neg(a.rf))
+        p = self.p
+        return PerfElem(a.level, tuple([(e, p - c) for e, c in a.terms]))
 
     def mul(self, a, b):
-        return self._binop(a, b, self.rff.mul)
+        return self._binop(a, b, _mul_terms, self.rff.mul)
 
     def inv(self, a):
-        if self.rff.is_zero(a.rf):
+        if self.is_zero(a):
             raise InvertZero("division by zero in the perfect closure")
-        return PerfElem(a.level, self.rff.inv(a.rf))
+        if a.rf is None and len(a.terms) == 1:
+            (e, c), = a.terms
+            return PerfElem(a.level, ((-e, pow(c, -1, self.p)),))
+        return self._from_rf(a.level, self.rff.inv(self._dense(a, a.level)))
 
     def eq(self, a, b):
-        k = max(a.level, b.level)
-        return self.rff.eq(self._promote(a, k), self._promote(b, k))
+        # both forms are canonical
+        return a == b
 
     def is_zero(self, a):
-        return self.rff.is_zero(a.rf)
+        return not a.terms and a.rf is None
 
     def from_int(self, n):
-        return PerfElem(0, self.rff.from_int(n))
+        n %= self.p
+        return PerfElem(0, ((0, n),)) if n else self._zero
 
     def valuate(self, a) -> Value:
-        k = self.rff.ord_var(a.rf)
-        if k is None:
+        if a.rf is not None:
+            return Q(self.rff.ord_var(a.rf), self.p ** a.level)
+        if not a.terms:
             return INFINITY
-        return Q(k, self.p ** a.level)
+        return Q(a.terms[0][0], self.p ** a.level)
 
     def residue(self, a):
         v = self.valuate(a)
-        if is_inf(v):
-            return self.coeff_field.zero()
+        if is_inf(v) or v > 0:
+            return 0
         if v < 0:
             raise NegativeValue(f"t-adic value {v} < 0")
-        return self.rff.residue_at_zero(a.rf)
+        if a.rf is not None:
+            return self.rff.residue_at_zero(a.rf)
+        return a.terms[0][1]
 
     def lift(self, r):
-        return PerfElem(0, self.rff.make(fpoly.const(self.coeff_field, r),
-                                         (self.coeff_field.one(),)))
+        return self.from_int(r)
 
     def canonical_unit(self, w):
         w = Q(w)
         if not self.value_group.contains(w) and w != 0:
             raise NotInValueGroup(f"{w} is not in Z[1/{self.p}]")
-        k = 0
-        while (w * self.p ** k).denominator != 1:
+        k, den = 0, w.denominator
+        while den > 1:
+            den //= self.p
             k += 1
-        a = (w * self.p ** k).numerator
-        one = self.coeff_field.one()
-        zero = self.coeff_field.zero()
-        ua = (zero,) * abs(a) + (one,)
-        if a >= 0:
-            rf = self.rff.make(ua, (one,))
-        else:
-            rf = self.rff.make((one,), ua)
-        return self._normalize(k, rf)
+        return PerfElem(k, ((w.numerator, 1),))
 
     def residue_perfect(self):
         return "PERFECT", None
 
     def pth_root(self, a):
-        # t^(1/p^k) always has p-th roots: just raise the level.
-        return self._normalize(a.level + 1, a.rf)
+        # t^(1/p^k) always has p-th roots: the same exponents one level up
+        if a.rf is not None:
+            return self._from_rf(a.level + 1, a.rf)
+        return self._sparse(a.level + 1, a.terms)
 
     def accepts(self, a):
-        return isinstance(a, PerfElem) and _rf_over(self.coeff_field, a.rf)
+        # the shape, then the canonical form that eq relies on
+        if not isinstance(a, PerfElem) or not isinstance(a.level, int) or a.level < 0:
+            return False
+        if a.rf is None:
+            return _terms_over(self.p, a.terms) and self._sparse(a.level, a.terms) == a
+        B, rf = self.coeff_field, a.rf
+        if a.terms != () or not isinstance(rf, RF) or not _rf_over(B, rf):
+            return False
+        if not rf.den or fpoly.norm(B, rf.num) != rf.num or fpoly.norm(B, rf.den) != rf.den:
+            return False
+        return self._from_rf(a.level, self.rff.make(rf.num, rf.den)) == a
 
     def elem_str(self, a):
-        B = self.coeff_field
-        den = self.p ** a.level
-
-        def side(cc):
-            parts = []
-            for i in range(len(cc) - 1, -1, -1):
-                c = cc[i]
-                if B.is_zero(c):
-                    continue
-                e = Q(i, den)
-                if e == 0:
-                    parts.append(B.elem_str(c))
-                    continue
-                es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
-                    "t" if e == 1 else f"t^{e.numerator}")
-                cs = B.elem_str(c)
-                parts.append(es if cs == "1" else f"{cs}*{es}")
-            return " + ".join(parts) if parts else "0"
-
-        ns = side(a.rf.num)
-        if fpoly.eq(B, a.rf.den, (B.one(),)):
+        if a.rf is not None:
+            num = [(i, c) for i, c in enumerate(a.rf.num) if c]
+            den = [(i, c) for i, c in enumerate(a.rf.den) if c]
+        else:
+            # printed as a polynomial over u^(-m), m the lowest exponent if negative
+            m = min(a.terms[0][0], 0) if a.terms else 0
+            num = [(e - m, c) for e, c in a.terms]
+            den = [(-m, 1)]
+        ns = self._side_str(a.level, num)
+        if den == [(0, 1)]:
             return ns
-        ds = side(a.rf.den)
+        ds = self._side_str(a.level, den)
         if " + " in ns:
             ns = f"({ns})"
         if " + " in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
+
+    def _side_str(self, level: int, terms) -> str:
+        """Sorted (exponent, coefficient) terms in u = t^(1/p^level), printed
+        highest first in t."""
+        den = self.p ** level
+        parts = []
+        for i, c in reversed(terms):
+            e = Q(i, den)
+            cs = str(c)
+            if e == 0:
+                parts.append(cs)
+                continue
+            es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
+                "t" if e == 1 else f"t^{e.numerator}")
+            parts.append(es if cs == "1" else f"{cs}*{es}")
+        return " + ".join(parts) if parts else "0"
 
     @property
     def key(self):
@@ -518,6 +584,47 @@ class FpPerfField(ValuedField):
 
     def descriptor_str(self):
         return f"FpPerf({self.p},t)"
+
+
+def _add_terms(s, t) -> dict:
+    d = dict(s)
+    for e, c in t:
+        d[e] = d.get(e, 0) + c
+    return d
+
+
+def _mul_terms(s, t) -> dict:
+    d = {}
+    for e1, c1 in s:
+        for e2, c2 in t:
+            e = e1 + e2
+            d[e] = d.get(e, 0) + c1 * c2
+    return d
+
+
+def _stretch(cc: tuple, step: int) -> tuple:
+    """cc(u^step): the coefficient of u^i moves to u^(i*step)."""
+    out = [0] * ((len(cc) - 1) * step + 1)
+    out[::step] = cc
+    return tuple(out)
+
+
+def _terms_over(p: int, terms) -> bool:
+    """Sorted (exponent, coefficient) pairs: strictly increasing int
+    exponents and int coefficients in 1..p-1."""
+    if not isinstance(terms, tuple):
+        return False
+    prev = None
+    for term in terms:
+        if not (isinstance(term, tuple) and len(term) == 2):
+            return False
+        e, c = term
+        if not (isinstance(e, int) and isinstance(c, int) and 0 < c < p):
+            return False
+        if prev is not None and e <= prev:
+            return False
+        prev = e
+    return True
 
 
 class FpctField(TadicField):

@@ -546,9 +546,15 @@ def test_rational_root_test_matches_trial_division():
         checked += 1
 
 
-@pytest.mark.parametrize("text,q,budget", [("x^4+x+1/t", 4, 8), ("x^2+x+1/t", 2, 12)])
-def test_artin_schreier_probes_at_large_budgets(text, q, budget):
-    P = FpPerfField(2)
+# (polynomial over FpPerf(p,t), p, q, budget): the trajectory gammas are -1/q^(l+1)
+ARTIN_SCHREIER_CASES = [("x^4+x+1/t", 2, 4, 8), ("x^2+x+1/t", 2, 2, 12),
+                        ("x^4+x+1/t", 2, 4, 12), ("x^3-x-1/t", 3, 3, 10)]
+
+
+@pytest.mark.parametrize("text,p,q,budget", ARTIN_SCHREIER_CASES,
+                         ids=[f"{text}-{q}-{budget}" for text, _, q, budget in ARTIN_SCHREIER_CASES])
+def test_artin_schreier_probes_at_large_budgets(text, p, q, budget):
+    P = FpPerfField(p)
     r = mac_lane_chains(P, parse_poly(text, P), max_limit_probes=budget)
     assert len(r.branches) == 1
     b = r.branches[0]

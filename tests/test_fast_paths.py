@@ -2,7 +2,9 @@
 
 ``RatFuncField.make`` cancels v^k directly when one side is a monomial,
 ``fpoly`` runs plain int loops over the nonzero terms when the field is
-exactly ``GFp``, and ``FpPerfField`` moves between levels with slices.
+exactly ``GFp``, and ``FpPerfField`` combines the sparse Laurent terms of
+its elements, falling back to dense rational functions in u only for a
+denominator that is not a monomial.
 ``phi_expansion`` takes its last coefficient without dividing, ``divmod_``
 returns at once for a shorter dividend and skips the inverse of a monic
 divisor's leading coefficient, ``taylor_shift`` at 0 is the identity and
@@ -22,9 +24,9 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import FPPERF2, FQ2T, QP2
 from mlvkit import fpoly
 from mlvkit.engine import TERMINATED, mac_lane_chains
-from mlvkit.errors import NonMonicBase
+from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
 from mlvkit.ffield import ExtField, GFp, GFq
-from mlvkit.fields import FpPerfField, PerfElem, QpField
+from mlvkit.fields import ADD, INV, MUL, FpPerfField, PerfElem, QpField, field_arith
 from mlvkit.indval import truncation_eval
 from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly, phi_expansion
@@ -115,23 +117,109 @@ def test_gfp_int_loops_equal_the_generic_loops(case):
         assert fpoly.divmod_(F, fpoly.mul(F, f, g), g) == (f, ())
 
 
-def levelwise_normalize(K: FpPerfField, k: int, a: RF) -> PerfElem:
-    """Drop one level at a time while all exponents are divisible by p."""
-    p = K.p
-    while k > 0:
-        if any(c for cc in (a.num, a.den) for i, c in enumerate(cc) if i % p):
-            break
-        a = K.rff.make(a.num[::p], a.den[::p])
-        k -= 1
-    return PerfElem(k, a)
-
-
 def stretch(cc, s: int) -> tuple:
     """cc(v^s): the coefficient of v^i moves to v^(i*s)."""
+    if not cc:
+        return ()
     out = [0] * ((len(cc) - 1) * s + 1)
     for i, c in enumerate(cc):
         out[i * s] = c
     return tuple(out)
+
+
+def is_monomial(cc) -> bool:
+    return sum(1 for c in cc if c) == 1
+
+
+class DensePerf:
+    """The perfect closure with every element a pair (k, a): a dense
+    reduced rational function a in u = t^(1/p^k) at the minimal level k.
+    Arithmetic promotes to the common level by stretching, runs the
+    RatFuncField operation and drops levels one at a time."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.rff = RatFuncField(GFp(p), "u")
+
+    def normalize(self, k: int, a: RF):
+        """Drop one level at a time while all exponents are divisible by p."""
+        p = self.p
+        while k > 0:
+            if any(c for cc in (a.num, a.den) for i, c in enumerate(cc) if i % p):
+                break
+            a = self.rff.make(a.num[::p], a.den[::p])
+            k -= 1
+        return k, a
+
+    def promote(self, a, k: int) -> RF:
+        level, rf = a
+        s = self.p ** (k - level)
+        return RF(stretch(rf.num, s), stretch(rf.den, s))
+
+    def binop(self, a, b, op):
+        k = max(a[0], b[0])
+        return self.normalize(k, op(self.promote(a, k), self.promote(b, k)))
+
+    def add(self, a, b):
+        return self.binop(a, b, self.rff.add)
+
+    def mul(self, a, b):
+        return self.binop(a, b, self.rff.mul)
+
+    def neg(self, a):
+        return a[0], self.rff.neg(a[1])
+
+    def inv(self, a):
+        return a[0], self.rff.inv(a[1])
+
+    def eq(self, a, b):
+        k = max(a[0], b[0])
+        return self.promote(a, k) == self.promote(b, k)
+
+    def valuate(self, a):
+        k = self.rff.ord_var(a[1])
+        return INFINITY if k is None else Q(k, self.p ** a[0])
+
+    def pth_root(self, a):
+        return self.normalize(a[0] + 1, a[1])
+
+    def canonical_unit(self, w: Q):
+        k = 0
+        while (w * self.p ** k).denominator != 1:
+            k += 1
+        n = (w * self.p ** k).numerator
+        mono = (0,) * abs(n) + (1,)
+        rf = self.rff.make(mono, (1,)) if n >= 0 else self.rff.make((1,), mono)
+        return self.normalize(k, rf)
+
+    def elem_str(self, a):
+        level, rf = a
+        den = self.p ** level
+
+        def side(cc):
+            parts = []
+            for i in range(len(cc) - 1, -1, -1):
+                c = cc[i]
+                if c == 0:
+                    continue
+                e = Q(i, den)
+                if e == 0:
+                    parts.append(str(c))
+                    continue
+                es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
+                    "t" if e == 1 else f"t^{e.numerator}")
+                parts.append(es if c == 1 else f"{c}*{es}")
+            return " + ".join(parts) if parts else "0"
+
+        ns = side(rf.num)
+        if rf.den == (1,):
+            return ns
+        ds = side(rf.den)
+        if " + " in ns:
+            ns = f"({ns})"
+        if " + " in ds:
+            ds = f"({ds})"
+        return f"{ns}/{ds}"
 
 
 @settings(max_examples=80, deadline=None)
@@ -143,10 +231,103 @@ def test_perf_levels_equal_the_levelwise_algorithm(case):
     K = FpPerfField(p)
     # exponents divisible by p^j, so up to j levels (capped at k) can drop
     a = K.rff.make(stretch(num, p ** j), stretch(den, p ** j))
-    e = K._normalize(k, a)
-    assert e == levelwise_normalize(K, k, a)
+    e = K._from_rf(k, a)
+    assert (e.level, K._dense(e, e.level)) == DensePerf(p).normalize(k, a)
+    # sparse exactly when the reduced denominator is a monomial
+    assert (e.rf is None) == is_monomial(a.den)
     for level in range(e.level, e.level + 3):
-        assert K._normalize(level, K._promote(e, level)) == e
+        assert K._from_rf(level, K._dense(e, level)) == e
+        if e.rf is None:
+            assert K._sparse(level, tuple(K._terms_at(e, level))) == e
+
+
+@st.composite
+def perf_pairs(draw, p):
+    """(level, num, den): a quotient of polynomials in u = t^(1/p^level)
+    whose exponents may all share a power of p, and whose denominator is
+    1, a monomial (negative exponents) or anything (the dense form)."""
+    level = draw(st.integers(0, 4))
+    s = p ** draw(st.integers(0, 2))
+    num = draw(st.one_of(sparse_polys(GFp(p), 12), st.just(())))
+    den = draw(st.one_of(
+        st.just((1,)),
+        st.tuples(st.integers(0, 9), st.integers(1, p - 1)).map(
+            lambda kc: (0,) * kc[0] + (kc[1],)),
+        sparse_polys(GFp(p), 6)))
+    return level, stretch(num, s), stretch(den, s)
+
+
+def build(K, level, num, den):
+    """num/den through the public arithmetic of K, term by term."""
+    def poly(cc):
+        acc = K.zero()
+        for i, c in enumerate(cc):
+            if c:
+                acc = K.add(acc, K.mul(K.from_int(c), K.canonical_unit(Q(i, K.p ** level))))
+        return acc
+    return K.div(poly(num), poly(den))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from([2, 3, 5]).flatmap(lambda p: st.tuples(
+    st.just(p), perf_pairs(p), perf_pairs(p),
+    st.integers(-20, 20), st.integers(0, 4))))
+def test_perf_arithmetic_equals_the_dense_reference(case):
+    p, x, y, n, j = case
+    K, R = FpPerfField(p), DensePerf(p)
+
+    def ref(level, num, den):
+        return R.normalize(level, R.rff.make(num, den))
+
+    def same(e, r):
+        # the canonical forms agree: minimal level, reduced rational
+        # function, and sparse exactly when the denominator is a monomial
+        assert (e.level, K._dense(e, e.level)) == r
+        assert (e.rf is None) == is_monomial(r[1].den)
+        assert K.elem_str(e) == R.elem_str(r)
+        assert K.valuate(e) == R.valuate(r)
+        v = R.valuate(r)
+        if v is INFINITY or v > 0:
+            assert K.residue(e) == 0
+        elif v == 0:
+            assert K.residue(e) == R.rff.residue_at_zero(r[1])
+        else:
+            with pytest.raises(NegativeValue):
+                K.residue(e)
+
+    a, ra = build(K, *x), ref(*x)
+    b, rb = build(K, *y), ref(*y)
+    for e, r in ((a, ra), (b, rb)):
+        same(e, r)
+        same(K.neg(e), R.neg(r))
+        same(K.pth_root(e), R.pth_root(r))
+        if not K.is_zero(e):
+            same(K.inv(e), R.inv(r))
+    same(K.add(a, b), R.add(ra, rb))
+    same(K.mul(a, b), R.mul(ra, rb))
+    same(K.sub(a, a), R.add(ra, R.neg(ra)))
+    assert K.eq(a, b) == R.eq(ra, rb)
+    assert K.eq(K.add(a, b), K.add(b, a))
+    w = Q(n, p ** j)
+    same(K.canonical_unit(w), R.canonical_unit(w))
+
+
+@pytest.mark.parametrize("bad", [
+    PerfElem(0, ((0, 0),)), PerfElem(0, ((0, 1), (1, 2))), PerfElem(0, ((1, 1), (0, 1))),
+    PerfElem(0, ((0, 1), (0, 1))), PerfElem(0, ((Q(1, 2), 1),)), PerfElem(0, ((0, 1, 1),)),
+    PerfElem(0, [(0, 1)]),
+    # not canonical: a level that can drop, a dense monomial denominator,
+    # a dense fraction that is not reduced, a dense zero
+    PerfElem(1, ((2, 1),)), PerfElem(0, rf=RF((1,), (0, 1))),
+    PerfElem(0, rf=RF((1, 1), (1, 0, 1))), PerfElem(0, rf=RF((), (1, 1)))],
+    ids=repr)
+def test_malformed_perf_elements_are_mixed_fields(bad):
+    K = FpPerfField(2)
+    for op, args in ((ADD, (bad, K.one())), (MUL, (K.t(), bad)), (INV, (bad,))):
+        with pytest.raises(MixedFields):
+            field_arith(K, op, *args)
+    for good in (K.t(), K.inv(K.add(K.one(), K.t())), K.canonical_unit(Q(-3, 4))):
+        assert field_arith(K, ADD, good, K.zero()) == good
 
 
 # ---------------------------------------------------------------------------

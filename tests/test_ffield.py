@@ -157,3 +157,14 @@ def test_pow_makes_exact_square_and_multiply_products(monkeypatch, n, products):
         expect = mul(F, expect, f)
     assert got == expect
     assert got_mod == fpoly.mod(F, expect, m)
+    # the element power of a field, here over GF(16)
+    E = GFq(16)
+    emul = E.mul
+    elem_calls = []
+    monkeypatch.setattr(E, "mul", lambda *a: elem_calls.append(1) or emul(*a))
+    got_elem = E.pow(E.gen(), n)
+    assert len(elem_calls) == products
+    expect_elem = E.one()
+    for _ in range(n):
+        expect_elem = emul(expect_elem, E.gen())
+    assert E.eq(got_elem, expect_elem)

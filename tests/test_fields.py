@@ -159,11 +159,13 @@ def test_mixed_fields():
 def test_perf_level_normalization_idempotent():
     P = FpPerfField(2)
     e = P.canonical_unit(Q(3, 4))
-    again = P._normalize(e.level, e.rf)
-    assert again == e
-    # promoting then renormalizing returns the original
-    up = P._promote(e, e.level + 2)
-    assert P._normalize(e.level + 2, up) == e
+    assert P._sparse(e.level, e.terms) == e
+    # promoting then renormalizing returns the original, in either form
+    dense = P.inv(P.add(P.one(), e))
+    assert dense.rf is not None and e.rf is None
+    for x in (e, dense):
+        up = P._dense(x, x.level + 2)
+        assert P._from_rf(x.level + 2, up) == x
 
 
 @pytest.mark.parametrize("K", all_fields(), ids=lambda k: k.descriptor_str())
