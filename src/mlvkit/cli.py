@@ -22,8 +22,8 @@ from .engine import (LIMIT_SUSPECTED, Branch, ExtensionReport, NoSequence,
 from .errors import BadFieldOrder, MlvError, ParseError
 from .fields import ValuedField
 from .parsing import (parse_choice_overrides, parse_element, parse_expression,
-                      parse_field, parse_graded, parse_poly)
-from .values import value_from_str, value_str
+                      parse_field, parse_graded, parse_poly, parse_value)
+from .values import value_str
 
 SCHEMA_VERSION = 1
 
@@ -133,7 +133,7 @@ def cmd_field(args) -> int:
         out["residue"] = {"element": K.elem_str(a),
                           "residue": K.residue_field.elem_str(K.residue(a))}
     if args.choice is not None:
-        gamma = value_from_str(args.choice)
+        gamma = parse_value(args.choice)
         out["choice"] = {"gamma": value_str(gamma),
                          "element": K.elem_str(K.choice(gamma))}
     if args.json:
@@ -178,7 +178,11 @@ def _frobenius_witness(K, witness):
 def cmd_graded(args) -> int:
     K = parse_field(args.field)
     if args.choice:
-        K = K.with_choice_overrides(parse_choice_overrides(args.choice, K))
+        table = parse_choice_overrides(args.choice, K)
+        try:
+            K = K.with_choice_overrides(table)
+        except ValueError as exc:  # an override of the wrong value
+            raise ParseError(str(exc)) from exc
     table = graded.TwistTable(K)
     out = {"schemaVersion": SCHEMA_VERSION, "field": K.descriptor_str()}
     if args.mul:

@@ -186,21 +186,20 @@ class QpField(ValuedField):
         return Q(n)
 
     def valuate(self, a) -> Value:
-        a = Q(a)
-        if a == 0:
-            return INFINITY
-        v = 0
         num, den = a.numerator, a.denominator
-        while num % self.p == 0:
-            num //= self.p
+        if num == 0:
+            return INFINITY
+        p = self.p
+        v = 0
+        while num % p == 0:
+            num //= p
             v += 1
-        while den % self.p == 0:
-            den //= self.p
+        while den % p == 0:
+            den //= p
             v -= 1
         return Q(v)
 
     def residue(self, a):
-        a = Q(a)
         v = self.valuate(a)
         if is_inf(v):
             return 0
@@ -216,10 +215,10 @@ class QpField(ValuedField):
         return Q(r % self.p)
 
     def canonical_unit(self, w):
-        w = Q(w)
         if w.denominator != 1:
             raise NotInValueGroup(f"{w} is not in Z")
-        return Q(self.p) ** w.numerator
+        n = w.numerator
+        return Q(self.p ** n) if n >= 0 else Q(1, self.p ** -n)
 
     def residue_perfect(self):
         return "PERFECT", None

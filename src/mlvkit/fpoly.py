@@ -295,27 +295,29 @@ def hasse(F, f, i: int) -> Coeffs:
 
 
 def evaluate(F, f, a):
-    acc = F.zero()
-    for c in reversed(f):
-        acc = F.add(F.mul(acc, a), c)
+    """f(a) by Horner's rule, starting from the leading coefficient."""
+    if not f:
+        return F.zero()
+    acc = f[-1]
+    for i in range(len(f) - 2, -1, -1):
+        acc = F.add(F.mul(acc, a), f[i])
     return acc
 
 
 def taylor_shift(F, f, a) -> Coeffs:
-    """Coefficients of f in powers of (x - a), by repeated synthetic division."""
+    """Coefficients of f in powers of (x - a), by repeated synthetic division.
+
+    Pass i divides cc[i:] by (x - a) in place by Horner's rule from the
+    leading coefficient: the remainder lands in cc[i], the quotient above it.
+    """
     if F.is_zero(a):
         return norm(F, f)
     cc = list(f)
-    out = []
-    while cc:
-        q = []
-        acc = F.zero()
-        for c in reversed(cc):
-            acc = F.add(F.mul(acc, a), c)
-            q.append(acc)
-        out.append(q.pop())
-        cc = list(reversed(q))
-    return norm(F, out)
+    top = len(cc) - 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            cc[j] = F.add(F.mul(cc[j + 1], a), cc[j])
+    return norm(F, cc)
 
 
 def to_str(F, f, var: str = "x") -> str:

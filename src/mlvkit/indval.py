@@ -212,6 +212,8 @@ class InductiveValuation:
 
     def expansion(self, f: Poly) -> List[Poly]:
         """Coefficients of the phi-expansion of f (constants at depth zero)."""
+        if self.prev is None and f.degree == 0:
+            return [f]
         hit = self._exp_cache.get(f.coeffs)
         if hit is not None:
             return hit
@@ -252,7 +254,9 @@ class InductiveValuation:
             for k, c in enumerate(self.expansion(f)):
                 if c.is_zero():
                     continue
-                v = vadd(self._coeff_value(c), vmul(k, self.gamma))
+                v = self._coeff_value(c)
+                if k:
+                    v = vadd(v, vmul(k, self.gamma))
                 if best is None or v < best:
                     best = v
             out = INFINITY if best is None else best
@@ -275,7 +279,7 @@ class InductiveValuation:
         if is_inf(self.gamma):
             return 0, w
         for i in range(self.e_rel):
-            wp = w - i * self.gamma
+            wp = w - vmul(i, self.gamma)
             if wp == 0 or self.prev_group.contains(wp):
                 return i, wp
         raise ArithmeticError(f"{w} not in the value group of the stage")
@@ -302,7 +306,7 @@ class InductiveValuation:
             raise InvariantViolated(f"twist carry {delta} (remainder {rem}) is not 0 or 1")
         tau = self._embed(rho._twist(wp, vp))
         if delta == 1:
-            e_gamma = rho.e_rel * rho.gamma
+            e_gamma = vmul(rho.e_rel, rho.gamma)
             kap = self.kappa
             tau = kap.mul(tau, self.zgen)
             tau = kap.mul(tau, kap.inv(self._embed(rho._twist(-e_gamma, e_gamma))))
@@ -311,15 +315,19 @@ class InductiveValuation:
         return tau
 
     def _ymul(self, mpow: int):
-        """Scalar relating s^(e*m) to y^m * U(m*e*gamma) in the reduction."""
+        """Scalar relating s^(e*m) to y^m * U(m*e*gamma) in the reduction.
+
+        It is 1 at depth zero, where every twist is 1, and callers skip it.
+        """
         kap = self.kappa
         if mpow == 0:
             return kap.one()
-        e_gamma = self.e_rel * self.gamma
+        e_gamma = vmul(self.e_rel, self.gamma)
+        neg = -e_gamma
         tau = kap.one()
         for j in range(1, mpow):
-            tau = kap.mul(tau, self._twist(-j * e_gamma, -e_gamma))
-        return kap.mul(tau, self._twist(-mpow * e_gamma, mpow * e_gamma))
+            tau = kap.mul(tau, self._twist(vmul(j, neg), neg))
+        return kap.mul(tau, self._twist(vmul(mpow, neg), vmul(mpow, e_gamma)))
 
     # -- reduction and lifting ------------------------------------------------------
 
@@ -372,29 +380,28 @@ class InductiveValuation:
             b, w = self._coef(c)
             return GradedForm((b,) if not kap.is_zero(b) else (), 0, w, w)
         cc = self.expansion(f)
-        data = {}
+        data = []
         best: Optional[Value] = None
         for k, c in enumerate(cc):
             if c.is_zero():
                 continue
             b, w = self._coef(c)
-            grade = vadd(w, vmul(k, self.gamma))
-            data[k] = (b, w)
+            grade = vadd(w, vmul(k, self.gamma)) if k else w
+            data.append((k, b, w, grade))
             if best is None or grade < best:
                 best = grade
-        effective = [k for k, (b, w) in sorted(data.items())
-                     if vadd(w, vmul(k, self.gamma)) == best]
-        k0 = effective[0]
-        i0 = k0 % self.e_rel
-        w0 = best - i0 * self.gamma
+        effective = [(k, b, w) for k, b, w, grade in data if grade == best]
+        i0 = effective[0][0] % self.e_rel
+        w0 = best - vmul(i0, self.gamma)
         H: Dict[int, object] = {}
-        for k in effective:
-            b, w = data[k]
+        for k, b, w in effective:
             if (k - i0) % self.e_rel != 0:
                 raise InvariantViolated(f"exponent {k} is not {i0} mod e = {self.e_rel}")
             mpow = (k - i0) // self.e_rel
-            num = kap.mul(b, self._twist(w, mpow * self.e_rel * self.gamma))
-            H[mpow] = kap.div(num, self._ymul(mpow))
+            if self.prev is not None:  # twists and _ymul are 1 at depth zero
+                b = kap.div(kap.mul(b, self._twist(w, vmul(mpow * self.e_rel, self.gamma))),
+                            self._ymul(mpow))
+            H[mpow] = b
         coeffs = [kap.zero()] * (max(H) + 1)
         for mpow, b in H.items():
             coeffs[mpow] = b
@@ -407,10 +414,11 @@ class InductiveValuation:
         for mpow, h in enumerate(H):
             if kap.is_zero(h):
                 continue
-            w_m = w0 - mpow * self.e_rel * self.gamma
-            b = kap.div(kap.mul(h, self._ymul(mpow)),
-                        self._twist(w_m, mpow * self.e_rel * self.gamma))
-            out = out + self._uncoef(b, w_m) * (self.phi ** (i0 + mpow * self.e_rel))
+            shift = vmul(mpow * self.e_rel, self.gamma)
+            w_m = w0 - shift
+            if self.prev is not None:  # twists and _ymul are 1 at depth zero
+                h = kap.div(kap.mul(h, self._ymul(mpow)), self._twist(w_m, shift))
+            out = out + self._uncoef(h, w_m) * (self.phi ** (i0 + mpow * self.e_rel))
         return out
 
     def key_from_residual(self, rbar: tuple) -> Poly:
@@ -420,9 +428,12 @@ class InductiveValuation:
             raise NotAKeyPolynomial("no new keys above an infinite value")
         kap = self.kappa
         fR = fpoly.deg(rbar)
-        w0 = fR * self.e_rel * self.gamma
-        lam = kap.inv(self._ymul(fR))
-        H = [kap.mul(lam, c) for c in rbar]
+        w0 = vmul(fR * self.e_rel, self.gamma)
+        if self.prev is None:  # _ymul is 1 at depth zero
+            H = rbar
+        else:
+            lam = kap.inv(self._ymul(fR))
+            H = [kap.mul(lam, c) for c in rbar]
         Q_ = self._lift_homog(H, 0, w0)
         if Q_.degree != fR * self.e_rel * self.m or not Q_.is_monic():
             raise InvariantViolated(

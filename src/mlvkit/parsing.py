@@ -5,7 +5,8 @@ One tokenizer and expression grammar builds a syntax tree, and one fold
 evaluates it; each evaluator supplies only its leaves, its table of
 operations and its rule for ^.  The grammar is the usual one: + - * /
 with parentheses, and ^ taking an integer or a parenthesized rational
-exponent.
+exponent of absolute value at most MAX_EXPONENT.  A malformed rational
+literal, in an exponent or in a --choice value, is a ParseError naming it.
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from . import fpoly, graded
 from .errors import ParseError
 from .fields import FpctField, FpPerfField, FqtField, QpField, ValuedField
 from .poly import Poly
-from .values import Q, value_from_str
+from .values import Q, Value, is_inf, value_from_str
+
+# the largest |e| accepted in x^e, t^e, T^e, S^e or n^e: x^e and t^e build
+# objects of size e and a power of a dense polynomial costs about e^2
+# products, so a larger exponent is refused before any arithmetic
+MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
@@ -95,7 +101,10 @@ class _Parser:
             self.expect(")")
             return node
         if tok.isdigit():
-            return ("int", int(tok))
+            try:
+                return ("int", int(tok))
+            except ValueError:  # beyond the interpreter's digit limit
+                raise ParseError(f"integer literal of {len(tok)} digits is too long") from None
         if re.fullmatch(r"[A-Za-z_][A-Za-z_0-9]*", tok):
             return ("name", tok)
         raise ParseError(f"unexpected token {tok!r}")
@@ -107,28 +116,42 @@ class _Parser:
             neg = True
         tok = self.next()
         if tok == "(":
-            num_neg = False
+            text = ""
             if self.peek() == "-":
                 self.next()
-                num_neg = True
+                text = "-"
             num = self.next()
             if not num.isdigit():
                 raise ParseError(f"expected integer exponent, found {num!r}")
-            n = -int(num) if num_neg else int(num)
-            d = 1
+            text += num
             if self.peek() == "/":
                 self.next()
                 den = self.next()
                 if not den.isdigit():
                     raise ParseError(f"expected integer denominator, found {den!r}")
-                d = int(den)
+                text += "/" + den
             self.expect(")")
-            e = Q(n, d)
         elif tok.isdigit():
-            e = Q(int(tok))
+            text = tok
         else:
             raise ParseError(f"expected exponent, found {tok!r}")
+        e = parse_value(text, finite=True)
+        if abs(e) > MAX_EXPONENT:
+            raise ParseError(f"exponent {text} exceeds {MAX_EXPONENT} in absolute value")
         return -e if neg else e
+
+
+def parse_value(text: str, finite: bool = False) -> Value:
+    """A value literal: a rational such as "3/4" or "-2", or "inf" unless
+    ``finite``.  Anything else, a zero denominator included, is a
+    ParseError that names the literal."""
+    try:
+        v = value_from_str(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational {text!r}") from None
+    if finite and is_inf(v):
+        raise ParseError(f"{text!r} is not a finite rational")
+    return v
 
 
 def parse_expression(s: str):
@@ -190,7 +213,7 @@ def _elem_pow(K: ValuedField, val, exp: Fraction):
     if exp.denominator == 1:
         return K.pow(val, exp.numerator)
     v = K.valuate(val)
-    if not K.eq(val, K.canonical_unit(v)):
+    if is_inf(v) or not K.eq(val, K.canonical_unit(v)):
         raise ParseError("fractional exponents apply to powers of t only")
     return K.canonical_unit(v * exp)
 
@@ -309,7 +332,8 @@ def parse_choice_overrides(s: str, K: ValuedField) -> dict:
         if "=" not in part:
             raise ParseError(f"bad override {part!r}")
         gamma_s, elem_s = part.split("=", 1)
-        out[Q(value_from_str(gamma_s))] = parse_element(elem_s, K)
+        gamma = parse_value(gamma_s, finite=True)
+        out[gamma] = parse_element(elem_s, K)
     return out
 
 

@@ -61,12 +61,15 @@ INFINITY = _Infinity()
 Value = Union[Fraction, _Infinity]
 
 
+_ZERO = Q(0)
+
+
 def is_inf(v: Value) -> bool:
-    return isinstance(v, _Infinity)
+    return v is INFINITY
 
 
 def vadd(a: Value, b: Value) -> Value:
-    if is_inf(a) or is_inf(b):
+    if a is INFINITY or b is INFINITY:
         return INFINITY
     return a + b
 
@@ -74,10 +77,11 @@ def vadd(a: Value, b: Value) -> Value:
 def vmul(n: int, g: Value) -> Value:
     """n*g for an integer n >= 0; 0 * INFINITY is 0 by convention."""
     if n == 0:
-        return Q(0)
-    if is_inf(g):
+        return _ZERO
+    if g is INFINITY:
         return INFINITY
-    return n * g
+    # built from ints: int * Fraction goes through the reflected operator
+    return Q(n * g.numerator, g.denominator)
 
 
 def value_str(v: Value) -> str:
@@ -132,22 +136,20 @@ class ValueGroup:
                   _strip_p(self.gen.denominator, self.hull))
             object.__setattr__(self, "gen", g)
 
+    def _order_mod(self, v: Fraction) -> int:
+        """Smallest e >= 1 with e*v in the group: the reduced denominator of
+        v/gen (p-free for a hull), computed in ints."""
+        num = v.numerator * self.gen.denominator
+        den = v.denominator * self.gen.numerator
+        den //= gcd(num, den)
+        return den if self.hull is None else _strip_p(den, self.hull)
+
     def contains(self, v: Value) -> bool:
-        if is_inf(v):
-            return False
-        r = v / self.gen
-        if self.hull is None:
-            return r.denominator == 1
-        return _strip_p(r.denominator, self.hull) == 1
+        return v is not INFINITY and self._order_mod(v) == 1
 
     def ram_index(self, gamma: Value) -> int:
         """Smallest e >= 1 with e*gamma in the group."""
-        if is_inf(gamma):
-            return 1
-        r = gamma / self.gen
-        if self.hull is None:
-            return r.denominator
-        return _strip_p(r.denominator, self.hull)
+        return 1 if gamma is INFINITY else self._order_mod(gamma)
 
     def join(self, gammas: Iterable[Value]) -> "ValueGroup":
         """Group generated by self and finitely many rational values."""
@@ -166,7 +168,7 @@ class ValueGroup:
                 raise ValueError("cannot join infinity into a value group")
             if x == 0:
                 continue
-            den = _strip_p((x / self.gen).denominator, p)
+            den = self._order_mod(x)
             m = m * den // gcd(m, den)
         return ValueGroup(self.gen / m, p)
 

@@ -4,6 +4,7 @@ import pytest
 
 from mlvkit.cli import main, report_from_json, report_to_dict
 from mlvkit.engine import mac_lane_chains
+from mlvkit.parsing import MAX_EXPONENT
 
 
 def run(capsys, *argv):
@@ -190,3 +191,38 @@ def test_stable_value_command(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["stableValue"] == 3 and d["l0"] == 3
+
+
+BAD_RATIONALS = ["1/0", "abc", "", "x=3", "inf=3"]
+
+
+@pytest.mark.parametrize("argv, token", [
+    (["extend", "--field", "Qp(2)", "--poly", "x^(1/0)"], "'1/0'"),
+    (["stable-value", "--p", "2", "--expr", "T^(1/0)"], "'1/0'"),
+    (["graded", "--field", "Qp(2)", "--frobenius", "T^(1/0)"], "'1/0'"),
+    (["graded", "--field", "FpPerf(2,t)", "--mul", "T^(1/2)", "T^(1/0)"], "'1/0'"),
+    (["field", "--field", "Qp(2)", "--valuate", "0^(1/2)"], "powers of t only"),
+    (["graded", "--field", "Qp(3)", "--mul", "T", "T", "--choice", "1=2"], "wrong valuation"),
+] + [(["field", "--field", "Qp(2)", "--choice", c], repr(c)) for c in BAD_RATIONALS]
+  + [(["graded", "--field", "Qp(3)", "--mul", "T", "T", "--choice", c + "=3"],
+      repr(c.split("=")[0])) for c in BAD_RATIONALS])
+def test_bad_rational_literal_is_parse_error(capsys, argv, token):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error:") and token in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["extend", "--field", "Qp(2)", "--poly", "x^{e}"],
+    ["extend", "--field", "Fq(2,t)", "--poly", "x + t^(-{e})"],
+    ["field", "--field", "FpPerf(2,t)", "--valuate", "t^({e}/1)"],
+    ["field", "--field", "Qp(2)", "--valuate", "2^-{e}"],
+    ["graded", "--field", "Qp(2)", "--frobenius", "T^{e}"],
+    ["stable-value", "--p", "2", "--expr", "T^-{e}"],
+    ["stable-value", "--p", "2", "--expr", "S^{e}"],
+])
+def test_exponent_above_the_cap_is_parse_error(capsys, argv):
+    # only cap + 1 is tried: the check runs before any arithmetic
+    code, out, err = run(capsys, *[a.format(e=MAX_EXPONENT + 1) for a in argv])
+    assert (code, out) == (2, "")
+    assert f"exceeds {MAX_EXPONENT}" in err

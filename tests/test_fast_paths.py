@@ -12,7 +12,10 @@ divisor's leading coefficient, ``taylor_shift`` at 0 is the identity and
 hands inputs of lower degree than the key to the previous stage and
 reduces once modulo the key at a terminal stage, and ``truncation_eval``
 reduces once modulo a base of infinite value.  Each is compared here with
-the general algorithm it stands in for.
+the general algorithm it stands in for.  ``fpoly.evaluate`` and
+``taylor_shift`` run Horner's rule from the leading coefficient (checked
+against naive sums and by rebuilding f), and depth-zero stages skip their
+trivial twists (checked by lifting graded reductions back).
 """
 
 from fractions import Fraction as Q
@@ -21,7 +24,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from corpus import FPPERF2, FQ2T, QP2
+from corpus import FPPERF2, FPPERF3, FQ2T, FQ3T, QP2, QP3, QP5
 from mlvkit import fpoly
 from mlvkit.engine import TERMINATED, mac_lane_chains
 from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
@@ -338,14 +341,15 @@ VALUED = [parse_field(d) for d in ("Qp(2)", "Fq(4,t)", "FpPerf(2,t)", "FpC(2,c,t
 
 
 def second_generator(K):
-    """An element independent of the uniformizer: 3, a GF(4) generator,
-    t^(1/2) and c respectively."""
+    """An element independent of the uniformizer: 3, a GF(q) generator
+    (2 over GF(p)), t^(1/p) and c respectively."""
     if K.kind == "Qp":
         return K.from_int(3)
     if K.kind == "Fqt":
-        return K.lift(K.residue_field.gen())
+        R = K.residue_field
+        return K.lift(R.gen() if isinstance(R, ExtField) else R.from_int(2))
     if K.kind == "FpPerf":
-        return K.canonical_unit(Q(1, 2))
+        return K.canonical_unit(Q(1, K.p))
     return K.c()
 
 
@@ -483,11 +487,17 @@ CHAIN_INPUTS = {
 }
 
 
+# every corpus field, for the lift/reduction round trip: a residue field
+# larger than GF(2) lets the twists of a stage differ from 1
+ALL_CHAIN_INPUTS = dict(CHAIN_INPUTS, **{
+    "Qp(3)": QP3, "Qp(5)": QP5, "Fq(3,t)": FQ3T, "FpPerf(3,t)": FPPERF3})
+
+
 @lru_cache(maxsize=None)
 def chain_branches(desc):
     K = parse_field(desc)
     out = []
-    for s in CHAIN_INPUTS[desc]:
+    for s in ALL_CHAIN_INPUTS[desc]:
         g = parse_poly(s, K)
         out += [(g, b) for b in mac_lane_chains(K, g, max_limit_probes=3).branches]
     return K, tuple(out)
@@ -556,3 +566,87 @@ def test_truncation_eval_equals_the_full_expansion(desc, data):
         assert ref_truncation(nu, g, g * h) is INFINITY
     with pytest.raises(NonMonicBase):
         truncation_eval(nu, g * Poly.const(K, K.canonical_unit(Q(1))), f)
+
+
+# ---------------------------------------------------------------------------
+# Horner from the leading coefficient; trivial twists at depth zero
+# ---------------------------------------------------------------------------
+
+HORNER_FIELDS = [GFp(5), GFq(4)] + [parse_field(d) for d in ("Qp(3)", "Fq(3,t)", "FpPerf(2,t)")]
+
+
+def horner_element(F, d):
+    """An element of a finite or valued field from four small ints."""
+    if isinstance(F, (GFp, ExtField)):
+        return element(F, sum(abs(x) << (2 * i) for i, x in enumerate(d)))
+    return valued_element(F, d)
+
+
+def naive_value(F, f, a):
+    """sum f_i a^i, with every power of a built by repeated products."""
+    acc, power = F.zero(), F.one()
+    for c in f:
+        acc = F.add(acc, F.mul(c, power))
+        power = F.mul(power, a)
+    return acc
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_taylor_shift_reconstructs_and_evaluate_is_the_naive_sum(data):
+    digits = st.tuples(*[st.integers(-3, 3)] * 4)
+    for F in HORNER_FIELDS:
+        drawn = data.draw(st.lists(digits, max_size=7))
+        f = strip(F, tuple(horner_element(F, d) for d in drawn))
+        a = horner_element(F, data.draw(digits))
+        const = (F.one(),) if not f else f[:1]
+        for g in (f, (), strip(F, const)):
+            for centre in (F.zero(), a):
+                cc = fpoly.taylor_shift(F, g, centre)
+                # sum c_k (x - a)^k gives back g
+                line = fpoly.norm(F, (F.neg(centre), F.one()))
+                back, power = (), (F.one(),)
+                for c in cc:
+                    back = fpoly.add(F, back, fpoly.smul(F, c, power))
+                    power = fpoly.mul(F, power, line)
+                assert same(F, back, g)
+                value = fpoly.evaluate(F, g, centre)
+                assert F.eq(value, naive_value(F, g, centre))
+                assert F.eq(value, cc[0] if cc else F.zero())
+
+
+@lru_cache(maxsize=None)
+def chain_stages(desc, depth_zero):
+    """The stages of finite value of the corpus chains, at depth zero or
+    above.  A terminal stage [mu; phi, oo] gives [mu; phi, mu(phi) + d] for
+    d = 1, 1/3 and the value of mu's own key: the last makes the twists of
+    the new stage nontrivial when mu ramifies."""
+    K, branches = chain_branches(desc)
+    out = []
+    for _, b in branches:
+        for s in b.chain.stages():
+            if s.is_terminal() and s.prev is not None:
+                mu = s.prev
+                grown = [mu.augment(s.phi, mu(s.phi) + d)
+                         for d in {Q(1), Q(1, 3), abs(mu.gamma)} if d]
+            else:
+                grown = [s]
+            out += [g for g in grown
+                    if not g.is_terminal() and (g.prev is None) == depth_zero]
+    return K, out
+
+
+@pytest.mark.parametrize("desc", list(ALL_CHAIN_INPUTS))
+@pytest.mark.parametrize("depth_zero", [True, False], ids=["depth0", "deeper"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_lift_homog_inverts_graded_reduction(desc, depth_zero, data):
+    K, stages = chain_stages(desc, depth_zero)
+    stage = data.draw(st.sampled_from(stages))
+    f = draw_poly(data, K, 1, 3 * stage.degree + 2)
+    gr = stage.graded_reduction(f)
+    if gr.value is INFINITY:
+        return
+    lift = stage._lift_homog(gr.H, gr.i0, gr.w0)
+    assert stage.evaluate(lift) == gr.value
+    assert stage.graded_reduction(lift) == gr

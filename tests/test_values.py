@@ -1,9 +1,11 @@
+import copy
+import pickle
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
-from mlvkit.values import (INFINITY, ValueGroup, frac_gcd, value_from_str,
+from mlvkit.values import (INFINITY, ValueGroup, frac_gcd, is_inf, value_from_str,
                            value_str, vadd, vmul)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -28,6 +30,20 @@ def test_vmul_zero_times_infinity():
     assert vmul(0, INFINITY) == Q(0)
     assert vmul(3, INFINITY) is INFINITY
     assert vmul(2, Q(1, 2)) == Q(1)
+
+
+def test_infinity_stays_the_singleton():
+    # is_inf is an identity test
+    for clone in (copy.copy(INFINITY), copy.deepcopy(INFINITY),
+                  pickle.loads(pickle.dumps(INFINITY))):
+        assert clone is INFINITY and is_inf(clone)
+    assert not is_inf(Q(10 ** 9))
+
+
+@given(st.integers(0, 10 ** 6), rationals)
+def test_vmul_equals_the_fraction_product(n, g):
+    got = vmul(n, g)
+    assert type(got) is Q and got == n * g
 
 
 def test_value_strings():
@@ -103,3 +119,22 @@ def test_p_divisible():
     assert not ok and wit == Q(1, 2)
     ok, _ = ValueGroup(Q(1), 3).p_divisible(2)
     assert not ok
+
+
+def strip_p(n: int, p: int) -> int:
+    while n % p == 0:
+        n //= p
+    return n
+
+
+@given(rationals, st.fractions(min_value=Q(1, 10 ** 4), max_value=10 ** 4,
+                               max_denominator=10 ** 4),
+       st.sampled_from([None, 2, 3, 5]))
+def test_int_order_matches_fraction_division(v, gen, hull):
+    G = ValueGroup(gen, hull)
+    den = (v / G.gen).denominator
+    if hull is not None:
+        den = strip_p(den, hull)
+    assert G.ram_index(v) == den
+    assert G.contains(v) == (den == 1)
+    assert G.ram_index(INFINITY) == 1 and not G.contains(INFINITY)
