@@ -2,17 +2,16 @@
 chains, graded rings and tameness criteria over concrete valued fields."""
 
 from .values import INFINITY, Q, Value, ValueGroup
-from .fields import (FpPerfField, FpctField, FqtField, QpField, ValuedField,
-                     field_arith, value_group_p_divisible)
-from .poly import ExpansionResult, Poly, hasse_derivative, phi_expansion, poly_arith
+from .fields import FpPerfField, FpctField, FqtField, QpField, ValuedField, field_arith
+from .poly import ExpansionResult, Poly, hasse_derivative, phi_expansion
 from .graded import (GradedTerm, SemigroupRingElement, TwistTable,
                      check_psi_homomorphism, frobenius, frobenius_surjective,
                      initial_form, pth_root, twisted_mul)
 from .indval import InductiveValuation, truncation_eval
 from .engine import (Branch, ExtensionReport, ScanResult, defect,
                      finite_complete_sequence, induced_value, mac_lane_chains,
-                     psi_m_scan, tangent_direction)
-from .analyzer import (KahlerReport, TameReport, alg_max_evidence, drvg_check,
+                     psi_m_scan)
+from .analyzer import (KahlerReport, TameReport, drvg_check,
                        kahler_purely_inertial, kahler_purely_ramified,
                        stable_value, tame_report, te1_witness, te_conditions)
 from .parsing import parse_element, parse_field, parse_graded, parse_poly
@@ -22,17 +21,17 @@ __version__ = "0.1.0"
 __all__ = [
     "INFINITY", "Q", "Value", "ValueGroup",
     "QpField", "FqtField", "FpPerfField", "FpctField", "ValuedField",
-    "field_arith", "value_group_p_divisible",
-    "Poly", "ExpansionResult", "phi_expansion", "hasse_derivative", "poly_arith",
+    "field_arith",
+    "Poly", "ExpansionResult", "phi_expansion", "hasse_derivative",
     "GradedTerm", "SemigroupRingElement", "TwistTable", "initial_form",
     "twisted_mul", "check_psi_homomorphism", "frobenius",
     "frobenius_surjective", "pth_root",
     "InductiveValuation", "truncation_eval",
     "Branch", "ExtensionReport", "ScanResult", "mac_lane_chains",
-    "induced_value", "tangent_direction", "psi_m_scan",
+    "induced_value", "psi_m_scan",
     "finite_complete_sequence", "defect",
     "TameReport", "KahlerReport", "te_conditions", "te1_witness",
-    "tame_report", "alg_max_evidence", "kahler_purely_inertial",
+    "tame_report", "kahler_purely_inertial",
     "kahler_purely_ramified", "drvg_check", "stable_value",
     "parse_field", "parse_element", "parse_poly", "parse_graded",
 ]

@@ -15,8 +15,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from . import fpoly
 from .engine import (TERMINATED, ExtensionReport, NoSequence,
-                     finite_complete_sequence, induced_value,
-                     mac_lane_chains, psi_m_scan)
+                     finite_complete_sequence, induced_value, mac_lane_chains)
 from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
                      GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
                      ZeroInput)
@@ -132,32 +131,6 @@ def tame_report(K: ValuedField, suite: Sequence[Poly]) -> TameReport:
             witness = {"kind": "FCS_FAILURE", "g": g, "reason": seq.reason}
     overall = "TAME_EVIDENCE" if (gr_ok and witness is None) else "NOT_TAME"
     return TameReport(gr_ok, gw, per, overall, witness)
-
-
-# ---------------------------------------------------------------------------
-# Algebraic maximality evidence
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MaxAttained:
-    center: object  # the a in x - a
-    value: Value
-
-
-@dataclass(frozen=True)
-class NoMaxEvidence:
-    trajectory: Tuple[Value, ...]
-
-
-def alg_max_evidence(K: ValuedField, g: Poly, budget: int = 8):
-    """Evidence for max v(eta - K): the degree-one key scan of a branch."""
-    report = mac_lane_chains(K, g, max_limit_probes=budget)
-    scan = psi_m_scan(report, 0, 1, probe_budget=budget)
-    if scan.outcome == "MAX_ATTAINED":
-        a = K.neg(scan.max_poly[0])
-        return MaxAttained(a, scan.max_value)
-    return NoMaxEvidence(tuple(v for _, v in scan.evidence))
 
 
 # ---------------------------------------------------------------------------

@@ -86,14 +86,6 @@ def report_to_dict(report: ExtensionReport) -> dict:
     return d
 
 
-def report_from_json(text: str) -> dict:
-    """Inverse of the JSON emission at the dict level."""
-    d = json.loads(text)
-    if d.get("schemaVersion") != SCHEMA_VERSION:
-        raise ParseError(f"unsupported schemaVersion {d.get('schemaVersion')}")
-    return d
-
-
 def report_text(report: ExtensionReport) -> str:
     lines = [f"extensions of v to {report.K.descriptor_str()}[x]/({report.g.to_str()})"]
     lines.append(f"  n = {report.n}, branches = {len(report.branches)}, "

@@ -393,14 +393,6 @@ def _branch(report: ExtensionReport, i: int) -> Branch:
     return report.branches[i]
 
 
-def tangent_direction(branch: Branch, t: int) -> Tuple[Poly, int]:
-    """(representative, degree) of the tangent direction entering stage t."""
-    stages = branch.chain.stages()
-    if not 0 <= t < len(stages):
-        raise IndexOutOfRange(f"step {t} of {len(stages)}")
-    return stages[t].phi, stages[t].phi.degree
-
-
 def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
                probe_budget: int = 8) -> ScanResult:
     """Scan the key polynomials of degree m along a branch.

@@ -20,117 +20,97 @@ class InvariantViolated(MlvError):
     code = "INVARIANT_VIOLATED"
 
 
-class FieldError(MlvError):
-    code = "FIELD_ERROR"
-
-
-class InvertZero(FieldError):
+class InvertZero(MlvError):
     code = "INVERT_ZERO"
 
 
-class MixedFields(FieldError):
+class MixedFields(MlvError):
     code = "MIXED_FIELDS"
 
 
-class NegativeValue(FieldError):
+class NegativeValue(MlvError):
     code = "NEGATIVE_VALUE"
 
 
-class NotInValueGroup(FieldError):
+class NotInValueGroup(MlvError):
     code = "NOT_IN_VALUE_GROUP"
 
 
-class NegativeExponent(FieldError):
+class NegativeExponent(MlvError):
     code = "NEGATIVE_EXPONENT"
 
 
-class BadFieldOrder(FieldError):
+class BadFieldOrder(MlvError):
     """A requested finite field order is not a prime power of the given p."""
 
     code = "BAD_FIELD_ORDER"
 
 
-class PolyError(MlvError):
-    code = "POLY_ERROR"
-
-
-class NonMonicBase(PolyError):
+class NonMonicBase(MlvError):
     code = "NON_MONIC_BASE"
 
 
-class ConstantBase(PolyError):
+class ConstantBase(MlvError):
     code = "CONSTANT_BASE"
 
 
-class DivByZero(PolyError):
+class DivByZero(MlvError):
     code = "DIV_BY_ZERO"
 
 
-class ChainError(MlvError):
-    code = "CHAIN_ERROR"
-
-
-class ValueNotIncreased(ChainError):
+class ValueNotIncreased(MlvError):
     code = "VALUE_NOT_INCREASED"
 
 
-class NotAKeyPolynomial(ChainError):
+class NotAKeyPolynomial(MlvError):
     code = "NOT_A_KEY_POLYNOMIAL"
 
 
-class InfiniteGammaInInterior(ChainError):
+class InfiniteGammaInInterior(MlvError):
     code = "INFINITE_GAMMA_IN_INTERIOR"
 
 
-class ZeroInput(ChainError):
+class ZeroInput(MlvError):
     code = "ZERO_INPUT"
 
 
-class ImperfectResidueUnsupported(ChainError):
+class ImperfectResidueUnsupported(MlvError):
     code = "IMPERFECT_RESIDUE_UNSUPPORTED"
 
 
-class EngineError(MlvError):
-    code = "ENGINE_ERROR"
-
-
-class NotMonic(EngineError):
+class NotMonic(MlvError):
     code = "NOT_MONIC"
 
 
-class ResidueUnsupported(EngineError):
+class ResidueUnsupported(MlvError):
     code = "RESIDUE_UNSUPPORTED"
 
 
-class DepthExceeded(EngineError):
+class DepthExceeded(MlvError):
     code = "DEPTH_EXCEEDED"
 
 
-class BadBound(EngineError):
+class BadBound(MlvError):
     code = "BAD_BOUND"
 
 
-class IndexOutOfRange(EngineError):
+class IndexOutOfRange(MlvError):
     code = "INDEX_OUT_OF_RANGE"
 
 
-class AnalyzerError(MlvError):
-    code = "ANALYZER_ERROR"
-
-
-class NotPurelyInertial(AnalyzerError):
+class NotPurelyInertial(MlvError):
     code = "NOT_PURELY_INERTIAL"
 
 
-class NotPurelyRamified(AnalyzerError):
+class NotPurelyRamified(MlvError):
     code = "NOT_PURELY_RAMIFIED"
 
 
-class GammaNotPositive(AnalyzerError):
+class GammaNotPositive(MlvError):
     code = "GAMMA_NOT_POSITIVE"
 
 
-class DenominatorVanishes(AnalyzerError):
+class DenominatorVanishes(MlvError):
     code = "DENOMINATOR_VANISHES"
 
 

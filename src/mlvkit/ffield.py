@@ -304,18 +304,23 @@ def GFq(q: int, varname: str = "g") -> Field:
 
 
 def _split_prime_power(q: int) -> Tuple[int, int]:
-    for p in range(2, q + 1):
-        if q % p == 0:
-            if not _is_prime(p):
-                raise ValueError(f"{q} is not a prime power")
-            m = 0
-            while q % p == 0:
-                q //= p
-                m += 1
-            if q != 1:
-                raise ValueError("not a prime power")
+    """(p, m) with q = p^m.  For each m the integer m-th root of q is the
+    only candidate p, so the cost grows with the bits of q, not with p."""
+    for m in range(1, q.bit_length()):
+        p = _iroot(q, m)
+        if p ** m == q and _is_prime(p):
             return p, m
     raise ValueError(f"{q} is not a prime power")
+
+
+def _iroot(n: int, m: int) -> int:
+    """floor(n^(1/m)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // m)
+    while True:
+        y = ((m - 1) * x + n // x ** (m - 1)) // m
+        if y >= x:
+            return x
+        x = y
 
 
 # ---------------------------------------------------------------------------
@@ -345,12 +350,16 @@ def _encode(F: Field, f: tuple) -> int:
     return h
 
 
-def poly_pth_root(F: Field, f: tuple) -> tuple:
-    """p-th root of f = g(x)^p (valid when f is a polynomial in x^p)."""
+def poly_pth_root(F: Field, f: tuple) -> Optional[tuple]:
+    """p-th root of f = g(x)^p (valid when f is a polynomial in x^p); None
+    when some coefficient has no p-th root in F (F not perfect)."""
     p = F.char
     out = []
     for k in range(0, len(f), p):
-        out.append(F.pth_root(f[k]))
+        r = F.pth_root(f[k])
+        if r is None:
+            return None
+        out.append(r)
     return fpoly.norm(F, out)
 
 

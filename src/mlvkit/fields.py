@@ -10,10 +10,11 @@ of the valuation on the nonnegative value group):
 * ``Fpct(p)``         -- rational functions over GF(p)(c), t-adic
                          (imperfect residue field GF(p)(c)).
 
-``Fqt`` and ``Fpct`` are one construction, ``TadicField``: B(t) with the
-t-adic valuation for a coefficient field B that is also the residue
-field.  B = GF(q) is perfect and B = GF(p)(c) is not, which is exactly
-what the Frobenius criterion on gr(K) tells apart.
+``Fqt`` and ``Fpct`` are one construction, ``TadicField``: the rational
+function field B(t) (a RatFuncField) with the t-adic valuation on top,
+for a coefficient field B that is also the residue field.  B = GF(q) is
+perfect and B = GF(p)(c) is not, which is exactly what the Frobenius
+criterion on gr(K) tells apart.
 
 Elements are plain data: ``Fraction`` for Qp, ``RF`` pairs for the
 t-adic families, and ``PerfElem`` for the perfect closure: the minimal
@@ -243,53 +244,28 @@ class QpField(ValuedField):
         return f"Qp({self.p})"
 
 
-class TadicField(ValuedField):
+class TadicField(ValuedField, RatFuncField):
     """B(t) with the t-adic valuation, for a coefficient field B that is
-    also the residue field.  Elements are RF over B."""
+    also the residue field.  Elements are RF over B: the arithmetic is
+    that of RatFuncField(B, "t"), with the valuation on top."""
 
     def __init__(self, B: Field):
-        super().__init__()
+        ValuedField.__init__(self)
+        RatFuncField.__init__(self, B, "t")
         self.coeff_field = B
         self.p = B.char
-        self.char = B.char
-        self.rff = RatFuncField(B, "t")
         self.value_group = ValueGroup(Q(1), None)
         self.residue_field = B
 
-    def zero(self):
-        return self.rff.zero()
-
-    def one(self):
-        return self.rff.one()
-
-    def add(self, a, b):
-        return self.rff.add(a, b)
-
-    def neg(self, a):
-        return self.rff.neg(a)
-
-    def mul(self, a, b):
-        return self.rff.mul(a, b)
+    t = RatFuncField.var
 
     def inv(self, a):
-        if self.rff.is_zero(a):
+        if self.is_zero(a):
             raise InvertZero(f"division by zero in {self.descriptor_str()}")
-        return self.rff.inv(a)
-
-    def eq(self, a, b):
-        return self.rff.eq(a, b)
-
-    def is_zero(self, a):
-        return self.rff.is_zero(a)
-
-    def from_int(self, n):
-        return self.rff.from_int(n)
-
-    def t(self):
-        return self.rff.var()
+        return RatFuncField.inv(self, a)
 
     def valuate(self, a) -> Value:
-        k = self.rff.ord_var(a)
+        k = self.ord_var(a)
         return INFINITY if k is None else Q(k)
 
     def residue(self, a):
@@ -298,10 +274,10 @@ class TadicField(ValuedField):
             return self.coeff_field.zero()
         if v < 0:
             raise NegativeValue(f"t-adic value {v} < 0")
-        return self.rff.residue_at_zero(a)
+        return self.residue_at_zero(a)
 
     def lift(self, r):
-        return self.rff.make(fpoly.const(self.coeff_field, r), (self.coeff_field.one(),))
+        return self.make(fpoly.const(self.coeff_field, r), (self.coeff_field.one(),))
 
     def canonical_unit(self, w):
         w = Q(w)
@@ -312,8 +288,8 @@ class TadicField(ValuedField):
         zero = self.coeff_field.zero()
         tk = (zero,) * abs(k) + (one,)
         if k >= 0:
-            return self.rff.make(tk, (one,))
-        return self.rff.make((one,), tk)
+            return self.make(tk, (one,))
+        return self.make((one,), tk)
 
     def residue_perfect(self):
         # a finite residue field is perfect; GF(p)(c) is not, c has no p-th root
@@ -323,16 +299,13 @@ class TadicField(ValuedField):
         return "IMPERFECT", B.var()
 
     def pth_root(self, a):
-        r = self.rff.pth_root(a)
+        r = RatFuncField.pth_root(self, a)
         if r is None:
             raise ArithmeticError(f"element is not a p-th power in {self.descriptor_str()}")
         return r
 
     def accepts(self, a):
         return isinstance(a, RF) and _rf_over(self.coeff_field, a)
-
-    def elem_str(self, a):
-        return self.rff.elem_str(a)
 
 
 class FqtField(TadicField):
@@ -636,7 +609,7 @@ class FpctField(TadicField):
 
     def c(self):
         B = self.coeff_field
-        return self.rff.make(fpoly.const(B, B.var()), (B.one(),))
+        return self.make(fpoly.const(B, B.var()), (B.one(),))
 
     @property
     def key(self):
@@ -683,8 +656,3 @@ def field_arith(K: ValuedField, op: str, a, b=None):
         return K.inv(a)
     raise ValueError(f"unknown op {op}")
 
-
-def value_group_p_divisible(G: ValueGroup, p: int):
-    """("YES", None) or ("NO", witness) for p-divisibility of G."""
-    ok, witness = G.p_divisible(p)
-    return ("YES", None) if ok else ("NO", witness)

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import NegativeValue, NotInValueGroup
-from .fields import ValuedField, value_group_p_divisible
+from .fields import ValuedField
 from .values import Q, is_inf, value_str
 
 
@@ -179,8 +179,8 @@ def frobenius_surjective(K: ValuedField):
     perf, rwitness = K.residue_perfect()
     if perf == "IMPERFECT":
         return "NO", ("RESIDUE_WITNESS", rwitness)
-    verdict, witness = value_group_p_divisible(K.value_group, K.p)
-    if verdict == "NO":
+    divisible, witness = K.value_group.p_divisible(K.p)
+    if not divisible:
         return "NO", ("VALUE_WITNESS", witness)
     return "YES", None
 

@@ -186,7 +186,9 @@ def _fold(node, atom, ops, power, where=""):
 # ---------------------------------------------------------------------------
 
 _DESC_RE = re.compile(r"([A-Za-z]+)\(([^)]*)\)")
-_FIELD_KINDS = {"Qp": QpField, "Fq": FqtField, "FpPerf": FpPerfField, "FpC": FpctField}
+# kind -> (class, its arguments: an integer, then fixed variable names)
+_FIELD_KINDS = {"Qp": (QpField, "p"), "Fq": (FqtField, "q,t"),
+                "FpPerf": (FpPerfField, "p,t"), "FpC": (FpctField, "p,c,t")}
 
 
 def parse_field(s: str) -> ValuedField:
@@ -195,12 +197,15 @@ def parse_field(s: str) -> ValuedField:
     if not m:
         raise ParseError(f"bad field descriptor {s!r}")
     name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-    cls = _FIELD_KINDS.get(name)
-    if cls is None:
+    kind = _FIELD_KINDS.get(name)
+    if kind is None:
         raise ParseError(f"unknown field kind {name!r}")
+    cls, form = kind
+    if args[1:] != form.split(",")[1:]:
+        raise ParseError(f"bad field descriptor {s!r}: expected {name}({form})")
     try:
         return cls(int(args[0]))
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         raise ParseError(f"bad field descriptor {s!r}: {exc}") from exc
 
 

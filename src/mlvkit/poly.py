@@ -95,14 +95,8 @@ class Poly:
     def mod(self, other: "Poly") -> "Poly":
         return self.divmod(other)[1]
 
-    def gcd(self, other: "Poly") -> "Poly":
-        return self._wrap(fpoly.gcd_(self.field, self.coeffs, other.coeffs))
-
     def derivative(self) -> "Poly":
         return self._wrap(fpoly.deriv(self.field, self.coeffs))
-
-    def monic(self) -> "Poly":
-        return self._wrap(fpoly.monic(self.field, self.coeffs))
 
     def evaluate(self, a):
         return fpoly.evaluate(self.field, self.coeffs, a)
@@ -156,19 +150,3 @@ def hasse_derivative(f: Poly, i: int) -> Poly:
         raise ValueError("Hasse derivative index must be nonnegative")
     return Poly(f.field, fpoly.hasse(f.field, f.coeffs, i))
 
-
-ADD, MUL, EUCLID_DIV, GCD, DERIVATIVE = "ADD", "MUL", "EUCLID_DIV", "GCD", "DERIVATIVE"
-
-
-def poly_arith(op: str, f: Poly, g: Poly = None):
-    if op == ADD:
-        return f + g
-    if op == MUL:
-        return f * g
-    if op == EUCLID_DIV:
-        return f.divmod(g)
-    if op == GCD:
-        return f.gcd(g)
-    if op == DERIVATIVE:
-        return f.derivative()
-    raise ValueError(f"unknown op {op}")

@@ -3,7 +3,8 @@
 Elements are frozen (num, den) pairs of fpoly tuples, gcd-reduced with a
 monic denominator.  RatFuncField implements the same Field protocol as
 the finite fields, so it can serve as a coefficient field itself (this is
-how F_p(c)(t) is built).
+how F_p(c)(t) is built), and it is the base class of the t-adic valued
+fields.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from . import fpoly
-from .ffield import Field
+from .ffield import Field, poly_pth_root
 
 
 @dataclass(frozen=True)
@@ -115,22 +116,19 @@ class RatFuncField(Field):
     def pth_root(self, a: RF):
         """p-th root when it exists in the field, else None.
 
-        Over a perfect coefficient base, f(v) is a p-th power iff both
-        numerator and denominator only involve exponents divisible by p.
+        f(v) is a p-th power iff both numerator and denominator only
+        involve exponents divisible by p, with coefficients that are p-th
+        powers in the base (always, over a perfect base).
         """
         p = self.char
         if p == 0:
             raise ArithmeticError("pth_root in characteristic zero")
         if fpoly.is_zero(a.num):
             return self.zero()
-
-        def root_of(cc):
-            if any(not self.base.is_zero(c) for i, c in enumerate(cc) if i % p):
-                return None
-            return fpoly.norm(self.base, [self.base.pth_root(cc[i]) for i in range(0, len(cc), p)])
-
-        rn = root_of(a.num)
-        rd = root_of(a.den)
+        B = self.base
+        if any(not B.is_zero(c) for cc in (a.num, a.den) for i, c in enumerate(cc) if i % p):
+            return None
+        rn, rd = poly_pth_root(B, a.num), poly_pth_root(B, a.den)
         if rn is None or rd is None:
             return None
         return self.make(rn, rd)

@@ -2,13 +2,12 @@ from fractions import Fraction as Q
 
 import pytest
 
-from mlvkit.analyzer import (NOT_APPLICABLE, NOT_STABILIZED, MaxAttained,
-                             NoMaxEvidence, TE1Witness, alg_max_evidence,
+from mlvkit.analyzer import (NOT_APPLICABLE, NOT_STABILIZED, TE1Witness,
                              classify_kahler, drvg_check, kahler_purely_inertial,
                              kahler_purely_ramified, stable_value, tame_report,
                              te1_witness, te_conditions)
-from mlvkit.engine import mac_lane_chains
-from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive,
+from mlvkit.engine import mac_lane_chains, psi_m_scan
+from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive, IndexOutOfRange,
                            NotPurelyInertial, NotPurelyRamified, ZeroInput)
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.parsing import parse_expression, parse_poly
@@ -85,18 +84,20 @@ def test_tame_report_fp_perf_suite():
 
 
 def test_alg_max_evidence():
-    K = QpField(2)
-    m = alg_max_evidence(K, parse_poly("x^2-2", K))
-    assert isinstance(m, MaxAttained)
-    assert m.center == 0 and m.value == Q(1, 2)
+    """Evidence for max v(eta - K) is the degree-one psi_m_scan of a report
+    explored at the same probe budget: closed-form value trajectories."""
     K5 = QpField(5)
-    m2 = alg_max_evidence(K5, parse_poly("x^2+1", K5), budget=6)
-    assert isinstance(m2, NoMaxEvidence)
-    assert list(m2.trajectory) == [Q(k) for k in range(1, 7)]
+    rep = mac_lane_chains(K5, parse_poly("x^2+1", K5), max_limit_probes=6)
+    scan = psi_m_scan(rep, 0, 1, probe_budget=6)
+    assert scan.outcome == "UNBOUNDED_EVIDENCE"
+    assert [v for _, v in scan.evidence] == [Q(k) for k in range(1, 7)]
     P = FpPerfField(2)
-    m3 = alg_max_evidence(P, parse_poly("x^2+x+1/t", P), budget=5)
-    assert isinstance(m3, NoMaxEvidence)
-    assert list(m3.trajectory) == [Q(-1, 2 ** (l + 1)) for l in range(1, 6)]
+    rep = mac_lane_chains(P, parse_poly("x^2+x+1/t", P), max_limit_probes=5)
+    scan = psi_m_scan(rep, 0, 1, probe_budget=5)
+    assert scan.outcome == "UNBOUNDED_EVIDENCE"
+    assert [v for _, v in scan.evidence] == [Q(-1, 2 ** (l + 1)) for l in range(1, 6)]
+    with pytest.raises(IndexOutOfRange):
+        psi_m_scan(rep, len(rep.branches), 1)
 
 
 def test_kahler_purely_inertial():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mlvkit.cli import main, report_from_json, report_to_dict
+from mlvkit.cli import SCHEMA_VERSION, _dump, main, report_to_dict
 from mlvkit.engine import mac_lane_chains
 from mlvkit.parsing import MAX_EXPONENT
 
@@ -64,6 +64,19 @@ def test_bad_token_is_parse_error(capsys):
     assert "Zp" in err
 
 
+@pytest.mark.parametrize("desc, code", [
+    ("Qp(2)", 0), ("Qp( 3 )", 0), ("Fq(4,t)", 0), ("Fq( 9 , t )", 0),
+    ("FpPerf(2,t)", 0), ("FpC(2,c,t)", 0), ("FpC(3, c, t)", 0),
+    ("Qp(2,3)", 2), ("Qp()", 2), ("Fq(4)", 2), ("Fq(9,x)", 2), ("Fq(4,t,t)", 2),
+    ("FpPerf(2)", 2), ("FpPerf(2,u)", 2), ("FpC(2)", 2), ("FpC(2,t,c)", 2),
+    ("FpC(2,c)", 2), ("Fq(6,t)", 2)])
+def test_field_descriptors_are_strict(capsys, desc, code):
+    got, _, err = run(capsys, "field", "--field", desc)
+    assert got == code, err
+    if code:
+        assert "bad field descriptor" in err
+
+
 def test_engine_error_exit_code(capsys):
     # imperfect residue field: engine refuses with a typed error -> exit 3
     code, _, err = run(capsys, "extend", "--field", "FpC(2,c,t)", "--poly", "x^2+x+1")
@@ -88,8 +101,8 @@ def test_report_round_trip_full_corpus():
         for g in polys:
             rep = mac_lane_chains(K, g)
             d = report_to_dict(rep)
-            text = json.dumps(d, sort_keys=True)
-            assert report_from_json(text) == d
+            assert d["schemaVersion"] == SCHEMA_VERSION
+            assert json.loads(_dump(d)) == d
 
 
 def test_graded_element_syntax(capsys):

@@ -6,8 +6,8 @@ import pytest
 from corpus import corpus
 from mlvkit.engine import (LIMIT_SUSPECTED, TERMINATED, UNSTABLE, NoSequence,
                            defect, finite_complete_sequence, induced_value,
-                           mac_lane_chains, psi_m_scan, tangent_direction)
-from mlvkit.errors import IndexOutOfRange, NotMonic, ResidueUnsupported
+                           mac_lane_chains, psi_m_scan)
+from mlvkit.errors import NotMonic, ResidueUnsupported
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
 from mlvkit.parsing import parse_poly
@@ -92,24 +92,6 @@ def test_induced_value():
     assert induced_value(rAS, 0, Poly.x(P)) == Q(-1, 2)
     # the minimal polynomial itself is still climbing: unstable
     assert induced_value(rAS, 0, parse_poly("x^2+x+1/t", P)) is UNSTABLE
-
-
-def test_tangent_direction():
-    K = QpField(2)
-    r = mac_lane_chains(K, parse_poly("x^2-2", K))
-    b = r.branches[0]
-    rep, deg = tangent_direction(b, 0)
-    assert rep == Poly.x(K) and deg == 1
-    rep, deg = tangent_direction(b, 1)
-    assert rep == parse_poly("x^2-2", K) and deg == 2
-    with pytest.raises(IndexOutOfRange):
-        tangent_direction(b, 2)
-    # limit-suspected branch: the last stage is the latest approximant
-    P = FpPerfField(2)
-    rAS = mac_lane_chains(P, parse_poly("x^2+x+1/t", P))
-    bAS = rAS.branches[0]
-    rep, deg = tangent_direction(bAS, len(bAS.chain.stages()) - 1)
-    assert deg == 1 and rep == bAS.chain.phi
 
 
 def test_psi_scans():
@@ -326,7 +308,6 @@ def test_depth_exceeded():
 
 
 def test_negative_bounds_are_rejected():
-    from mlvkit.analyzer import alg_max_evidence
     from mlvkit.errors import BadBound
     K = QpField(2)
     g = parse_poly("x^2-2", K)
@@ -339,8 +320,6 @@ def test_negative_bounds_are_rejected():
     assert psi_m_scan(rep, 0, 1, probe_budget=0).outcome == "MAX_ATTAINED"
     with pytest.raises(BadBound):
         psi_m_scan(rep, 0, 1, probe_budget=-1)
-    with pytest.raises(BadBound):
-        alg_max_evidence(K, g, budget=-1)
 
 
 def test_invariant_failure_is_a_typed_error(monkeypatch):

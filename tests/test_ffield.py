@@ -4,8 +4,8 @@ import random
 import pytest
 
 from mlvkit import fpoly
-from mlvkit.ffield import (ExtField, GFp, GFq, factor_monic, find_irreducible,
-                           is_irreducible, poly_pth_root,
+from mlvkit.ffield import (ExtField, GFp, GFq, _split_prime_power, factor_monic,
+                           find_irreducible, is_irreducible, poly_pth_root,
                            squarefree_decomposition)
 
 
@@ -24,6 +24,30 @@ def test_gfp_arithmetic():
     assert F.pth_root(4) == 4
     with pytest.raises(ValueError):
         GFp(6)
+
+
+def test_split_prime_power_matches_trial_division():
+    def trial(q):
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        m = 0
+        while q % p == 0:
+            q //= p
+            m += 1
+        return (p, m) if q == 1 else None
+
+    for q in range(-2, 5001):
+        want = trial(q) if q >= 2 else None
+        if want is None:
+            with pytest.raises(ValueError):
+                _split_prime_power(q)
+        else:
+            assert _split_prime_power(q) == want, q
+    # a large prime, where trial division up to p would take minutes
+    p = 1000000007
+    assert _split_prime_power(p) == (p, 1)
+    assert _split_prime_power(p * p) == (p, 2)
+    with pytest.raises(ValueError):
+        _split_prime_power(p * 1000000009)
 
 
 def test_extension_field_basics():

@@ -5,7 +5,7 @@ import pytest
 
 from mlvkit.errors import InvertZero, MixedFields, NegativeValue
 from mlvkit.fields import (ADD, INV, MUL, FpPerfField, FpctField, FqtField,
-                           QpField, field_arith, value_group_p_divisible)
+                           QpField, field_arith)
 from mlvkit.values import is_inf, vadd
 
 
@@ -123,19 +123,30 @@ def test_residue_perfect():
     assert C.residue_field.pth_root(witness) is None
 
 
-def test_value_group_p_divisible_op():
-    from mlvkit.values import ValueGroup
-    assert value_group_p_divisible(ValueGroup(Q(1), None), 2) == ("NO", Q(1))
-    assert value_group_p_divisible(ValueGroup(Q(1), 3), 3) == ("YES", None)
-    v, w = value_group_p_divisible(ValueGroup(Q(1, 2), None), 2)
-    assert v == "NO" and w == Q(1, 2)
-
-
 def test_invert_zero():
     with pytest.raises(InvertZero):
         field_arith(QpField(2), INV, Q(0))
     with pytest.raises(InvertZero):
         FqtField(2).inv(FqtField(2).zero())
+    C = FpctField(2)
+    with pytest.raises(InvertZero, match=r"FpC\(2,c,t\)"):
+        C.inv(C.zero())
+
+
+def test_tadic_fields_keep_their_descriptors():
+    # TadicField is a RatFuncField with the valuation on top: the
+    # descriptor, key and typed errors still come from the valued side
+    F, C = FqtField(4), FpctField(2)
+    assert repr(F) == "Fq(4,t)" and repr(C) == "FpC(2,c,t)"
+    assert F.key == ("Fqt", 4) and C.key == ("Fpct", 2)
+    F2 = FqtField(2)
+    with pytest.raises(ArithmeticError, match=r"Fq\(2,t\)"):
+        F2.pth_root(F2.t())
+    assert F2.eq(F2.pth_root(F2.mul(F2.t(), F2.t())), F2.t())
+    # c is no square in the residue field GF(2)(c): a typed refusal, not a crash
+    with pytest.raises(ArithmeticError, match=r"FpC\(2,c,t\)"):
+        C.pth_root(C.c())
+    assert C.eq(C.pth_root(C.mul(C.t(), C.t())), C.t())
 
 
 def test_mixed_fields():

@@ -5,8 +5,8 @@ import pytest
 
 from mlvkit.errors import ConstantBase, DivByZero, NonMonicBase
 from mlvkit.fields import FpPerfField, FqtField, QpField
-from mlvkit.poly import (DERIVATIVE, EUCLID_DIV, GCD, Poly, hasse_derivative,
-                         phi_expansion, poly_arith)
+from mlvkit import fpoly
+from mlvkit.poly import Poly, hasse_derivative, phi_expansion
 
 
 def test_zero_polynomial_degree_marker():
@@ -99,14 +99,16 @@ def test_hasse_taylor_identity_symbolic():
 def test_poly_arith_examples():
     K = QpField(5)
     f = Poly.from_ints(K, [1, 1, 1])
-    assert poly_arith(DERIVATIVE, f) == Poly.from_ints(K, [1, 2])
+    assert f.derivative() == Poly.from_ints(K, [1, 2])
     x3 = Poly.from_ints(K, [0, 0, 0, 1])
-    q, r = poly_arith(EUCLID_DIV, x3, Poly.from_ints(K, [-2, 0, 1]))
+    q, r = x3.divmod(Poly.from_ints(K, [-2, 0, 1]))
     assert q == Poly.x(K) and r == Poly.from_ints(K, [0, 2])
-    g = poly_arith(GCD, Poly.from_ints(K, [-1, 0, 1]), Poly.from_ints(K, [0, 1, 1]))
-    assert g == Poly.from_ints(K, [1, 1])
+    g = fpoly.gcd_(K, Poly.from_ints(K, [-1, 0, 1]).coeffs, Poly.from_ints(K, [0, 1, 1]).coeffs)
+    assert Poly(K, g) == Poly.from_ints(K, [1, 1])
     with pytest.raises(DivByZero):
-        poly_arith(EUCLID_DIV, x3, Poly(K, ()))
+        x3.divmod(Poly(K, ()))
+    with pytest.raises(DivByZero):
+        x3.mod(Poly(K, ()))
 
 
 def test_euclid_degree_contract_random():
