@@ -4,9 +4,8 @@ chains, graded rings and tameness criteria over concrete valued fields."""
 from .values import INFINITY, Q, Value, ValueGroup
 from .fields import FpPerfField, FpctField, FqtField, QpField, ValuedField, field_arith
 from .poly import ExpansionResult, Poly, hasse_derivative, phi_expansion
-from .graded import (GradedTerm, SemigroupRingElement, TwistTable,
-                     check_psi_homomorphism, frobenius, frobenius_surjective,
-                     initial_form, pth_root, twisted_mul)
+from .graded import (SemigroupRingElement, check_psi_homomorphism, frobenius,
+                     frobenius_surjective, initial_form, pth_root, twisted_mul)
 from .indval import InductiveValuation, truncation_eval
 from .engine import (Branch, ExtensionReport, ScanResult, defect,
                      finite_complete_sequence, induced_value, mac_lane_chains,
@@ -23,7 +22,7 @@ __all__ = [
     "QpField", "FqtField", "FpPerfField", "FpctField", "ValuedField",
     "field_arith",
     "Poly", "ExpansionResult", "phi_expansion", "hasse_derivative",
-    "GradedTerm", "SemigroupRingElement", "TwistTable", "initial_form",
+    "SemigroupRingElement", "initial_form",
     "twisted_mul", "check_psi_homomorphism", "frobenius",
     "frobenius_surjective", "pth_root",
     "InductiveValuation", "truncation_eval",

@@ -170,29 +170,27 @@ def _frobenius_witness(K, witness):
 def cmd_graded(args) -> int:
     K = parse_field(args.field)
     if args.choice:
-        table = parse_choice_overrides(args.choice, K)
+        overrides = parse_choice_overrides(args.choice, K)
         try:
-            K = K.with_choice_overrides(table)
+            K = K.with_choice_overrides(overrides)
         except ValueError as exc:  # an override of the wrong value
             raise ParseError(str(exc)) from exc
-    table = graded.TwistTable(K)
     out = {"schemaVersion": SCHEMA_VERSION, "field": K.descriptor_str()}
     if args.mul:
-        x = parse_graded(args.mul[0], K, table)
-        y = parse_graded(args.mul[1], K, table)
-        prod = graded.twisted_mul(K, x, y, table)
+        x = parse_graded(args.mul[0], K)
+        y = parse_graded(args.mul[1], K)
+        prod = graded.twisted_mul(K, x, y)
         out["mul"] = {"lhs": graded.element_str(K, x),
                       "rhs": graded.element_str(K, y),
                       "result": graded.element_str(K, prod)}
     if args.frobenius is not None:
-        x = parse_graded(args.frobenius, K, table)
+        x = parse_graded(args.frobenius, K)
         out["frobenius"] = {"arg": graded.element_str(K, x),
-                            "result": graded.element_str(K, graded.frobenius(K, x, table))}
+                            "result": graded.element_str(K, graded.frobenius(K, x))}
     if args.initial_form is not None:
         a = parse_element(args.initial_form, K)
-        t = graded.initial_form(K, a)
         out["initialForm"] = {"element": K.elem_str(a),
-                              "result": graded.element_str(K, graded.from_term(K, t))}
+                              "result": graded.element_str(K, graded.initial_form(K, a))}
     if args.surjective:
         verdict, witness = graded.frobenius_surjective(K)
         out["frobeniusSurjective"] = {"verdict": verdict,

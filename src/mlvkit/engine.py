@@ -161,7 +161,8 @@ def _y_poly(kappa) -> tuple:
 
 
 def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuation], bool]:
-    """One exploration step below ``node`` for the target polynomial g.
+    """One exploration step below the non-terminal ``node`` for the target
+    polynomial g, whose value there is therefore finite.
 
     Returns (children, separated): ``separated`` marks a single
     multiplicity-one residual factor with g not yet a key, i.e. a branch
@@ -169,11 +170,6 @@ def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuatio
     is pure approximation refinement.
     """
     gr = node.graded_reduction(g)
-    if is_inf(gr.value):
-        # the current key divides g exactly; only reachable for reducible g
-        if node.is_terminal():
-            return [], False
-        return [node.augment(node.phi, INFINITY)], False
     kappa = node.kappa
     factors = factor_monic(kappa, gr.H)
     proper = [(u, m) for u, m in factors

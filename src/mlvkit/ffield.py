@@ -81,10 +81,6 @@ class Field:
     def elem_str(self, a) -> str:
         raise NotImplementedError
 
-    @property
-    def key(self):
-        raise NotImplementedError
-
 
 class GFp(Field):
     """Prime field; elements are ints in [0, p)."""
@@ -134,10 +130,6 @@ class GFp(Field):
 
     def elem_str(self, a):
         return str(a % self.p)
-
-    @property
-    def key(self):
-        return ("GFp", self.p)
 
     def __repr__(self):
         return f"GF({self.p})"
@@ -210,10 +202,6 @@ class ExtField(Field):
     def elem_str(self, a):
         return fpoly.to_str(self.base, a, self.varname)
 
-    @property
-    def key(self):
-        return ("Ext", self.base.key, self.modulus, self.varname)
-
     def __repr__(self):
         if self.order is not None:
             return f"GF({self.order})[{self.varname}]"
@@ -278,12 +266,23 @@ def is_irreducible(F: Field, f: tuple) -> bool:
 def find_irreducible(p: int, degree: int) -> tuple:
     """Deterministic monic irreducible of given degree over GF(p).
 
-    Scans coefficient vectors in increasing base-p integer encoding.
+    Scans coefficient vectors in increasing base-p integer encoding.  The
+    first p codes are the binomials x^degree + c; by Lidl-Niederreiter,
+    Thm 3.75, one of them is irreducible iff every prime dividing the
+    degree divides p - 1, and 4 | p - 1 when 4 | degree.  Otherwise the scan
+    skips them, which keeps large p fast and every result the same.
     """
     F = GFp(p)
     if degree == 1:
         return (0, 1)
-    for code in range(p ** degree):
+    n, r, binomials = degree, 2, degree % 4 != 0 or (p - 1) % 4 == 0
+    while n > 1:
+        if n % r == 0:
+            binomials = binomials and (p - 1) % r == 0
+            n //= r
+        else:
+            r += 1
+    for code in range(0 if binomials else p, p ** degree):
         cc = []
         c = code
         for _ in range(degree):

@@ -11,23 +11,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import NegativeValue, NotInValueGroup
 from .fields import ValuedField
 from .values import Q, is_inf, value_str
 
 
-@dataclass(frozen=True)
-class GradedTerm:
-    """One homogeneous component: coeff * T^exp.  The zero term is (0, 0)."""
-
-    coeff: object  # residue field element
-    exp: Fraction
-
-
 class SemigroupRingElement:
-    """Finite sum of graded terms; exponents pairwise distinct, coeffs nonzero."""
+    """Finite sum of terms b * T^g; exponents pairwise distinct, coeffs nonzero."""
 
     __slots__ = ("terms",)
 
@@ -66,104 +58,66 @@ def element(K: ValuedField, pairs) -> SemigroupRingElement:
     return SemigroupRingElement(items)
 
 
-def zero_element(K: ValuedField) -> SemigroupRingElement:
-    return SemigroupRingElement(())
+def twist(K: ValuedField, g: Fraction, gp: Fraction):
+    """twist(g, g') = residue(eps(g) eps(g') / eps(g+g')), a unit."""
+    r = K.residue(K.div(K.mul(K.choice(g), K.choice(gp)), K.choice(g + gp)))
+    if K.residue_field.is_zero(r):
+        raise ArithmeticError("twist must be a unit")
+    return r
 
 
-def from_term(K: ValuedField, term: GradedTerm) -> SemigroupRingElement:
-    if K.residue_field.is_zero(term.coeff):
-        return zero_element(K)
-    return element(K, [(term.exp, term.coeff)])
-
-
-class TwistTable:
-    """Memoized twist(g, g') = residue(eps(g) eps(g') / eps(g+g'))."""
-
-    def __init__(self, K: ValuedField):
-        self.K = K
-        self._cache: Dict[Tuple[Fraction, Fraction], object] = {}
-
-    def twist(self, g: Fraction, gp: Fraction):
-        g, gp = Q(g), Q(gp)
-        if g > gp:
-            g, gp = gp, g  # symmetric
-        key = (g, gp)
-        if key not in self._cache:
-            K = self.K
-            num = K.mul(K.choice(g), K.choice(gp))
-            val = K.div(num, K.choice(g + gp))
-            r = K.residue(val)
-            if K.residue_field.is_zero(r):
-                raise ArithmeticError("twist must be a unit")
-            self._cache[key] = r
-        return self._cache[key]
-
-
-def initial_form(K: ValuedField, a) -> GradedTerm:
+def initial_form(K: ValuedField, a) -> SemigroupRingElement:
     """Image of a under gr(O_K) ~ Kv[T^(vK>=0)]: (a / eps(v(a)))v * T^v(a)."""
     v = K.valuate(a)
     if is_inf(v):
-        return GradedTerm(K.residue_field.zero(), Q(0))
+        return SemigroupRingElement(())
     if v < 0:
         raise NegativeValue(f"v(a) = {v} < 0")
-    c = K.residue(K.div(a, K.choice(v)))
-    return GradedTerm(c, v)
+    return element(K, [(v, K.residue(K.div(a, K.choice(v))))])
 
 
 def add(K: ValuedField, x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingElement:
     return element(K, list(x.terms) + list(y.terms))
 
 
-def twisted_mul(K: ValuedField, x: SemigroupRingElement, y: SemigroupRingElement,
-                table: Optional[TwistTable] = None) -> SemigroupRingElement:
-    table = table or TwistTable(K)
+def twisted_mul(K: ValuedField, x: SemigroupRingElement,
+                y: SemigroupRingElement) -> SemigroupRingElement:
     R = K.residue_field
     pairs = []
     for ex, cx in x.terms:
         for ey, cy in y.terms:
-            c = R.mul(R.mul(cx, cy), table.twist(ex, ey))
+            c = R.mul(R.mul(cx, cy), twist(K, ex, ey))
             pairs.append((ex + ey, c))
     return element(K, pairs)
 
 
-def term_pow(K: ValuedField, term: GradedTerm, n: int,
-             table: Optional[TwistTable] = None) -> GradedTerm:
-    """n-fold twisted power of a single term: (b T^g)^n = b^n tau T^(ng)
-    with tau the product of twist(ig, g) over i = 1..n-1."""
-    table = table or TwistTable(K)
+def _pow_twist(K: ValuedField, g: Fraction, n: int):
+    """tau with (T^g)^n = tau * T^(ng): the product of twist(ig, g), i = 1..n-1."""
     R = K.residue_field
-    if R.is_zero(term.coeff):
-        return GradedTerm(R.zero(), Q(0))
     tau = R.one()
     for i in range(1, n):
-        tau = R.mul(tau, table.twist(i * term.exp, term.exp))
-    return GradedTerm(R.mul(R.pow(term.coeff, n), tau), n * term.exp)
+        tau = R.mul(tau, twist(K, i * g, g))
+    return tau
 
 
-def frobenius(K: ValuedField, x: SemigroupRingElement,
-              table: Optional[TwistTable] = None) -> SemigroupRingElement:
+def frobenius(K: ValuedField, x: SemigroupRingElement) -> SemigroupRingElement:
     """x -> x^p.  Termwise: cross terms vanish in characteristic p because
     addition is coordinatewise and exponents stay distinct under scaling."""
     p = K.p
     if p <= 0:
         raise ArithmeticError("Frobenius requires positive residue characteristic")
-    table = table or TwistTable(K)
-    pairs = []
-    for exp, c in x.terms:
-        t = term_pow(K, GradedTerm(c, exp), p, table)
-        pairs.append((t.exp, t.coeff))
-    return element(K, pairs)
+    R = K.residue_field
+    return element(K, [(p * exp, R.mul(R.pow(c, p), _pow_twist(K, exp, p)))
+                       for exp, c in x.terms])
 
 
-def check_psi_homomorphism(K: ValuedField, samples: List[Tuple[object, object]],
-                           table: Optional[TwistTable] = None) -> List[dict]:
+def check_psi_homomorphism(K: ValuedField,
+                           samples: List[Tuple[object, object]]) -> List[dict]:
     """Check initial_form(ab) = initial_form(a) x initial_form(b); returns failures."""
-    table = table or TwistTable(K)
     failures = []
     for a, b in samples:
-        lhs = from_term(K, initial_form(K, K.mul(a, b)))
-        rhs = twisted_mul(K, from_term(K, initial_form(K, a)),
-                          from_term(K, initial_form(K, b)), table)
+        lhs = initial_form(K, K.mul(a, b))
+        rhs = twisted_mul(K, initial_form(K, a), initial_form(K, b))
         if lhs != rhs:
             failures.append({"a": K.elem_str(a), "b": K.elem_str(b)})
     return failures
@@ -190,26 +144,23 @@ class NoRoot:
     reason: str
 
 
-def pth_root(K: ValuedField, term: GradedTerm, table: Optional[TwistTable] = None):
-    """A graded term whose Frobenius equals ``term``, or NoRoot."""
+def pth_root(K: ValuedField, x: SemigroupRingElement):
+    """An element whose Frobenius is x, or NoRoot.  Frobenius acts term by
+    term, so the root is taken term by term."""
     R = K.residue_field
     p = K.p
-    if R.is_zero(term.coeff):
-        return GradedTerm(R.zero(), Q(0))
-    exp = Q(term.exp, p)
-    if not (exp == 0 or K.value_group.contains(exp)):
-        return NoRoot(f"exponent {value_str(term.exp)}/{p} not in the value group")
-    table = table or TwistTable(K)
-    # (b' T^exp)^p = b'^p * tau * T^(p exp) with tau the accumulated twist
-    tau = term_pow(K, GradedTerm(R.one(), exp), p, table).coeff
-    target = R.div(term.coeff, tau)
-    try:
+    pairs = []
+    for e, c in x.terms:
+        exp = Q(e, p)
+        if not (exp == 0 or K.value_group.contains(exp)):
+            return NoRoot(f"exponent {value_str(e)}/{p} not in the value group")
+        # (b' T^exp)^p = b'^p * tau * T^(p exp) with tau the accumulated twist
+        target = R.div(c, _pow_twist(K, exp, p))
         root = R.pth_root(target)
-    except NotImplementedError:  # pragma: no cover
-        root = None
-    if root is None:
-        return NoRoot(f"coefficient {R.elem_str(target)} has no p-th root in the residue field")
-    return GradedTerm(root, exp)
+        if root is None:
+            return NoRoot(f"coefficient {R.elem_str(target)} has no p-th root in the residue field")
+        pairs.append((exp, root))
+    return element(K, pairs)
 
 
 def element_str(K: ValuedField, x: SemigroupRingElement) -> str:

@@ -490,18 +490,8 @@ class InductiveValuation:
             return False
         if is_inf(self.gamma):
             return False
-        cc = self.expansion(f)
-        ntop = len(cc) - 1
-        top = cc[ntop]
-        if not (top.degree == 0 and self.K.eq(top[0], self.K.one())):
-            return False
-        vf = self.evaluate(f)
-        if is_inf(vf) or vf != vmul(ntop, self.gamma):
-            return False  # not nu-minimal
-        v0 = self._coeff_value(cc[0]) if cc and not cc[0].is_zero() else INFINITY
-        if v0 > vf:
-            # equivalence-divisible by the current key
-            return ntop == 1
+        if f.degree == self.m and self.evaluate(f - self.phi) > self.gamma:
+            return True  # f ~ phi
         try:
             self._certify_key(f)
         except NotAKeyPolynomial:

@@ -282,7 +282,7 @@ def parse_poly(s: str, K: ValuedField) -> Poly:
 # ---------------------------------------------------------------------------
 
 
-def eval_graded(node, K: ValuedField, table) -> graded.SemigroupRingElement:
+def eval_graded(node, K: ValuedField) -> graded.SemigroupRingElement:
     R = K.residue_field
     where = " in a graded element"
 
@@ -300,7 +300,7 @@ def eval_graded(node, K: ValuedField, table) -> graded.SemigroupRingElement:
     def neg(x):
         return graded.element(K, [(e, R.neg(c)) for e, c in x.terms])
 
-    mul = partial(graded.twisted_mul, K, table=table)
+    mul = partial(graded.twisted_mul, K)
     ops = {"neg": neg, "add": lambda x, y: graded.add(K, x, y),
            "sub": lambda x, y: graded.add(K, x, neg(y)), "mul": mul}
 
@@ -322,9 +322,8 @@ def eval_graded(node, K: ValuedField, table) -> graded.SemigroupRingElement:
     return _fold(node, atom, ops, power, where)
 
 
-def parse_graded(s: str, K: ValuedField, table=None) -> graded.SemigroupRingElement:
-    table = table or graded.TwistTable(K)
-    return eval_graded(parse_expression(s), K, table)
+def parse_graded(s: str, K: ValuedField) -> graded.SemigroupRingElement:
+    return eval_graded(parse_expression(s), K)
 
 
 def parse_choice_overrides(s: str, K: ValuedField) -> dict:

@@ -145,10 +145,6 @@ class RatFuncField(Field):
             ds = f"({ds})"
         return f"{ns}/{ds}"
 
-    @property
-    def key(self):
-        return ("RatFunc", self.base.key, self.varname)
-
     def __repr__(self):
         return f"Frac({self.base!r}[{self.varname}])"
 

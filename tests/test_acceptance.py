@@ -82,16 +82,14 @@ def test_criterion_3_frobenius_criterion_both_directions():
         P = FpPerfField(p)
         assert G.frobenius_surjective(P) == ("YES", None)
         rng = random.Random(2000 + p)
-        table = G.TwistTable(P)
         R = P.residue_field
         for _ in range(100):
             exp = Q(rng.randrange(0, 50), p ** rng.randrange(0, 4))
             coeff = R.from_int(rng.randrange(1, p))
-            term = G.GradedTerm(coeff, exp)
-            root = G.pth_root(P, term, table)
-            assert isinstance(root, G.GradedTerm)
-            back = G.frobenius(P, G.from_term(P, root), table)
-            assert back == G.from_term(P, term)
+            x = G.element(P, [(exp, coeff)])
+            root = G.pth_root(P, x)
+            assert isinstance(root, G.SemigroupRingElement)
+            assert G.frobenius(P, root) == x
     print("ACCEPT 3 Frobenius surjectivity criterion, both directions: PASS")
 
 
@@ -104,22 +102,19 @@ def test_criterion_4_twisted_ring_laws():
     for K in fields:
         rng = random.Random(0xACC4 ^ (stable_seed(K))
                             ^ (17 if K.choice_overrides else 0))
-        table = G.TwistTable(K)
-        R = K.residue_field
         for _ in range(200):
             a, b, c = (random_sre(K, rng) for _ in range(3))
-            assert G.twisted_mul(K, a, b, table) == G.twisted_mul(K, b, a, table)
-            assert G.twisted_mul(K, G.twisted_mul(K, a, b, table), c, table) \
-                == G.twisted_mul(K, a, G.twisted_mul(K, b, c, table), table)
-            assert G.twisted_mul(K, a, G.add(K, b, c), table) \
-                == G.add(K, G.twisted_mul(K, a, b, table),
-                         G.twisted_mul(K, a, c, table))
+            assert G.twisted_mul(K, a, b) == G.twisted_mul(K, b, a)
+            assert G.twisted_mul(K, G.twisted_mul(K, a, b), c) \
+                == G.twisted_mul(K, a, G.twisted_mul(K, b, c))
+            assert G.twisted_mul(K, a, G.add(K, b, c)) \
+                == G.add(K, G.twisted_mul(K, a, b), G.twisted_mul(K, a, c))
         samples = [(K.one(), K.one())]
         rng2 = random.Random(1 + (stable_seed(K) & 0xFF))
         if K.kind == "Qp":
             for _ in range(40):
                 samples.append((Q(rng2.randrange(1, 99)), Q(rng2.randrange(1, 99))))
-        assert G.check_psi_homomorphism(K, samples, table) == []
+        assert G.check_psi_homomorphism(K, samples) == []
     Ko = QpField(3).with_choice_overrides({Q(1): Q(3), Q(2): Q(18)})
     x = G.element(Ko, [(Q(1), 1)])
     assert G.element_str(Ko, G.twisted_mul(Ko, x, x)) == "2*T^2"

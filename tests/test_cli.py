@@ -198,6 +198,19 @@ def test_graded_surjective_command(capsys):
     assert d["frobeniusSurjective"]["witness"]["value"] == "c"
 
 
+@pytest.mark.parametrize("argv, token", [
+    (("stable-value", "--p", "1000000007", "--expr", "S", "--json"), '"stableValue":1'),
+    (("field", "--field", f"Fq({1000000007 ** 3},t)"), "residue char 1000000007"),
+    (("field", "--field", f"Fq({1000000007 ** 4},t)"), "residue char 1000000007"),
+], ids=["stable-value", "Fq(p^3,t)", "Fq(p^4,t)"])
+def test_large_prime_moduli_are_prompt(capsys, argv, token):
+    import time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0 and token in out
+
+
 def test_stable_value_command(capsys):
     code, out, _ = run(capsys, "stable-value", "--p", "2",
                        "--expr", "S - (c1*T + c2*T^2)", "--seed", "0", "--json")

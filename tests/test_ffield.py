@@ -72,6 +72,37 @@ def test_deterministic_moduli():
     assert find_irreducible(3, 16) == fpoly.from_ints(GFp(3), [1, 0, 1, 1] + [0] * 12 + [1])
 
 
+def _plain_scan(p, degree):
+    """First monic irreducible in the base-p coding, with no codes skipped."""
+    F = GFp(p)
+    for code in range(p ** degree):
+        f = tuple(code // p ** i % p for i in range(degree)) + (1,)
+        if is_irreducible(F, f):
+            return f
+
+
+def test_find_irreducible_matches_the_plain_scan():
+    # the binomial skip changes no modulus: primes below 120, degrees 2-8
+    # (2-5 above 40), and degree 16 for p <= 13
+    primes = [p for p in range(2, 120) if all(p % d for d in range(2, p))]
+    cases = [(p, d) for p in primes for d in range(2, 9 if p < 40 else 6)]
+    cases += [(p, 16) for p in primes if p <= 13]
+    assert len(cases) == 162
+    for p, d in cases:
+        assert find_irreducible(p, d) == _plain_scan(p, d), (p, d)
+
+
+@pytest.mark.parametrize("degree", [3, 4, 16])
+def test_find_irreducible_for_a_large_prime_is_prompt(degree):
+    # 1000000007 is 3 mod 4 and 2 mod 3: no x^3 - a or x^4 - a is irreducible
+    import time
+    p = 1000000007
+    start = time.perf_counter()
+    f = find_irreducible(p, degree)
+    assert time.perf_counter() - start < 2.0
+    assert fpoly.deg(f) == degree and is_irreducible(GFp(p), f)
+
+
 def test_tower_of_towers():
     F4 = GFq(4)
     # an irreducible quadratic over F4: y^2 + y + g

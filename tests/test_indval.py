@@ -112,6 +112,33 @@ def test_is_key_examples():
     assert mu.is_key(Poly.from_ints(K, [-2, 0, 1]))
 
 
+def _is_key_cases():
+    K = QpField(2)
+    gauss = IV.depth_zero(K, Q(0), Q(0))
+    mu = IV.depth_zero(K, Q(0), Q(1, 2))
+    mu2 = gauss.augment(Poly.from_ints(K, [1, 1, 1]), Q(1, 2))
+    return [
+        ("f = phi", gauss, [0, 1], True),
+        ("f ~ phi", gauss, [2, 1], True),
+        ("linear residual", gauss, [1, 1], True),
+        ("f ~ phi above depth zero", mu2, [3, 1, 1], True),
+        ("non-minimal top", mu, [1, 0, 1], False),
+        ("non-minimal linear", mu, [1, 1], False),
+        ("equivalence-divisible, ntop > 1", gauss, [4, 0, 1], False),
+        ("reducible residual", gauss, [1, 0, 1], False),
+        ("irreducible quadratic residual", gauss, [1, 1, 1], True),
+        ("terminal stage", IV.depth_zero(K, Q(0), INFINITY), [0, 1], False),
+        ("non-monic", gauss, [1, 2], False),
+        ("degree not a multiple of m", mu2, [1, 0, 0, 1], False),
+    ]
+
+
+@pytest.mark.parametrize("case", _is_key_cases(), ids=lambda c: c[0])
+def test_is_key_table(case):
+    _, nu, coeffs, expected = case
+    assert nu.is_key(Poly.from_ints(nu.K, coeffs)) is expected
+
+
 def test_residual_polynomial_examples():
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))
