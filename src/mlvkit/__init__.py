@@ -3,7 +3,7 @@ chains, graded rings and tameness criteria over concrete valued fields."""
 
 from .values import INFINITY, Q, Value, ValueGroup
 from .fields import FpPerfField, FpctField, FqtField, QpField, ValuedField, field_arith
-from .poly import ExpansionResult, Poly, hasse_derivative, phi_expansion
+from .poly import Poly, hasse_derivative, phi_expansion
 from .graded import (SemigroupRingElement, check_psi_homomorphism, frobenius,
                      frobenius_surjective, initial_form, pth_root, twisted_mul)
 from .indval import InductiveValuation, truncation_eval
@@ -21,7 +21,7 @@ __all__ = [
     "INFINITY", "Q", "Value", "ValueGroup",
     "QpField", "FqtField", "FpPerfField", "FpctField", "ValuedField",
     "field_arith",
-    "Poly", "ExpansionResult", "phi_expansion", "hasse_derivative",
+    "Poly", "phi_expansion", "hasse_derivative",
     "SemigroupRingElement", "initial_form",
     "twisted_mul", "check_psi_homomorphism", "frobenius",
     "frobenius_surjective", "pth_root",

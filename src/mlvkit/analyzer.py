@@ -253,10 +253,11 @@ class StableValueResult:
 
 
 NOT_STABILIZED = "NOT_STABILIZED"
+_RETRIES = 5  # fresh samples after the denominator vanishes at some l
 
 
 def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
-                 l_max: int = 12, seed: int = 0, retries: int = 5):
+                 l_max: int = 12, seed: int = 0):
     """t-adic value and initial coefficient of f(t, s_(0l)) for growing l.
 
     ``expr`` is a syntax tree from ``parsing.parse_expression`` in T, S and
@@ -270,7 +271,7 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
         q = p ** 16
     F = _sample_field(p, q)
     R = fpoly.PolyRing(F)
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         rng = random.Random((seed, attempt).__hash__() & 0x7FFFFFFF)
         cs = []
         while len(cs) <= l_max:
@@ -297,7 +298,7 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
                 coeff = F.div(nt[kn], dt[kd])
                 rows.append((ell, val, coeff))
         except DenominatorVanishes:
-            if attempt < retries:
+            if attempt < _RETRIES:
                 continue
             raise
         bound = Q(max(_total_degree(num), _total_degree(den), 1), q)
@@ -314,7 +315,6 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
             return StableValueResult(last[1], last[2], F.elem_str(last[2]),
                                      rows[i][0], seed, bound)
         return NOT_STABILIZED
-    return NOT_STABILIZED  # pragma: no cover
 
 
 def _sample_field(p: int, q: int):

@@ -5,22 +5,26 @@ command supports --json; JSON output is deterministic (sorted keys,
 exact rationals as "num/den" strings, infinity as "inf") so repeated
 runs with the same inputs and seed are byte-identical.
 
-Exit codes: 0 success, 2 parse error, 3 engine/analyzer error.
+Each subcommand returns its JSON object and a renderer for the text form;
+``main`` is the only place that writes to stdout.
+
+Exit codes: 0 success (also when the reader closes stdout early), 2 parse
+error, 3 engine/analyzer error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from . import graded
 from .analyzer import NOT_STABILIZED, classify_kahler, stable_value, tame_report
 from .engine import (LIMIT_SUSPECTED, Branch, ExtensionReport, NoSequence,
                      finite_complete_sequence, mac_lane_chains)
 from .errors import BadFieldOrder, MlvError, ParseError
-from .fields import ValuedField
 from .parsing import (parse_choice_overrides, parse_element, parse_expression,
                       parse_field, parse_graded, parse_poly, parse_value)
 from .values import value_str
@@ -37,7 +41,7 @@ def _dump(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def branch_to_dict(K: ValuedField, b: Branch) -> dict:
+def branch_to_dict(b: Branch) -> dict:
     chain = []
     for st in b.chain.stages():
         chain.append({
@@ -73,7 +77,7 @@ def report_to_dict(report: ExtensionReport) -> dict:
         "poly": report.g.to_str(),
         "n": report.n,
         "unibranched": report.unibranched,
-        "branches": [branch_to_dict(report.K, b) for b in report.branches],
+        "branches": [branch_to_dict(b) for b in report.branches],
         "sumCheck": {
             "sumEF": report.sum_ef,
             "sumEFD": report.sum_efd,
@@ -86,22 +90,27 @@ def report_to_dict(report: ExtensionReport) -> dict:
     return d
 
 
-def report_text(report: ExtensionReport) -> str:
-    lines = [f"extensions of v to {report.K.descriptor_str()}[x]/({report.g.to_str()})"]
-    lines.append(f"  n = {report.n}, branches = {len(report.branches)}, "
-                 f"unibranched = {report.unibranched}")
-    for i, b in enumerate(report.branches):
-        dstr = str(b.d) if b.d is not None else f">= {b.d_lower}"
-        lines.append(f"  branch {i}: {b.status}  e = {b.e}  f = {b.f}  d = {dstr}")
-        lines.append(f"    chain: {b.chain.chain_str()}")
-        if b.status == LIMIT_SUSPECTED and len(b.trajectory) > 1:
-            vals = ", ".join(value_str(e["gamma"]) for e in b.trajectory[1:7])
+def report_text(d: dict) -> str:
+    """Text form of a ``report_to_dict`` object."""
+    lines = [f"extensions of v to {d['field']}[x]/({d['poly']})",
+             f"  n = {d['n']}, branches = {len(d['branches'])}, "
+             f"unibranched = {d['unibranched']}"]
+    for i, b in enumerate(d["branches"]):
+        dstr = f">= {b['d']['lowerBound']}" if isinstance(b["d"], dict) else str(b["d"])
+        lines.append(f"  branch {i}: {b['status']}  e = {b['e']}  f = {b['f']}  d = {dstr}")
+        bases = ["v"] + [f"mu{j}" for j in range(len(b["chain"]) - 1)]
+        chain = " -> ".join(f"mu{j}=[{base}; {st['phi']}, {st['gamma']}]"
+                            for j, (base, st) in enumerate(zip(bases, b["chain"])))
+        lines.append(f"    chain: {chain}")
+        traj = b.get("trajectory", [])
+        if len(traj) > 1:
+            vals = ", ".join(e["gamma"] for e in traj[1:7])
             lines.append(f"    value trajectory: {vals}, ...")
-    sumefd = report.sum_efd
-    lines.append(f"  sum e*f = {report.sum_ef}"
-                 + (f", sum e*f*d = {sumefd}" if sumefd is not None else "")
-                 + f" (n = {report.n})")
-    for w in report.warnings:
+    sc = d["sumCheck"]
+    lines.append(f"  sum e*f = {sc['sumEF']}"
+                 + (f", sum e*f*d = {sc['sumEFD']}" if sc["sumEFD"] is not None else "")
+                 + f" (n = {d['n']})")
+    for w in d.get("warnings", ()):
         lines.append(f"  warning: {w}")
     return "\n".join(lines)
 
@@ -111,7 +120,11 @@ def report_text(report: ExtensionReport) -> str:
 # ---------------------------------------------------------------------------
 
 
-def cmd_field(args) -> int:
+# a command's JSON object and the renderer of its text lines
+Rendered = Tuple[dict, Callable[[], List[str]]]
+
+
+def cmd_field(args) -> Rendered:
     K = parse_field(args.field)
     out = {"schemaVersion": SCHEMA_VERSION, "field": K.descriptor_str(),
            "residueChar": K.p, "valueGroup": str(K.value_group),
@@ -128,33 +141,28 @@ def cmd_field(args) -> int:
         gamma = parse_value(args.choice)
         out["choice"] = {"gamma": value_str(gamma),
                          "element": K.elem_str(K.choice(gamma))}
-    if args.json:
-        print(_dump(out))
-    else:
-        print(f"{out['field']}: residue char {out['residueChar']}, "
-              f"value group {out['valueGroup']}, residue {out['residuePerfect']}")
-        for key in ("valuate", "residue", "choice"):
-            if key in out:
-                print(f"  {key}: {out[key]}")
-    return 0
+
+    def render():
+        head = (f"{out['field']}: residue char {out['residueChar']}, "
+                f"value group {out['valueGroup']}, residue {out['residuePerfect']}")
+        return [head] + [f"  {key}: {out[key]}"
+                         for key in ("valuate", "residue", "choice") if key in out]
+    return out, render
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args) -> Rendered:
     K = parse_field(args.field)
     g = parse_poly(args.poly, K)
     report = mac_lane_chains(K, g, max_depth=args.max_depth,
                              max_limit_probes=args.limit_probes)
-    if args.json:
-        print(_dump(report_to_dict(report)))
-    else:
-        print(report_text(report))
+    out = report_to_dict(report)
+
+    def render():
         seq = finite_complete_sequence(report)
-        if isinstance(seq, NoSequence):
-            print(f"  finite complete sequence: NONE ({seq.reason})")
-        else:
-            print("  finite complete sequence: "
-                  + ", ".join(q.to_str() for q in seq))
-    return 0
+        fcs = f"NONE ({seq.reason})" if isinstance(seq, NoSequence) \
+            else ", ".join(q.to_str() for q in seq)
+        return [report_text(out), f"  finite complete sequence: {fcs}"]
+    return out, render
 
 
 def _frobenius_witness(K, witness):
@@ -167,7 +175,7 @@ def _frobenius_witness(K, witness):
             else K.residue_field.elem_str(val)}
 
 
-def cmd_graded(args) -> int:
+def cmd_graded(args) -> Rendered:
     K = parse_field(args.field)
     if args.choice:
         overrides = parse_choice_overrides(args.choice, K)
@@ -195,20 +203,11 @@ def cmd_graded(args) -> int:
         verdict, witness = graded.frobenius_surjective(K)
         out["frobeniusSurjective"] = {"verdict": verdict,
                                       "witness": _frobenius_witness(K, witness)}
-    if args.json:
-        print(_dump(out))
-    else:
-        for key, val in out.items():
-            if key in ("schemaVersion", "field"):
-                continue
-            if key == "mul":
-                print(val["result"])
-            else:
-                print(f"{key}: {val}")
-    return 0
+    return out, lambda: [val["result"] if key == "mul" else f"{key}: {val}"
+                         for key, val in out.items() if key not in ("schemaVersion", "field")]
 
 
-def cmd_tame(args) -> int:
+def cmd_tame(args) -> Rendered:
     K = parse_field(args.field)
     suite = [parse_poly(s, K) for s in args.suite.split(";") if s.strip()]
     tr = tame_report(K, suite)
@@ -230,18 +229,18 @@ def cmd_tame(args) -> int:
         if "witness" in w:
             w["witness"] = _frobenius_witness(K, w["witness"])
         out["witness"] = w
-    if args.json:
-        print(_dump(out))
-    else:
-        print(f"{out['field']}: {out['overall']} (gr perfect: {out['grPerfect']})")
-        for e in out["perExtension"]:
-            print(f"  {e['g']}: FCS={e['fcs']} TE1={e['te1']} TE2={e['te2']} TE3={e['te3']}")
+
+    def render():
+        lines = [f"{out['field']}: {out['overall']} (gr perfect: {out['grPerfect']})"]
+        lines += [f"  {e['g']}: FCS={e['fcs']} TE1={e['te1']} TE2={e['te2']} TE3={e['te3']}"
+                  for e in out["perExtension"]]
         if "witness" in out:
-            print(f"  witness: {out['witness']}")
-    return 0
+            lines.append(f"  witness: {out['witness']}")
+        return lines
+    return out, render
 
 
-def cmd_kahler(args) -> int:
+def cmd_kahler(args) -> Rendered:
     K = parse_field(args.field)
     g = parse_poly(args.poly, K)
     report = mac_lane_chains(K, g)
@@ -256,17 +255,12 @@ def cmd_kahler(args) -> int:
         else value_str(kr.annihilator_value),
         "trace": list(kr.trace),
     }
-    if args.json:
-        print(_dump(out))
-    else:
-        print(f"{out['poly']} over {out['field']}: {out['kind']}, "
-              f"Omega trivial: {out['omegaTrivial']}")
-        for line in out["trace"]:
-            print(f"  {line}")
-    return 0
+    return out, lambda: ([f"{out['poly']} over {out['field']}: {out['kind']}, "
+                          f"Omega trivial: {out['omegaTrivial']}"]
+                         + [f"  {line}" for line in out["trace"]])
 
 
-def cmd_stable_value(args) -> int:
+def cmd_stable_value(args) -> Rendered:
     ast = parse_expression(args.expr)
     try:
         res = stable_value(args.p, ast, q=args.q, l_start=args.l_start,
@@ -283,16 +277,10 @@ def cmd_stable_value(args) -> int:
                "stableInitialCoeff": res.coeff_str, "l0": res.l0,
                "seed": res.seed,
                "failureBound": value_str(res.failure_bound)}
-    if args.json:
-        print(_dump(out))
-    else:
-        if out["outcome"] == "NOT_STABILIZED":
-            print("NOT_STABILIZED")
-        else:
-            print(f"stable value {out['stableValue']} from l0 = {out['l0']}, "
-                  f"initial coefficient {out['stableInitialCoeff']} "
-                  f"(failure bound {out['failureBound']})")
-    return 0
+    return out, lambda: ["NOT_STABILIZED" if out["outcome"] == "NOT_STABILIZED" else
+                         f"stable value {out['stableValue']} from l0 = {out['l0']}, "
+                         f"initial coefficient {out['stableInitialCoeff']} "
+                         f"(failure bound {out['failureBound']})"]
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valuate")
     p.add_argument("--residue")
     p.add_argument("--choice")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("extend", help="extensions of v to K[x]/(g)")
@@ -320,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--poly", required=True)
     p.add_argument("--max-depth", type=int, default=32)
     p.add_argument("--limit-probes", type=int, default=8)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extend)
 
     p = sub.add_parser("graded", help="twisted semigroup ring arithmetic")
@@ -330,19 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frobenius")
     p.add_argument("--initial-form")
     p.add_argument("--surjective", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_graded)
 
     p = sub.add_parser("tame", help="tameness evidence over a suite")
     p.add_argument("--field", required=True)
     p.add_argument("--suite", required=True, help="semicolon-separated polynomials")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_tame)
 
     p = sub.add_parser("kahler", help="Kaehler differential criteria")
     p.add_argument("--field", required=True)
     p.add_argument("--poly", required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_kahler)
 
     p = sub.add_parser("stable-value", help="appendix stable-value algorithm")
@@ -352,9 +335,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l-start", type=int, default=1)
     p.add_argument("--l-max", type=int, default=12)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_stable_value)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return ap
 
 
@@ -365,13 +349,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        out, render = args.func(args)
+        lines = [_dump(out)] if args.json else render()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except MlvError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         return 3
+    try:
+        print("".join(f"{line}\n" for line in lines), end="", flush=True)
+    except BrokenPipeError:
+        # the reader stopped reading: point stdout at devnull so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

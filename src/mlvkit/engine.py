@@ -138,7 +138,7 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
     exp = phi_expansion(g, key)
     pts: Dict[int, Value] = {}
     c0_zero = True
-    for k, c in enumerate(exp.coeffs):
+    for k, c in enumerate(exp):
         if c.is_zero():
             continue
         if k == 0:
@@ -149,7 +149,7 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
     for gamma in polygon_gammas(pts):
         if gamma > cur:
             out.append(gamma)
-    return out, list(exp.coeffs)
+    return out, list(exp)
 
 
 def _traj_entry(node: InductiveValuation, g: Poly) -> dict:
@@ -413,10 +413,8 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
         evidence = tuple((entry["key"], entry["gamma"])
                          for entry in traj[1:probe_budget + 1])
         return ScanResult(m, "UNBOUNDED_EVIDENCE", evidence=evidence)
-    val = induced_value(report, branch_index, st.phi)
-    if val is UNSTABLE:  # pragma: no cover - stable for completed stages
-        val = b.chain.evaluate(st.phi)
-    return ScanResult(m, "MAX_ATTAINED", max_poly=st.phi, max_value=val)
+    return ScanResult(m, "MAX_ATTAINED", max_poly=st.phi,
+                      max_value=induced_value(report, branch_index, st.phi))
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,7 @@ class MlvError(Exception):
 
     code = "ERROR"
 
-    def __init__(self, message: str = "", code: str | None = None):
-        if code is not None:
-            self.code = code
+    def __init__(self, message: str = ""):
         super().__init__(message or self.code)
 
 
@@ -64,10 +62,6 @@ class ValueNotIncreased(MlvError):
 
 class NotAKeyPolynomial(MlvError):
     code = "NOT_A_KEY_POLYNOMIAL"
-
-
-class InfiniteGammaInInterior(MlvError):
-    code = "INFINITE_GAMMA_IN_INTERIOR"
 
 
 class ZeroInput(MlvError):

@@ -30,9 +30,8 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
-from .errors import (ImperfectResidueUnsupported, InfiniteGammaInInterior,
-                     InvariantViolated, NonMonicBase, NotAKeyPolynomial,
-                     ValueNotIncreased, ZeroInput)
+from .errors import (ImperfectResidueUnsupported, InvariantViolated, NonMonicBase,
+                     NotAKeyPolynomial, ValueNotIncreased, ZeroInput)
 from .ffield import ExtField, Field, is_irreducible
 from .fields import ValuedField
 from .poly import Poly, phi_expansion
@@ -201,13 +200,6 @@ class InductiveValuation:
     def is_terminal(self) -> bool:
         return is_inf(self.gamma)
 
-    def chain_str(self) -> str:
-        parts = []
-        for i, st in enumerate(self.stages()):
-            base = "v" if i == 0 else f"mu{i-1}"
-            parts.append(f"mu{i}=[{base}; {st.phi.to_str()}, {value_str(st.gamma)}]")
-        return " -> ".join(parts)
-
     # -- evaluation -------------------------------------------------------------
 
     def expansion(self, f: Poly) -> List[Poly]:
@@ -220,7 +212,7 @@ class InductiveValuation:
         if self.prev is None:
             out = [Poly.const(self.K, c) for c in f.taylor_coeffs(self.center)]
         else:
-            out = list(phi_expansion(f, self.phi).coeffs)
+            out = list(phi_expansion(f, self.phi))
         self.seed_expansion(f, out)
         return out
 
@@ -276,8 +268,6 @@ class InductiveValuation:
 
     def _split(self, w: Q) -> Tuple[int, Q]:
         """w = i*gamma + w' with i in [0, e_rel) and w' in prev_group."""
-        if is_inf(self.gamma):
-            return 0, w
         for i in range(self.e_rel):
             wp = w - vmul(i, self.gamma)
             if wp == 0 or self.prev_group.contains(wp):
@@ -457,11 +447,6 @@ class InductiveValuation:
         return self.kappa, d
 
     def value_group(self) -> ValueGroup:
-        for st in self.stages():
-            if is_inf(st.gamma) and st is not self:
-                raise InfiniteGammaInInterior("interior stage with infinite value")
-        if is_inf(self.gamma):
-            return self.prev_group
         return self.group
 
     def ram_indices(self) -> List[int]:
@@ -527,9 +512,8 @@ def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:
         # every term f_k q^k with k >= 1 has value oo
         r = f.mod(q)
         return INFINITY if r.is_zero() else nu(r)
-    exp = phi_expansion(f, q)
     best: Optional[Value] = None
-    for k, c in enumerate(exp.coeffs):
+    for k, c in enumerate(phi_expansion(f, q)):
         if c.is_zero():
             continue
         v = vadd(nu(c), vmul(k, vq))

@@ -6,7 +6,6 @@ field is the ValuedField descriptor itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, List, Sequence, Tuple
 
 from . import fpoly
@@ -112,28 +111,14 @@ class Poly:
         return fpoly.to_str(self.field, self.coeffs, var)
 
 
-@dataclass(frozen=True)
-class ExpansionResult:
-    base: Poly
-    coeffs: Tuple[Poly, ...]
-
-    def reconstruct(self) -> Poly:
-        acc = Poly(self.base.field, ())
-        power = Poly.const(self.base.field, self.base.field.one())
-        for c in self.coeffs:
-            acc = acc + c * power
-            power = power * self.base
-        return acc
-
-
-def phi_expansion(f: Poly, phi: Poly) -> ExpansionResult:
+def phi_expansion(f: Poly, phi: Poly) -> Tuple[Poly, ...]:
     """The unique f = sum f_k phi^k with deg f_k < deg phi."""
     if phi.degree < 1:
         raise ConstantBase("expansion base must be nonconstant")
     if not phi.is_monic():
         raise NonMonicBase("expansion base must be monic")
     if f.is_zero():
-        return ExpansionResult(phi, ())
+        return ()
     out: List[Poly] = []
     cur = f
     # each quotient here has degree >= 0, so the last coefficient is nonzero
@@ -141,7 +126,7 @@ def phi_expansion(f: Poly, phi: Poly) -> ExpansionResult:
         cur, r = cur.divmod(phi)
         out.append(r)
     out.append(cur)
-    return ExpansionResult(phi, tuple(out))
+    return tuple(out)
 
 
 def hasse_derivative(f: Poly, i: int) -> Poly:

@@ -99,17 +99,6 @@ def value_from_str(s: str) -> Value:
     return Q(s)
 
 
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """gcd of two rationals: generator of aZ + bZ (nonnegative)."""
-    if a == 0:
-        return abs(b)
-    if b == 0:
-        return abs(a)
-    num = gcd(a.numerator, b.numerator)
-    den = (a.denominator * b.denominator) // gcd(a.denominator, b.denominator)
-    return Q(num, den)
-
-
 def _strip_p(n: int, p: int) -> int:
     n = abs(n)
     while n % p == 0:
@@ -152,16 +141,11 @@ class ValueGroup:
         return 1 if gamma is INFINITY else self._order_mod(gamma)
 
     def join(self, gammas: Iterable[Value]) -> "ValueGroup":
-        """Group generated by self and finitely many rational values."""
-        g = self.gen
-        if self.hull is None:
-            for x in gammas:
-                if is_inf(x):
-                    raise ValueError("cannot join infinity into a value group")
-                if x != 0:
-                    g = frac_gcd(g, x)
-            return ValueGroup(g, None)
-        p = self.hull
+        """Group generated by self and finitely many rational values.
+
+        gen*Z + x*Z = (gen/d)*Z for the reduced denominator d of x/gen
+        (p-free for a hull), so one lcm of those denominators suffices.
+        """
         m = 1
         for x in gammas:
             if is_inf(x):
@@ -170,7 +154,7 @@ class ValueGroup:
                 continue
             den = self._order_mod(x)
             m = m * den // gcd(m, den)
-        return ValueGroup(self.gen / m, p)
+        return ValueGroup(self.gen / m, self.hull)
 
     def index_over(self, sub: "ValueGroup") -> int:
         """(self : sub) for a finite-index subgroup of the same kind."""

@@ -229,8 +229,7 @@ def test_stable_value_denominator_vanishes():
     from mlvkit.errors import DenominatorVanishes
     # the denominator S - c1*T vanishes identically at l = 1 for every draw
     with pytest.raises(DenominatorVanishes):
-        stable_value(2, parse_expression("T/(S - c1*T)"), l_start=1, l_max=3,
-                     seed=0, retries=2)
+        stable_value(2, parse_expression("T/(S - c1*T)"), l_start=1, l_max=3, seed=0)
 
 
 STABLE_CORPUS = [

@@ -252,3 +252,22 @@ def test_exponent_above_the_cap_is_parse_error(capsys, argv):
     code, out, err = run(capsys, *[a.format(e=MAX_EXPONENT + 1) for a in argv])
     assert (code, out) == (2, "")
     assert f"exceeds {MAX_EXPONENT}" in err
+
+
+def test_closed_pipe_is_a_clean_exit():
+    # a reader that stops at once (``| head -c 0``): exit 0, nothing on stderr
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import mlvkit
+    env = dict(os.environ, PYTHONPATH=str(Path(mlvkit.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "mlvkit.cli", "extend", "--field", "Qp(2)",
+                             "--poly", "x^2-2", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""

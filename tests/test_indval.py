@@ -152,6 +152,25 @@ def test_residual_polynomial_examples():
     assert fpoly.deg(H) == 0
 
 
+@pytest.mark.parametrize("coeffs, value, H", [
+    ([0, 0, 0, 1], Q(3, 2), (1,)),   # x^3 = 2x mod x^2 - 2
+    ([1, 0, 0, 1], Q(0), (1,)),
+    ([-2, 0, 1], INFINITY, None),
+    ([0, -2, 0, 1], INFINITY, None),
+])
+def test_graded_reduction_at_a_terminal_stage(coeffs, value, H):
+    # a terminal stage reduces f mod its key and reads the remainder one stage down
+    K = QpField(2)
+    mu = IV.depth_zero(K, Q(0), Q(1, 2)).augment(Poly.from_ints(K, [-2, 0, 1]), INFINITY)
+    f = Poly.from_ints(K, coeffs)
+    gr = mu.graded_reduction(f)
+    assert (gr.value, gr.H) == (value, H)
+    assert gr.value == mu.evaluate(f)
+    if H is None:
+        with pytest.raises(ZeroInput):
+            mu.residual_polynomial(f)
+
+
 def test_residual_field_and_inertia():
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))

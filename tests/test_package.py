@@ -2,7 +2,7 @@ import mlvkit
 
 REMOVED = ["poly_arith", "tangent_direction", "alg_max_evidence", "value_group_p_divisible",
            "report_from_json", "MaxAttained", "NoMaxEvidence",
-           "GradedTerm", "TwistTable"]
+           "GradedTerm", "TwistTable", "ExpansionResult"]
 
 
 def test_public_names_resolve():

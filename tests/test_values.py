@@ -1,11 +1,12 @@
 import copy
 import pickle
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
-from mlvkit.values import (INFINITY, ValueGroup, frac_gcd, is_inf, value_from_str,
+from mlvkit.values import (INFINITY, ValueGroup, is_inf, value_from_str,
                            value_str, vadd, vmul)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -56,13 +57,12 @@ def test_value_strings():
 
 @given(rationals, rationals)
 def test_frac_gcd_divides(a, b):
-    g = frac_gcd(a, b)
-    if a == 0 and b == 0:
-        assert g == 0
-        return
+    # the generator of aZ + bZ, as the join of |a|Z with b
+    assume(a != 0)
+    g = ValueGroup(abs(a), None).join([b]).gen
     for x in (a, b):
-        if x != 0:
-            assert (x / g).denominator == 1
+        assert (x / g).denominator == 1
+    assert gcd((a / g).numerator, (b / g).numerator) == 1
 
 
 def test_group_membership():
