@@ -15,6 +15,7 @@ error, 3 engine/analyzer error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -288,6 +289,10 @@ def cmd_stable_value(args) -> Rendered:
 # ---------------------------------------------------------------------------
 
 
+# built on the first main call, not at import, and reused: parse_args leaves
+# the parser unchanged (defaults are copied into a fresh Namespace, and help
+# reads the terminal width when it is formatted)
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="mlvkit",

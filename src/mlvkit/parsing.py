@@ -5,8 +5,9 @@ One tokenizer and expression grammar builds a syntax tree, and one fold
 evaluates it; each evaluator supplies only its leaves, its table of
 operations and its rule for ^.  The grammar is the usual one: + - * /
 with parentheses, and ^ taking an integer or a parenthesized rational
-exponent of absolute value at most MAX_EXPONENT.  A malformed rational
-literal, in an exponent or in a --choice value, is a ParseError naming it.
+exponent of absolute value at most MAX_EXPONENT; a power of a polynomial
+in x has degree at most MAX_EXPONENT.  A malformed rational literal, in an
+exponent or in a --choice value, is a ParseError naming it.
 """
 
 from __future__ import annotations
@@ -23,9 +24,10 @@ from .fields import FpctField, FpPerfField, FqtField, QpField, ValuedField
 from .poly import Poly
 from .values import Q, Value, is_inf, value_from_str
 
-# the largest |e| accepted in x^e, t^e, T^e, S^e or n^e: x^e and t^e build
-# objects of size e and a power of a dense polynomial costs about e^2
-# products, so a larger exponent is refused before any arithmetic
+# the largest |e| accepted in x^e, t^e, T^e, S^e or n^e, and the largest
+# degree of a power of a polynomial in x: x^e and t^e build objects of size e
+# and a power of a dense polynomial costs about e^2 products, so a larger
+# exponent or degree is refused before any arithmetic
 MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
@@ -268,6 +270,9 @@ def eval_poly(node, K: ValuedField) -> Poly:
             return Poly.const(K, _elem_pow(K, base[0], exp))
         if exp.denominator != 1 or exp < 0:
             raise ParseError("polynomial exponents must be nonnegative integers")
+        if base.degree * exp.numerator > MAX_EXPONENT:
+            raise ParseError(f"degree {base.degree * exp.numerator} of a power "
+                             f"exceeds {MAX_EXPONENT}")
         return base ** exp.numerator
 
     return _fold(node, atom, ops, power)
@@ -367,7 +372,8 @@ def eval_bivariate(node, F, cs):
         if m:
             idx = int(m.group(1))
             if not 1 <= idx < len(cs):
-                raise ParseError(f"coefficient {v} beyond l_max")
+                raise ParseError(f"coefficient {v} is not one of c1..c{len(cs) - 1} "
+                                 f"(l_max = {len(cs) - 1})")
             return const(cs[idx]), one
         raise ParseError(f"unknown symbol {v!r} in a bivariate expression")
 

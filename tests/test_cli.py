@@ -171,6 +171,8 @@ def test_negative_bound_is_engine_error(capsys, flag):
     (["--expr", "S-S"], 3, "ZERO_INPUT"),
     (["--expr", "T/0"], 2, "division by the zero expression"),
     (["--expr", "(T-T)^-1"], 2, "division by the zero expression"),
+    (["--expr", "c0"], 2, "coefficient c0 is not one of c1..c12 (l_max = 12)"),
+    (["--expr", "c13"], 2, "coefficient c13 is not one of c1..c12 (l_max = 12)"),
 ])
 def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     base = {"--p": "2", "--expr": "S"}
@@ -217,6 +219,8 @@ def test_stable_value_command(capsys):
     assert code == 0
     d = json.loads(out)
     assert d["stableValue"] == 3 and d["l0"] == 3
+    code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "c13", "--l-max", "20")
+    assert code == 0 and err == ""
 
 
 BAD_RATIONALS = ["1/0", "abc", "", "x=3", "inf=3"]
@@ -252,6 +256,41 @@ def test_exponent_above_the_cap_is_parse_error(capsys, argv):
     code, out, err = run(capsys, *[a.format(e=MAX_EXPONENT + 1) for a in argv])
     assert (code, out) == (2, "")
     assert f"exceeds {MAX_EXPONENT}" in err
+
+
+@pytest.mark.parametrize("poly, code", [
+    ("((x+1)^10)^1000", 2), ("(x^2)^501", 2), ("(x^2)^500", 0)])
+def test_power_degree_above_the_cap_is_parse_error(capsys, poly, code):
+    import time
+    start = time.perf_counter()
+    got, out, err = run(capsys, "extend", "--field", "Qp(2)", "--poly", poly)
+    assert time.perf_counter() - start < 5.0
+    assert got == code, err
+    if code:
+        assert out == "" and f"exceeds {MAX_EXPONENT}" in err
+
+
+def test_reused_parser_keeps_no_state(capsys, monkeypatch):
+    import argparse
+    built = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, *args, **kwargs):
+        built.append(self.prog)
+        return add_subparsers(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    first = ["extend", "--field", "Qp(2)", "--poly", "x^2-2", "--json"]
+    want = run(capsys, *first)
+    assert want[0] == 0
+    for argv, code in [
+            (["extend", "--field", "Qp(2)"], 2),
+            (["frobnicate"], 2),
+            (["extend", "--help"], 0),
+            (["extend", "--field", "Qp(4)", "--poly", "x^2-2"], 2),
+            (["extend", "--field", "Qp(2)", "--poly", "x^2-2", "--limit-probes", "-1"], 3)]:
+        assert run(capsys, *argv)[0] == code, argv
+    assert run(capsys, *first) == want
+    assert len(built) <= 1
 
 
 def test_closed_pipe_is_a_clean_exit():
