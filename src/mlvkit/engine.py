@@ -6,16 +6,21 @@ repeatedly factor the residual polynomial of g, lift each irreducible
 factor (other than y) to a new key polynomial, and augment along every
 principal slope of the polygon of g with respect to that key.  A branch
 terminates when g itself becomes a key polynomial and can be assigned
-the value infinity.  A branch that keeps refining at a stagnant degree
-past the probe bound is flagged LIMIT_SUSPECTED; it is either a genuine
-limit (defect or branch separation over the henselization) and its
-invariants are reported honestly as bounds.
+the value infinity.  A branch that has not terminated stops at one of
+two rules: it has made ``max_limit_probes`` refinements at a stagnant
+key degree (the probe budget), or its last two refinements were
+separated (a single multiplicity-one residual factor, so e and f are
+final and only the approximation improves).  Such a branch is flagged
+LIMIT_SUSPECTED: it may be a genuine limit (defect, or branch separation
+over the henselization) or a budget that ran out, so its invariants are
+reported as bounds.  One step function, ``_step``, builds the children
+of a node for both the exploration and the scans that re-probe a stall.
 
 Defects are resolved as follows: terminated branches have
 d = deg(factor)/(e*f); when the sum of e*f over all branches reaches
 deg(g) the fundamental equality forces d = 1 everywhere; a single
-stalled branch gets the lower bound deg(g)/(e*f); anything else keeps
-the trivial lower bound 1.
+stalled branch gets the lower bound max(2, n/(e*f)), or 2 when e*f does
+not divide n = deg(g); anything else keeps the trivial lower bound 1.
 """
 
 from __future__ import annotations
@@ -160,14 +165,16 @@ def _y_poly(kappa) -> tuple:
     return (kappa.zero(), kappa.one())
 
 
-def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuation], bool]:
-    """One exploration step below the non-terminal ``node`` for the target
-    polynomial g, whose value there is therefore finite.
+def _step(g: Poly, node: InductiveValuation, sep: int, traj: List[dict]
+          ) -> List[Tuple[InductiveValuation, int, List[dict], InductiveValuation]]:
+    """One exploration step below the non-terminal ``node``, whose value
+    of g is therefore finite, reached through ``sep`` consecutive
+    separated refinements and with probes ``traj`` at its degree.
 
-    Returns (children, separated): ``separated`` marks a single
-    multiplicity-one residual factor with g not yet a key, i.e. a branch
-    whose ramification and inertia data are final and whose continuation
-    is pure approximation refinement.
+    A refinement is separated when the residual polynomial of g is one
+    multiplicity-one factor and g is not yet a key: e and f are final.
+    Returns the child states (child, sep, traj, node); a child of higher
+    degree starts a new trajectory and a terminal child has none.
     """
     gr = node.graded_reduction(g)
     kappa = node.kappa
@@ -176,8 +183,9 @@ def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuatio
               if not fpoly.eq(kappa, u, _y_poly(kappa))]
     separated = len(factors) == 1 and factors[0][1] == 1
     if separated and node.is_key(g):
-        return [node.augment(g, INFINITY)], False
-    children = []
+        return [(node.augment(g, INFINITY), 0, [], node)]
+    sep = sep + 1 if separated else 0
+    out = []
     for rbar, _mult in proper:
         key = node.key_from_residual(rbar)
         gammas, exp_coeffs = _new_values(node, g, key)
@@ -185,8 +193,13 @@ def _children(node: InductiveValuation, g: Poly) -> Tuple[List[InductiveValuatio
             child = node.augment(key, gamma, _rbar=rbar)
             if child.phi == key:
                 child.seed_expansion(g, exp_coeffs)
-            children.append(child)
-    return children, separated
+            if child.is_terminal():
+                out.append((child, 0, [], node))
+            elif child.degree == node.degree:
+                out.append((child, sep, traj + [_traj_entry(child, g)], node))
+            else:
+                out.append((child, 0, [_traj_entry(child, g)], node))
+    return out
 
 
 def _irreducibility_warnings(K: ValuedField, g: Poly) -> List[str]:
@@ -272,34 +285,24 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
         return _assemble(K, g, n, branches, warnings, bounds)
 
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work: deque[Tuple[InductiveValuation, int, int, List[dict],
+    work: deque[Tuple[InductiveValuation, int, List[dict],
                       Optional[InductiveValuation]]] = deque()
     if 0 not in pts:
-        work.append((InductiveValuation.depth_zero(K, K.zero(), INFINITY), 0, 0, [], None))
+        work.append((InductiveValuation.depth_zero(K, K.zero(), INFINITY), 0, [], None))
     for gamma in polygon_gammas(pts):
         node = InductiveValuation.depth_zero(K, K.zero(), gamma)
-        work.append((node, 0, 0, [_traj_entry(node, g)], None))
+        work.append((node, 0, [_traj_entry(node, g)], None))
 
     while work:
-        node, stag, sep, traj, prev_node = work.popleft()
+        node, sep, traj, prev_node = work.popleft()
         if node.is_terminal():
             branches.append(_finish_terminated(node))
-            continue
-        if stag >= max_limit_probes or sep >= 2:
+        elif len(traj) > max_limit_probes or sep >= 2:
             branches.append(_finish_limit(node, traj, prev_node))
-            continue
-        if node.depth > max_depth:
+        elif node.depth > max_depth:
             raise DepthExceeded(f"chain depth exceeded {max_depth}")
-        children, separated = _children(node, g)
-        for child in children:
-            if child.is_terminal():
-                work.append((child, 0, 0, [], node))
-            elif child.degree == node.degree:
-                sep2 = sep + 1 if separated else 0
-                work.append((child, stag + 1, sep2,
-                             traj + [_traj_entry(child, g)], node))
-            else:
-                work.append((child, 0, 0, [_traj_entry(child, g)], node))
+        else:
+            work.extend(_step(g, node, sep, traj))
 
     return _assemble(K, g, n, branches, warnings, bounds)
 
@@ -350,25 +353,6 @@ def _assemble(K, g, n, branches: List[Branch], warnings, bounds) -> ExtensionRep
 # ---------------------------------------------------------------------------
 
 
-def _extend_trajectory(report: ExtensionReport, branch: Branch,
-                       want: int) -> List[dict]:
-    """Refinement probes at the stagnant degree, extended to ``want`` entries
-    past the entry node.  Stops early if the branch splits or terminates."""
-    traj = list(branch.trajectory)
-    node = branch.chain
-    g = report.g
-    while len(traj) - 1 < want:
-        children, _sep = _children(node, g)
-        if len(children) != 1:
-            break
-        child = children[0]
-        if child.is_terminal() or child.degree != node.degree:
-            break
-        traj.append(_traj_entry(child, g))
-        node = child
-    return traj
-
-
 def induced_value(report: ExtensionReport, branch_index: int, f: Poly):
     """nu(f) = v(f(eta)) along a branch; UNSTABLE when the stalled prefix
     has not yet pinned the value down."""
@@ -396,7 +380,9 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     Returns the chain's maximal-value degree-m key when the chain moved
     past degree m (or terminated there), the strictly increasing
     approximant values when the branch stalls at degree m, and EMPTY when
-    no degree-m key arises.
+    no degree-m key arises.  The stalled trajectory is probed further up
+    to ``probe_budget`` values; the evidence is shorter when the
+    continuation splits, terminates or leaves degree m.
     """
     if m < 1:
         raise ZeroInput("degree must be >= 1")
@@ -409,7 +395,15 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     st = match[-1]
     stalled_here = (b.status == LIMIT_SUSPECTED and st is stages[-1])
     if stalled_here:
-        traj = _extend_trajectory(report, b, probe_budget)
+        node, traj = b.chain, b.trajectory
+        while len(traj) <= probe_budget:
+            children = _step(report.g, node, 0, traj)
+            if len(children) != 1:
+                break
+            child, _sep, child_traj, _node = children[0]
+            if child.is_terminal() or child.degree != node.degree:
+                break
+            node, traj = child, child_traj
         evidence = tuple((entry["key"], entry["gamma"])
                          for entry in traj[1:probe_budget + 1])
         return ScanResult(m, "UNBOUNDED_EVIDENCE", evidence=evidence)

@@ -541,3 +541,35 @@ def test_artin_schreier_probes_at_large_budgets(text, p, q, budget):
     assert [e["gamma"] for e in b.trajectory] == [Q(-1, q ** (l + 1)) for l in range(budget + 1)]
     assert b.d is None and b.d_lower >= 2
     assert isinstance(finite_complete_sequence(r), NoSequence)
+
+
+# (polynomial over FpPerf(p,t), p, report budget, scan budget)
+SCAN_EXTENSION_CASES = [("x^2+x+1/t", 2, 2, 8), ("x^4+x+1/t", 2, 2, 6),
+                        ("x^3-x-1/t", 3, 1, 6)]
+
+
+@pytest.mark.parametrize("text,p,b0,b", SCAN_EXTENSION_CASES,
+                         ids=[f"{text}-{b0}-{b}" for text, _, b0, b in SCAN_EXTENSION_CASES])
+def test_scan_extends_a_stall_as_the_exploration_does(text, p, b0, b):
+    """psi_m_scan re-probing a short stall finds the probes that the
+    exploration itself records at the larger budget."""
+    P = FpPerfField(p)
+    g = parse_poly(text, P)
+    scan = psi_m_scan(mac_lane_chains(P, g, max_limit_probes=b0), 0, 1, probe_budget=b)
+    full = mac_lane_chains(P, g, max_limit_probes=b).branches[0].trajectory
+    assert scan.outcome == "UNBOUNDED_EVIDENCE"
+    assert list(scan.evidence) == [(e["key"], e["gamma"]) for e in full[1:]]
+    assert len(scan.evidence) == b
+
+
+def test_scan_stops_early_at_a_split():
+    """A stall whose continuation splits gives evidence shorter than the
+    probe budget.  Pins today's behaviour, where the outcome is still
+    UNBOUNDED_EVIDENCE; certified probing up to the separation bound
+    (ROADMAP item 2) will revisit it."""
+    K = QpField(2)
+    g = parse_poly("x^2 - 2/3*x + 1/9 - 17*2^40", K)
+    scan = psi_m_scan(mac_lane_chains(K, g), 0, 1, probe_budget=12)
+    assert scan.outcome == "UNBOUNDED_EVIDENCE"
+    assert [v for _, v in scan.evidence] == [Q(2 * k) for k in range(1, 10)]
+    assert len(mac_lane_chains(K, g, max_limit_probes=10).branches) == 2
