@@ -22,7 +22,7 @@ from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
 from .ffield import GFq, _is_prime, _p_power_exponent, _random_elem
 from .fields import ValuedField
 from .graded import frobenius_surjective
-from .parsing import eval_bivariate
+from .parsing import MAX_EXPONENT, _total_degree, eval_bivariate
 from .poly import Poly
 from .values import Q, Value, ValueGroup, is_inf, value_str
 
@@ -264,13 +264,20 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
     the c_i; the c_i are sampled uniformly from the nonzero elements of
     GF(q), q >= p^16 by default.  Returns the first l0 from which value
     and coefficient stay constant for three consecutive l.
+
+    Row l needs only the low terms of num(T, s_(0l)) and den(T, s_(0l)),
+    so each is computed as a power series truncated to the digits that term
+    needs (see ``_low_term``).  A row is the pair of low coefficients; rows
+    are compared by cross-multiplying, and only the answer is divided.
+    ``l_max`` is at most MAX_EXPONENT.
     """
     if l_start < 0 or l_max < l_start:
         raise BadBound(f"need 0 <= l_start <= l_max, got l_start = {l_start}, l_max = {l_max}")
+    if l_max > MAX_EXPONENT:
+        raise BadBound(f"l_max = {l_max} exceeds {MAX_EXPONENT}")
     if q is None:
         q = p ** 16
     F = _sample_field(p, q)
-    R = fpoly.PolyRing(F)
     for attempt in range(_RETRIES + 1):
         rng = random.Random((seed, attempt).__hash__() & 0x7FFFFFFF)
         cs = []
@@ -282,21 +289,7 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
         if not num:
             raise ZeroInput("expression is identically zero")
         try:
-            rows = []
-            for ell in range(l_start, l_max + 1):
-                s_poly = fpoly.norm(F, [F.zero()] + cs[1:ell + 1])
-                # S -> s_(0l) by Horner's rule over F[T]
-                nt = fpoly.evaluate(R, num, s_poly)
-                dt = fpoly.evaluate(R, den, s_poly)
-                if fpoly.is_zero(dt):
-                    raise DenominatorVanishes(f"denominator vanishes at l = {ell}")
-                if fpoly.is_zero(nt):
-                    rows.append((ell, None, None))
-                    continue
-                kn, kd = fpoly.low_deg(F, nt), fpoly.low_deg(F, dt)
-                val = kn - kd
-                coeff = F.div(nt[kn], dt[kd])
-                rows.append((ell, val, coeff))
+            rows = _rows(F, num, den, cs, l_start, l_max)
         except DenominatorVanishes:
             if attempt < _RETRIES:
                 continue
@@ -304,17 +297,103 @@ def stable_value(p: int, expr, q: Optional[int] = None, l_start: int = 1,
         bound = Q(max(_total_degree(num), _total_degree(den), 1), q)
         # the stable point is the start of the constant suffix, which must
         # hold for at least three consecutive l
-        last = rows[-1]
-        if last[1] is None:
+        _, val, n, d = last = rows[-1]
+        if val is None:
             return NOT_STABILIZED
         i = len(rows) - 1
-        while i > 0 and rows[i - 1][1] == last[1] and rows[i - 1][2] is not None \
-                and F.eq(rows[i - 1][2], last[2]):
+        while i > 0 and rows[i - 1][1] == val and _same_ratio(F, rows[i - 1], last):
             i -= 1
         if len(rows) - i >= 3:
-            return StableValueResult(last[1], last[2], F.elem_str(last[2]),
-                                     rows[i][0], seed, bound)
+            coeff = F.div(n, d)
+            return StableValueResult(val, coeff, F.elem_str(coeff), rows[i][0], seed, bound)
         return NOT_STABILIZED
+
+
+def _rows(F, num, den, cs, l_start: int, l_max: int) -> list:
+    """(l, value, n, d) for l = l_start..l_max: the low terms n*T^kn of
+    num(T, s_(0l)) and d*T^kd of den(T, s_(0l)), with value kn - kd, or
+    (l, None, None, d) when the numerator vanishes at l.
+
+    Each polynomial keeps its digit count R from row to row: the next row
+    usually needs as many digits as the last one."""
+    num_terms, den_terms = _shifted(F, num), _shifted(F, den)
+    rn = rd = 1
+    rows = []
+    for ell in range(l_start, l_max + 1):
+        u = tuple(cs[1:ell + 1])  # s_(0l) = T*u
+        kd, d, rd = _low_term(F, den_terms, u, ell, rd)
+        if d is None:
+            raise DenominatorVanishes(f"denominator vanishes at l = {ell}")
+        kn, n, rn = _low_term(F, num_terms, u, ell, rn)
+        rows.append((ell, None if n is None else kn - kd, n, d))
+    return rows
+
+
+def _same_ratio(F, row, other) -> bool:
+    """n/d == n'/d' for two rows whose numerators are nonzero."""
+    _, _, n, d = row
+    _, _, n2, d2 = other
+    return (F.eq(n, n2) and F.eq(d, d2)) or F.eq(F.mul(n, d2), F.mul(n2, d))
+
+
+def _shifted(F, f):
+    """(m, [(j, h_j)]) with f(T, T*u) = T^m * sum_j h_j(T) u^j, where
+    h_j = a_j T^(j - m) for the nonzero coefficients a_j of f in S and
+    m = min_j (v_T(a_j) + j), the largest m that serves every u."""
+    m = min(fpoly.low_deg(F, a) + j for j, a in enumerate(f) if a)
+    zero = F.zero()
+    return m, [(j, (zero,) * (j - m) + a if j >= m else a[m - j:])
+               for j, a in enumerate(f) if a]
+
+
+def _low_term(F, terms, u, ell: int, R: int):
+    """(k, c, R) with c*T^k the low term of f(T, T*u), for ``terms`` =
+    _shifted(F, f) and u of length ell; (None, None, R) when it is zero.
+
+    The sum of the h_j u^j is computed mod T^R, so its lowest nonzero digit
+    is exact.  R is doubled while cancellation leaves no nonzero digit; the
+    sum is certainly zero once m + R exceeds max_j (deg a_j + j*l), the
+    degree bound of f(T, s_(0l))."""
+    m, hs = terms
+    top = m + max(len(h) - 1 + j * (ell - 1) for j, h in hs)
+    while True:
+        g = _horner(F, hs, u, R)
+        if g:
+            k = fpoly.low_deg(F, g)
+            return m + k, g[k], R
+        if m + R > top:
+            return None, None, R
+        R = min(2 * R, top - m + 1)
+
+
+def _horner(F, hs, u, R: int):
+    """sum_j h_j u^j mod T^R by Horner's rule over the nonzero h_j from the
+    highest j; a gap of k exponents between them costs one power u^k."""
+    u = u[:R]
+    j0, acc = hs[-1]
+    acc = fpoly.norm(F, acc[:R])
+    for j, h in reversed(hs[:-1]):
+        acc = fpoly.add(F, _mul_mod(F, acc, _pow_mod(F, u, j0 - j, R), R), h[:R])
+        j0 = j
+    if j0:
+        acc = _mul_mod(F, acc, _pow_mod(F, u, j0, R), R)
+    return acc
+
+
+def _mul_mod(F, f, g, R: int):
+    """f*g mod T^R."""
+    return fpoly.norm(F, fpoly.mul(F, f, g)[:R])
+
+
+def _pow_mod(F, u, k: int, R: int):
+    """u^k mod T^R for k >= 1, by square-and-multiply from the top bit of k;
+    a slice truncates each product, where fpoly.powmod would divide by T^R."""
+    out = u
+    for bit in bin(k)[3:]:
+        out = _mul_mod(F, out, out, R)
+        if bit == "1":
+            out = _mul_mod(F, out, u, R)
+    return out
 
 
 def _sample_field(p: int, q: int):
@@ -328,8 +407,3 @@ def _sample_field(p: int, q: int):
         raise BadFieldOrder(f"q = {q} is not a power of p = {p}")
     # q = p^m with the deterministic modulus
     return GFq(q, "w")
-
-
-def _total_degree(f) -> int:
-    """Total degree in S and T of a polynomial in S over F[T]; -1 for zero."""
-    return max((j + fpoly.deg(c) for j, c in enumerate(f) if c), default=-1)

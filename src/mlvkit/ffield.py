@@ -14,6 +14,7 @@ base-p integer encoding (constant coefficient least significant).
 from __future__ import annotations
 
 import random
+from functools import cache
 from typing import List, Optional, Tuple
 
 from . import fpoly
@@ -263,6 +264,7 @@ def is_irreducible(F: Field, f: tuple) -> bool:
     return True
 
 
+@cache
 def find_irreducible(p: int, degree: int) -> tuple:
     """Deterministic monic irreducible of given degree over GF(p).
 
@@ -270,7 +272,8 @@ def find_irreducible(p: int, degree: int) -> tuple:
     first p codes are the binomials x^degree + c; by Lidl-Niederreiter,
     Thm 3.75, one of them is irreducible iff every prime dividing the
     degree divides p - 1, and 4 | p - 1 when 4 | degree.  Otherwise the scan
-    skips them, which keeps large p fast and every result the same.
+    skips them, which keeps large p fast and every result the same.  The
+    scan is deterministic, so each (p, degree) is searched once per process.
     """
     F = GFp(p)
     if degree == 1:

@@ -6,8 +6,9 @@ evaluates it; each evaluator supplies only its leaves, its table of
 operations and its rule for ^.  The grammar is the usual one: + - * /
 with parentheses, and ^ taking an integer or a parenthesized rational
 exponent of absolute value at most MAX_EXPONENT; a power of a polynomial
-in x has degree at most MAX_EXPONENT.  A malformed rational literal, in an
-exponent or in a --choice value, is a ParseError naming it.
+in x, or of a bivariate expression in T and S, has degree at most
+MAX_EXPONENT.  A malformed rational literal, in an exponent or in a
+--choice value, is a ParseError naming it.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .poly import Poly
 from .values import Q, Value, is_inf, value_from_str
 
 # the largest |e| accepted in x^e, t^e, T^e, S^e or n^e, and the largest
-# degree of a power of a polynomial in x: x^e and t^e build objects of size e
-# and a power of a dense polynomial costs about e^2 products, so a larger
-# exponent or degree is refused before any arithmetic
+# degree of a power of a polynomial in x or in T and S: x^e and t^e build
+# objects of size e and a power of a dense polynomial costs about e^2
+# products, so a larger exponent or degree is refused before any arithmetic
 MAX_EXPONENT = 1000
 
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
@@ -402,6 +403,14 @@ def eval_bivariate(node, F, cs):
             if not num:
                 raise ParseError("division by the zero expression")
             num, den, e = den, num, -e
+        d = max(_total_degree(num), _total_degree(den))
+        if d * e > MAX_EXPONENT:
+            raise ParseError(f"degree {d * e} of a power exceeds {MAX_EXPONENT}")
         return fpoly.pow_(R, num, e), fpoly.pow_(R, den, e)
 
     return _fold(node, atom, ops, power)
+
+
+def _total_degree(f) -> int:
+    """Total degree in S and T of a polynomial in S over F[T]; -1 for zero."""
+    return max((j + fpoly.deg(c) for j, c in enumerate(f) if c), default=-1)

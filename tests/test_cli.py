@@ -173,6 +173,9 @@ def test_negative_bound_is_engine_error(capsys, flag):
     (["--expr", "(T-T)^-1"], 2, "division by the zero expression"),
     (["--expr", "c0"], 2, "coefficient c0 is not one of c1..c12 (l_max = 12)"),
     (["--expr", "c13"], 2, "coefficient c13 is not one of c1..c12 (l_max = 12)"),
+    (["--expr", "((S+T)^1000)^1000"], 2, "degree 1000000 of a power exceeds 1000"),
+    (["--expr", "(S*T)^501"], 2, "degree 1002 of a power exceeds 1000"),
+    (["--expr", "(T/(S*T))^-501"], 2, "degree 1002 of a power exceeds 1000"),
 ])
 def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     base = {"--p": "2", "--expr": "S"}
@@ -180,6 +183,18 @@ def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     got, out, err = run(capsys, "stable-value", *[a for kv in opts.items() for a in kv])
     assert (got, out) == (code, "")
     assert token in err
+
+
+def test_stable_value_l_max_at_the_cap(capsys):
+    # the cap is MAX_EXPONENT itself: l_max = 1000 answers, 1001 is BAD_BOUND
+    code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "S",
+                         "--l-max", str(MAX_EXPONENT), "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["l0"] == 1
+    code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "S",
+                         "--l-max", str(MAX_EXPONENT + 1), "--json")
+    assert (code, out) == (3, "")
+    assert "BAD_BOUND" in err
 
 
 def test_kahler_command(capsys):
