@@ -14,11 +14,11 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from . import fpoly
-from .engine import (TERMINATED, ExtensionReport, NoSequence,
-                     finite_complete_sequence, induced_value, mac_lane_chains)
+from .engine import (ExtensionReport, NoSequence, finite_complete_sequence,
+                     induced_value, mac_lane_chains)
 from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
                      GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
-                     ZeroInput)
+                     ResidueUnsupported, ZeroInput)
 from .ffield import GFq, _is_prime, _p_power_exponent, _random_elem
 from .fields import ValuedField
 from .graded import frobenius_surjective
@@ -40,13 +40,13 @@ class TEVerdict:
     suspected: bool  # qualifies the verdicts when the report is not settled
 
 
-def te_conditions(K: ValuedField, report: ExtensionReport) -> TEVerdict:
+def te_conditions(report: ExtensionReport) -> TEVerdict:
     """TE1: p does not divide e; TE2: separable residue extension;
     TE3: defectless.  Verdicts carry a SUSPECTED qualifier unless the
-    report is unibranched and terminated."""
+    report is settled."""
     b = report.branches[0]
-    suspected = not (report.unibranched and b.status == TERMINATED)
-    te1 = b.e % K.p != 0
+    suspected = not report.settled
+    te1 = b.e % report.K.p != 0
     # residue fields of the four families are finite or simple transcendental;
     # all residual extensions computed by the engine are towers of finite
     # fields, hence separable
@@ -74,14 +74,14 @@ def te1_witness(K: ValuedField):
     a = K.canonical_unit(K.value_group.gen)
     coeffs = [K.neg(a)] + [K.zero()] * (K.p - 1) + [K.one()]
     g = Poly(K, coeffs)
-    if K.residue_field.order is not None:
+    try:
         report = mac_lane_chains(K, g)
-        e = report.branches[0].e
-        return TE1Witness(g, e, "mac_lane_chains")
-    # imperfect residue field: the engine does not branch there, but the
-    # ramification index is already visible on the polygon slope gen/p
-    e = K.value_group.join([K.value_group.gen / K.p]).index_over(K.value_group)
-    return TE1Witness(g, e, "newton_polygon")
+    except ResidueUnsupported:
+        # the engine does not branch over this residue field, but the
+        # ramification index is already visible on the polygon slope gen/p
+        e = K.value_group.join([K.value_group.gen / K.p]).index_over(K.value_group)
+        return TE1Witness(g, e, "newton_polygon")
+    return TE1Witness(g, report.branches[0].e, "mac_lane_chains")
 
 
 # ---------------------------------------------------------------------------
@@ -107,17 +107,19 @@ def tame_report(K: ValuedField, suite: Sequence[Poly]) -> TameReport:
     witness: Optional[dict] = None
     if not gr_ok:
         witness = {"kind": "GR_IMPERFECT", "witness": gw}
-    # the engine needs a finite residue field; when gr(K) already decides
-    # NOT_TAME the suite entries are recorded as unexplored
-    unexplored = not gr_ok and K.residue_field.order is None
     for g in suite:
-        if unexplored:
+        try:
+            report = mac_lane_chains(K, g)
+        except ResidueUnsupported:
+            # the engine cannot explore over this residue field; when gr(K)
+            # already decides NOT_TAME the entry is recorded as unexplored
+            if gr_ok:
+                raise
             per.append({"g": g, "fcs": None, "fcs_reason": "RESIDUE_UNSUPPORTED",
                         "te1": None, "te2": None, "te3": None, "suspected": None})
             continue
-        report = mac_lane_chains(K, g)
         seq = finite_complete_sequence(report)
-        te = te_conditions(K, report)
+        te = te_conditions(report)
         has_fcs = not isinstance(seq, NoSequence)
         entry = {
             "g": g,
@@ -146,10 +148,10 @@ class KahlerReport:
     trace: Tuple[str, ...]
 
 
-def kahler_purely_inertial(K: ValuedField, report: ExtensionReport) -> KahlerReport:
+def kahler_purely_inertial(report: ExtensionReport) -> KahlerReport:
     """Omega = O_L/(g'(eta)); trivial iff the residue extension is separable."""
     b = report.branches[0]
-    if not (report.unibranched and b.status == TERMINATED and b.f == report.n):
+    if not (report.settled and b.f == report.n):
         raise NotPurelyInertial(f"f = {b.f} != n = {report.n}")
     gprime = report.g.derivative()
     val = induced_value(report, 0, gprime)
@@ -161,7 +163,7 @@ def kahler_purely_inertial(K: ValuedField, report: ExtensionReport) -> KahlerRep
     return KahlerReport("PURELY_INERTIAL", trivial, val, trace)
 
 
-def kahler_purely_ramified(K: ValuedField, report: ExtensionReport) -> KahlerReport:
+def kahler_purely_ramified(report: ExtensionReport) -> KahlerReport:
     """Rank-1 criterion with Delta = {0}.
 
     Discrete vL: the positive part of vL/Delta has a minimal element, so
@@ -169,9 +171,8 @@ def kahler_purely_ramified(K: ValuedField, report: ExtensionReport) -> KahlerRep
     p-divisible hull): Omega vanishes iff some coefficient index l of g
     satisfies v(l) + v(a_l) - (n-l) gamma = 0.
     """
-    b = report.branches[0]
-    n = report.n
-    if not (report.unibranched and b.status == TERMINATED and b.e == n):
+    K, b, n = report.K, report.branches[0], report.n
+    if not (report.settled and b.e == n):
         raise NotPurelyRamified(f"e = {b.e} != n = {report.n}")
     # vL/vK is automatically cyclic for these rank-1 groups
     gamma = induced_value(report, 0, Poly.x(K))
@@ -200,13 +201,13 @@ def kahler_purely_ramified(K: ValuedField, report: ExtensionReport) -> KahlerRep
     return KahlerReport("PURELY_RAMIFIED", False, None, tuple(trace))
 
 
-def classify_kahler(K: ValuedField, report: ExtensionReport) -> KahlerReport:
+def classify_kahler(report: ExtensionReport) -> KahlerReport:
     b = report.branches[0]
-    if report.unibranched and b.status == TERMINATED:
+    if report.settled:
         if b.f == report.n:
-            return kahler_purely_inertial(K, report)
+            return kahler_purely_inertial(report)
         if b.e == report.n:
-            return kahler_purely_ramified(K, report)
+            return kahler_purely_ramified(report)
     return KahlerReport("NEITHER", None, None, ())
 
 

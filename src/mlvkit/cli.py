@@ -245,7 +245,7 @@ def cmd_kahler(args) -> Rendered:
     K = parse_field(args.field)
     g = parse_poly(args.poly, K)
     report = mac_lane_chains(K, g)
-    kr = classify_kahler(K, report)
+    kr = classify_kahler(report)
     out = {
         "schemaVersion": SCHEMA_VERSION,
         "field": K.descriptor_str(),

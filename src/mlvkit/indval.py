@@ -60,12 +60,30 @@ class InductiveValuation:
         raise TypeError("use depth_zero() or augment()")
 
     @staticmethod
-    def _new() -> "InductiveValuation":
+    def _new(K: ValuedField, prev: Optional["InductiveValuation"], phi: Poly,
+             gamma: Value) -> "InductiveValuation":
+        """The stage [prev; phi, gamma], or a depth-zero stage when prev is
+        None, with its previous group, value group and relative
+        ramification index; the caller sets the center and residue data."""
         node = object.__new__(InductiveValuation)
         node._twist_cache = {}
         node._red_cache = {}
         node._eval_cache = {}
         node._exp_cache = {}
+        node.K = K
+        node.prev = prev
+        node.center = None
+        node.phi = phi
+        node.gamma = gamma
+        node.m = phi.degree
+        node.depth = 0 if prev is None else prev.depth + 1
+        node.prev_group = K.value_group if prev is None else prev.group
+        if is_inf(gamma):
+            node.e_rel = 1
+            node.group = node.prev_group
+        else:
+            node.e_rel = node.prev_group.ram_index(gamma)
+            node.group = node.prev_group.join([gamma])
         return node
 
     @staticmethod
@@ -75,21 +93,8 @@ class InductiveValuation:
         gamma = INFINITY is allowed only as the terminal valuation of a
         degree-one extension (the chain then has support x - center).
         """
-        node = InductiveValuation._new()
-        node.K = K
-        node.prev = None
+        node = InductiveValuation._new(K, None, Poly(K, (K.neg(center), K.one())), gamma)
         node.center = center
-        node.phi = Poly(K, (K.neg(center), K.one()))
-        node.gamma = gamma
-        node.m = 1
-        node.depth = 0
-        node.prev_group = K.value_group
-        if is_inf(gamma):
-            node.e_rel = 1
-            node.group = K.value_group
-        else:
-            node.e_rel = K.value_group.ram_index(gamma)
-            node.group = K.value_group.join([gamma])
         node.kappa = K.residue_field
         node.rbar = None
         node.fdeg = 1
@@ -129,32 +134,15 @@ class InductiveValuation:
         else:
             base = self
             rbar = _rbar if _rbar is not None else self._certify_key(phi)
-        return base._make_child(phi, gamma, rbar)
-
-    def _make_child(self, phi: Poly, gamma: Value, rbar: tuple) -> "InductiveValuation":
-        node = InductiveValuation._new()
-        node.K = self.K
-        node.prev = self
-        node.center = None
-        node.phi = phi
-        node.gamma = gamma
-        node.m = phi.degree
-        node.depth = self.depth + 1
-        node.prev_group = self.group
-        if is_inf(gamma):
-            node.e_rel = 1
-            node.group = self.group
-        else:
-            node.e_rel = self.group.ram_index(gamma)
-            node.group = self.group.join([gamma])
+        node = InductiveValuation._new(K, base, phi, gamma)
         node.rbar = tuple(rbar)
         node.fdeg = fpoly.deg(node.rbar)
         if node.fdeg > 1:
-            node.kappa = ExtField(self.kappa, node.rbar, varname=f"z{node.depth}")
+            node.kappa = ExtField(base.kappa, node.rbar, varname=f"z{node.depth}")
             node.zgen = node.kappa.gen()
         else:
-            node.kappa = self.kappa
-            node.zgen = self.kappa.neg(node.rbar[0])
+            node.kappa = base.kappa
+            node.zgen = base.kappa.neg(node.rbar[0])
         if node.kappa.is_zero(node.zgen):
             raise InvariantViolated("residual generator must be a unit")
         return node

@@ -9,6 +9,9 @@ exponent of absolute value at most MAX_EXPONENT; a power of a polynomial
 in x, or of a bivariate expression in T and S, has degree at most
 MAX_EXPONENT.  A malformed rational literal, in an exponent or in a
 --choice value, is a ParseError naming it.
+
+Sums, products and runs of signs of any length are parsed and folded by
+loops; only parentheses recurse, and they nest at most MAX_NESTING deep.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from .values import Q, Value, is_inf, value_from_str
 # products, so a larger exponent or degree is refused before any arithmetic
 MAX_EXPONENT = 1000
 
+# the deepest nesting of parentheses accepted: the parser and the fold
+# descend a few frames per level, so deeper input is refused before it
+# can exhaust the interpreter's stack
+MAX_NESTING = 100
+
 _TOKEN_RE = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\*\*|[-+*/^()])")
 
 
@@ -51,6 +59,7 @@ class _Parser:
     def __init__(self, tokens: List[str]):
         self.toks = tokens
         self.i = 0
+        self.depth = 0  # open parentheses
 
     def peek(self) -> Optional[str]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -84,24 +93,28 @@ class _Parser:
         return node
 
     def parse_factor(self):
-        if self.peek() == "-":
-            self.next()
-            return ("neg", self.parse_factor())
-        if self.peek() == "+":
-            self.next()
-            return self.parse_factor()
+        # leading signs bind looser than ^: -x^2 is -(x^2)
+        negs = 0
+        while self.peek() in ("-", "+"):
+            negs += self.next() == "-"
         node = self.parse_atom()
         if self.peek() == "^":
             self.next()
             exp = self.parse_exponent()
             node = ("pow", node, exp)
+        for _ in range(negs):
+            node = ("neg", node)
         return node
 
     def parse_atom(self):
         tok = self.next()
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}")
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         if tok.isdigit():
             try:
@@ -172,16 +185,22 @@ def _fold(node, atom, ops, power, where=""):
     mul/div to functions of the evaluated children (left to right), and
     ``power(base_node, exp)`` gets the unevaluated base, since a rule may
     depend on its syntax.  A kind missing from ``ops`` is a ParseError.
+
+    The first children are followed by a loop, so a long sum, product or
+    run of signs (a deep left spine) costs no recursion; the later
+    children are folded recursively on the way back up, left to right.
     """
-    kind = node[0]
-    if kind in ("int", "name"):
-        return atom(node)
-    if kind == "pow":
-        return power(node[1], node[2])
-    op = ops.get(kind)
-    if op is None:
-        raise ParseError(f"bad node {kind!r}{where}")
-    return op(*[_fold(child, atom, ops, power, where) for child in node[1:]])
+    spine = []
+    while node[0] not in ("int", "name", "pow"):
+        op = ops.get(node[0])
+        if op is None:
+            raise ParseError(f"bad node {node[0]!r}{where}")
+        spine.append((op, node[2:]))
+        node = node[1]
+    acc = power(node[1], node[2]) if node[0] == "pow" else atom(node)
+    for op, rest in reversed(spine):
+        acc = op(acc, *[_fold(child, atom, ops, power, where) for child in rest])
+    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -146,12 +146,12 @@ def test_criterion_5_theorem_linkage_over_corpus():
 
 def test_criterion_6_kahler_criteria():
     K2 = QpField(2)
-    inert = kahler_purely_inertial(K2, mac_lane_chains(K2, parse_poly("x^2+x+1", K2)))
+    inert = kahler_purely_inertial(mac_lane_chains(K2, parse_poly("x^2+x+1", K2)))
     assert inert.omega_trivial and inert.annihilator_value == 0
-    ram = kahler_purely_ramified(K2, mac_lane_chains(K2, parse_poly("x^2-2", K2)))
+    ram = kahler_purely_ramified(mac_lane_chains(K2, parse_poly("x^2-2", K2)))
     assert ram.omega_trivial is False and ram.annihilator_value == Q(3, 2)
     P3 = FpPerfField(3)
-    ram2 = kahler_purely_ramified(P3, mac_lane_chains(P3, parse_poly("x^2-t", P3)))
+    ram2 = kahler_purely_ramified(mac_lane_chains(P3, parse_poly("x^2-t", P3)))
     assert ram2.omega_trivial is True
     print("ACCEPT 6 Kaehler criteria (inertial, discrete ramified, non-discrete ramified): PASS")
 

@@ -16,17 +16,17 @@ from mlvkit.values import ValueGroup
 
 def test_te_conditions_examples():
     K = QpField(2)
-    te = te_conditions(K, mac_lane_chains(K, parse_poly("x^2-2", K)))
+    te = te_conditions(mac_lane_chains(K, parse_poly("x^2-2", K)))
     assert (te.te1, te.te2, te.te3) == (False, True, True)
     assert not te.suspected
-    te = te_conditions(K, mac_lane_chains(K, parse_poly("x^2+x+1", K)))
+    te = te_conditions(mac_lane_chains(K, parse_poly("x^2+x+1", K)))
     assert (te.te1, te.te2, te.te3) == (True, True, True)
     F = FqtField(2)
-    te = te_conditions(F, mac_lane_chains(F, parse_poly("x^3+t", F)))
+    te = te_conditions(mac_lane_chains(F, parse_poly("x^3+t", F)))
     assert (te.te1, te.te2, te.te3) == (True, True, True)
     # suspected qualifier on a stalled report
     P = FpPerfField(2)
-    te = te_conditions(P, mac_lane_chains(P, parse_poly("x^2+x+1/t", P)))
+    te = te_conditions(mac_lane_chains(P, parse_poly("x^2+x+1/t", P)))
     assert te.suspected and not te.te3
 
 
@@ -37,7 +37,7 @@ def test_te3_matches_engine_defect():
             continue
         for g in polys[:8]:
             rep = mac_lane_chains(K, g)
-            te = te_conditions(K, rep)
+            te = te_conditions(rep)
             assert te.te3 == (rep.branches[0].d == 1)
 
 
@@ -103,30 +103,30 @@ def test_alg_max_evidence():
 def test_kahler_purely_inertial():
     K = QpField(2)
     rep = mac_lane_chains(K, parse_poly("x^2+x+1", K))
-    kr = kahler_purely_inertial(K, rep)
+    kr = kahler_purely_inertial(rep)
     assert kr.kind == "PURELY_INERTIAL"
     assert kr.omega_trivial and kr.annihilator_value == 0
     # degree-3 inertial example
     rep3 = mac_lane_chains(K, parse_poly("x^3+x+1", K))
-    kr3 = kahler_purely_inertial(K, rep3)
+    kr3 = kahler_purely_inertial(rep3)
     assert kr3.omega_trivial
     with pytest.raises(NotPurelyInertial):
-        kahler_purely_inertial(K, mac_lane_chains(K, parse_poly("x^2-2", K)))
+        kahler_purely_inertial(mac_lane_chains(K, parse_poly("x^2-2", K)))
 
 
 def test_kahler_purely_ramified():
     K = QpField(2)
     rep = mac_lane_chains(K, parse_poly("x^2-2", K))
-    kr = kahler_purely_ramified(K, rep)
+    kr = kahler_purely_ramified(rep)
     assert kr.kind == "PURELY_RAMIFIED"
     assert kr.omega_trivial is False
     assert kr.annihilator_value == Q(3, 2)  # v(2 sqrt 2)
     P3 = FpPerfField(3)
     rep2 = mac_lane_chains(P3, parse_poly("x^2-t", P3))
-    kr2 = kahler_purely_ramified(P3, rep2)
+    kr2 = kahler_purely_ramified(rep2)
     assert kr2.omega_trivial is True  # l = n = 2: v(2) + v(1) - 0 = 0
     with pytest.raises(NotPurelyRamified):
-        kahler_purely_ramified(K, mac_lane_chains(K, parse_poly("x^2+x+1", K)))
+        kahler_purely_ramified(mac_lane_chains(K, parse_poly("x^2+x+1", K)))
 
 
 def test_kahler_p_divisible_value_group_always_trivial():
@@ -137,21 +137,21 @@ def test_kahler_p_divisible_value_group_always_trivial():
         b = rep.branches[0]
         if not (rep.unibranched and b.e == rep.n and b.status == "TERMINATED"):
             continue
-        assert kahler_purely_ramified(P3, rep).omega_trivial is True
+        assert kahler_purely_ramified(rep).omega_trivial is True
     P2 = FpPerfField(2)
     for s in ("x^3+t", "x^3+t^(1/2)", "x^5+t"):
         rep = mac_lane_chains(P2, parse_poly(s, P2))
-        assert kahler_purely_ramified(P2, rep).omega_trivial is True
+        assert kahler_purely_ramified(rep).omega_trivial is True
 
 
 def test_classify_kahler():
     K = QpField(2)
-    assert classify_kahler(K, mac_lane_chains(K, parse_poly("x^2+x+1", K))).kind \
+    assert classify_kahler(mac_lane_chains(K, parse_poly("x^2+x+1", K))).kind \
         == "PURELY_INERTIAL"
-    assert classify_kahler(K, mac_lane_chains(K, parse_poly("x^2-2", K))).kind \
+    assert classify_kahler(mac_lane_chains(K, parse_poly("x^2-2", K))).kind \
         == "PURELY_RAMIFIED"
     K5 = QpField(5)
-    assert classify_kahler(K5, mac_lane_chains(K5, parse_poly("x^2+1", K5))).kind \
+    assert classify_kahler(mac_lane_chains(K5, parse_poly("x^2+1", K5))).kind \
         == "NEITHER"
 
 
@@ -162,7 +162,7 @@ def test_gamma_not_positive_guard():
     b = rep.branches[0]
     assert rep.unibranched and b.status == "TERMINATED" and b.e == rep.n == 2
     with pytest.raises(GammaNotPositive):
-        kahler_purely_ramified(P, rep)
+        kahler_purely_ramified(rep)
 
 
 def test_drvg():

@@ -4,7 +4,8 @@ import pytest
 
 from mlvkit.cli import SCHEMA_VERSION, _dump, main, report_to_dict
 from mlvkit.engine import mac_lane_chains
-from mlvkit.parsing import MAX_EXPONENT
+from mlvkit.fields import QpField
+from mlvkit.parsing import MAX_EXPONENT, MAX_NESTING, parse_poly
 
 
 def run(capsys, *argv):
@@ -153,6 +154,15 @@ def test_tame_over_imperfect_residue_uses_the_graded_witness(capsys):
     for e in d["perExtension"]:
         assert e["fcs"] is None and e["fcsReason"] == "RESIDUE_UNSUPPORTED"
         assert e["te1"] is None and e["te2"] is None and e["te3"] is None
+
+
+@pytest.mark.parametrize("field", ["FpC(3,c,t)", "FpC(2,c,t)"])
+def test_tame_over_imperfect_residue_checks_monic(capsys, field):
+    # as over Qp, a non-monic suite polynomial is an engine error; over
+    # FpC(2,c,t) the suite reduces to the constant c
+    code, out, err = run(capsys, "tame", "--field", field, "--suite", "2*x^2+c")
+    assert code == 3 and out == ""
+    assert "NOT_MONIC" in err
 
 
 @pytest.mark.parametrize("flag", ["--limit-probes", "--max-depth"])
@@ -325,3 +335,28 @@ def test_closed_pipe_is_a_clean_exit():
     proc.stderr.close()
     assert proc.wait(timeout=60) == 0
     assert err == b""
+
+
+def test_long_sums_fold_without_recursion(capsys):
+    code, out, _ = run(capsys, "field", "--field", "Qp(2)", "--valuate",
+                       "+".join(["1"] * 601), "--json")
+    assert code == 0
+    assert json.loads(out)["valuate"] == {"element": "601", "value": "0"}
+    code, out, _ = run(capsys, "stable-value", "--p", "2", "--expr", "+".join(["S"] * 601),
+                       "--seed", "0", "--json")
+    assert code == 0
+    d = json.loads(out)
+    assert (d["stableValue"], d["l0"]) == (1, 1)
+    K = QpField(2)
+    g = parse_poly("+".join(f"x^{k}" for k in range(500, 0, -1)) + "+1", K)
+    assert g.degree == 500 and all(K.eq(c, K.one()) for c in g.coeffs)
+
+
+@pytest.mark.parametrize("poly", ["(" * 3000 + "x" + ")" * 3000, "-" * 5000 + "x"],
+                         ids=["parentheses", "signs"])
+def test_deep_nesting_parses_or_is_a_parse_error(capsys, poly):
+    code, _, err = run(capsys, "extend", "--field", "Qp(2)", "--poly=" + poly)
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert f"nested deeper than {MAX_NESTING}" in err

@@ -22,6 +22,9 @@ def test_guards():
     with pytest.raises(ResidueUnsupported):
         C = FpctField(2)
         mac_lane_chains(C, Poly.from_ints(C, [1, 1, 1]))
+    # g is checked before the residue field, over every family
+    with pytest.raises(NotMonic):
+        mac_lane_chains(C, Poly.from_ints(C, [1]))
 
 
 def test_sqrt2():
@@ -224,6 +227,17 @@ def test_linear_polynomial():
     b = r.branches[0]
     assert b.status == TERMINATED and (b.e, b.f, b.d) == (1, 1, 1)
     assert induced_value(r, 0, Poly.x(K)) == Q(1)  # v(6) at the root
+    # a degree-one g takes the main loop to one terminal stage (x - a, inf)
+    for K, s in [(QpField(3), "x-6"), (FqtField(4), "x"), (FqtField(4), "x+1/t"),
+                 (FpPerfField(2), "x+t^(1/2)"), (FpPerfField(2), "x+1/(1+t)")]:
+        g = parse_poly(s, K)
+        r = mac_lane_chains(K, g)
+        assert r.unibranched, s
+        b = r.branches[0]
+        assert b.status == TERMINATED and (b.e, b.f, b.d) == (1, 1, 1), s
+        assert [(st.phi, st.gamma) for st in b.chain.stages()] == [(g, INFINITY)], s
+        assert K.eq(b.chain.center, K.neg(g[0])), s
+        assert b.key_polys == [g] and finite_complete_sequence(r) == [g], s
 
 
 def test_reducible_input_warns():

@@ -22,3 +22,12 @@ def test_one_graded_element_type():
         for fn in vars(mod).values():
             if inspect.isfunction(fn):
                 assert "table" not in inspect.signature(fn).parameters, fn.__name__
+
+
+def test_report_functions_read_the_report_alone():
+    import inspect
+    from mlvkit import analyzer, engine
+    for fn in (analyzer.te_conditions, analyzer.kahler_purely_inertial,
+               analyzer.kahler_purely_ramified, analyzer.classify_kahler):
+        assert list(inspect.signature(fn).parameters) == ["report"], fn.__name__
+    assert "branch_index" not in inspect.signature(engine.finite_complete_sequence).parameters
