@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 from . import fpoly
@@ -387,14 +388,9 @@ def _mul_mod(F, f, g, R: int):
 
 
 def _pow_mod(F, u, k: int, R: int):
-    """u^k mod T^R for k >= 1, by square-and-multiply from the top bit of k;
-    a slice truncates each product, where fpoly.powmod would divide by T^R."""
-    out = u
-    for bit in bin(k)[3:]:
-        out = _mul_mod(F, out, out, R)
-        if bit == "1":
-            out = _mul_mod(F, out, u, R)
-    return out
+    """u^k mod T^R for k >= 1, by square-and-multiply; a slice truncates
+    each product, where fpoly.powmod would divide by T^R."""
+    return fpoly.square_and_multiply(partial(_mul_mod, F, R=R), u, k)
 
 
 def _sample_field(p: int, q: int):

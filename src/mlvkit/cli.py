@@ -121,14 +121,14 @@ def report_text(d: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-# a command's JSON object and the renderer of its text lines
+# a command's JSON object, which main stamps with the schema version, and
+# the renderer of its text lines
 Rendered = Tuple[dict, Callable[[], List[str]]]
 
 
 def cmd_field(args) -> Rendered:
     K = parse_field(args.field)
-    out = {"schemaVersion": SCHEMA_VERSION, "field": K.descriptor_str(),
-           "residueChar": K.p, "valueGroup": str(K.value_group),
+    out = {"field": K.descriptor_str(), "residueChar": K.p, "valueGroup": str(K.value_group),
            "residuePerfect": K.residue_perfect()[0]}
     if args.valuate is not None:
         a = parse_element(args.valuate, K)
@@ -184,7 +184,7 @@ def cmd_graded(args) -> Rendered:
             K = K.with_choice_overrides(overrides)
         except ValueError as exc:  # an override of the wrong value
             raise ParseError(str(exc)) from exc
-    out = {"schemaVersion": SCHEMA_VERSION, "field": K.descriptor_str()}
+    out = {"field": K.descriptor_str()}
     if args.mul:
         x = parse_graded(args.mul[0], K)
         y = parse_graded(args.mul[1], K)
@@ -205,7 +205,7 @@ def cmd_graded(args) -> Rendered:
         out["frobeniusSurjective"] = {"verdict": verdict,
                                       "witness": _frobenius_witness(K, witness)}
     return out, lambda: [val["result"] if key == "mul" else f"{key}: {val}"
-                         for key, val in out.items() if key not in ("schemaVersion", "field")]
+                         for key, val in out.items() if key != "field"]
 
 
 def cmd_tame(args) -> Rendered:
@@ -213,7 +213,6 @@ def cmd_tame(args) -> Rendered:
     suite = [parse_poly(s, K) for s in args.suite.split(";") if s.strip()]
     tr = tame_report(K, suite)
     out = {
-        "schemaVersion": SCHEMA_VERSION,
         "field": K.descriptor_str(),
         "grPerfect": tr.gr_perfect,
         "overall": tr.overall,
@@ -247,7 +246,6 @@ def cmd_kahler(args) -> Rendered:
     report = mac_lane_chains(K, g)
     kr = classify_kahler(report)
     out = {
-        "schemaVersion": SCHEMA_VERSION,
         "field": K.descriptor_str(),
         "poly": g.to_str(),
         "kind": kr.kind,
@@ -270,11 +268,10 @@ def cmd_stable_value(args) -> Rendered:
         # --p and --q name the field, like a --field descriptor
         raise ParseError(str(exc)) from exc
     if res == NOT_STABILIZED:
-        out = {"schemaVersion": SCHEMA_VERSION, "outcome": "NOT_STABILIZED",
-               "expr": args.expr, "seed": args.seed}
+        out = {"outcome": "NOT_STABILIZED", "expr": args.expr, "seed": args.seed}
     else:
-        out = {"schemaVersion": SCHEMA_VERSION, "outcome": "STABILIZED",
-               "expr": args.expr, "stableValue": res.stable_value,
+        out = {"outcome": "STABILIZED", "expr": args.expr,
+               "stableValue": res.stable_value,
                "stableInitialCoeff": res.coeff_str, "l0": res.l0,
                "seed": res.seed,
                "failureBound": value_str(res.failure_bound)}
@@ -355,7 +352,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         out, render = args.func(args)
-        lines = [_dump(out)] if args.json else render()
+        lines = [_dump({**out, "schemaVersion": SCHEMA_VERSION})] if args.json else render()
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

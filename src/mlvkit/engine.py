@@ -125,11 +125,13 @@ def lower_hull(points: List[Tuple[int, Q]]) -> List[Tuple[int, Q]]:
     return hull
 
 
-def polygon_gammas(points: Dict[int, Value]) -> List[Q]:
-    """Candidate key values: gamma = -(slope) for each lower-hull edge."""
+def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
+    """Candidate key values from the points (k, v(a_k)) of the nonzero
+    coefficients: INFINITY first when there is no constant term (the key
+    divides g), then gamma = -(slope) for each lower-hull edge."""
     finite = [(k, v) for k, v in points.items() if not is_inf(v)]
     hull = lower_hull(finite)
-    out = []
+    out: List[Value] = [] if 0 in points else [INFINITY]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         out.append((v1 - v2) / (k2 - k1))
     return out
@@ -142,25 +144,15 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Q]:
 
 def _new_values(node: InductiveValuation, g: Poly, key: Poly
                 ) -> Tuple[List[Value], List[Poly]]:
-    """Admissible new values for ``key``: polygon slopes exceeding mu(key).
+    """Admissible new values for ``key``: the candidates of its Newton
+    polygon that exceed mu(key).
 
     Also returns the key-expansion of g so children can reuse it.
     """
     exp = phi_expansion(g, key)
-    pts: Dict[int, Value] = {}
-    c0_zero = True
-    for k, c in enumerate(exp):
-        if c.is_zero():
-            continue
-        if k == 0:
-            c0_zero = False
-        pts[k] = node.evaluate(c)
+    pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
     cur = node.evaluate(key)
-    out: List[Value] = [INFINITY] if c0_zero else []
-    for gamma in polygon_gammas(pts):
-        if gamma > cur:
-            out.append(gamma)
-    return out, list(exp)
+    return [gamma for gamma in polygon_gammas(pts) if gamma > cur], list(exp)
 
 
 def _traj_entry(node: InductiveValuation, g: Poly) -> dict:
@@ -287,11 +279,9 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
     work: deque[Tuple[InductiveValuation, int, List[dict],
                       Optional[InductiveValuation]]] = deque()
-    if 0 not in pts:
-        work.append((InductiveValuation.depth_zero(K, K.zero(), INFINITY), 0, [], None))
     for gamma in polygon_gammas(pts):
         node = InductiveValuation.depth_zero(K, K.zero(), gamma)
-        work.append((node, 0, [_traj_entry(node, g)], None))
+        work.append((node, 0, [] if node.is_terminal() else [_traj_entry(node, g)], None))
 
     while work:
         node, sep, traj, prev_node = work.popleft()

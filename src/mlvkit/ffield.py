@@ -63,17 +63,12 @@ class Field:
         raise NotImplementedError
 
     def pow(self, a, n: int):
-        """a^n by left-to-right square-and-multiply, from the top bit of n."""
+        """a^n by square-and-multiply."""
         if n < 0:
             return self.pow(self.inv(a), -n)
         if n == 0:
             return self.one()
-        out = a
-        for bit in bin(n)[3:]:
-            out = self.mul(out, out)
-            if bit == "1":
-                out = self.mul(out, a)
-        return out
+        return fpoly.square_and_multiply(self.mul, a, n)
 
     def pth_root(self, a):
         """Inverse of Frobenius where available; None if no root exists."""

@@ -43,7 +43,7 @@ from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
                      NotInValueGroup)
 from .ffield import Field, GFp, GFq
 from .ratfunc import RF, RatFuncField
-from .values import INFINITY, Q, Value, ValueGroup, is_inf
+from .values import INFINITY, Q, Value, ValueGroup, is_inf, term_str, value_str
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class ValuedField(Field):
         gamma = Q(gamma)
         if gamma < 0:
             raise NegativeExponent(f"epsilon undefined at negative {gamma}")
-        if not self.value_group.contains(gamma) and gamma != 0:
+        if not self.value_group.contains(gamma):
             raise NotInValueGroup(f"{gamma} is not in {self.value_group}")
         if gamma in self.choice_overrides:
             return self.choice_overrides[gamma]
@@ -124,8 +124,12 @@ class ValuedField(Field):
         return other
 
     def residue_perfect(self):
-        """("PERFECT", None) or ("IMPERFECT", witness residue element)."""
-        raise NotImplementedError
+        """("PERFECT", None) or ("IMPERFECT", witness residue element): a
+        finite residue field is perfect, and the one infinite residue
+        field here, GF(p)(c), is not (c has no p-th root)."""
+        if self.residue_field.order is not None:
+            return "PERFECT", None
+        return "IMPERFECT", self.residue_field.var()
 
     def accepts(self, a) -> bool:
         """Structural check that ``a`` looks like one of our elements."""
@@ -221,20 +225,14 @@ class QpField(ValuedField):
         n = w.numerator
         return Q(self.p ** n) if n >= 0 else Q(1, self.p ** -n)
 
-    def residue_perfect(self):
-        return "PERFECT", None
-
     def pth_root(self, a):
         raise ArithmeticError("Qp has characteristic zero")
 
     def accepts(self, a):
         return isinstance(a, (Fraction, int))
 
-    def elem_str(self, a):
-        a = Q(a)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
+    # an int or a Fraction prints as its value
+    elem_str = staticmethod(value_str)
 
     @property
     def key(self):
@@ -290,13 +288,6 @@ class TadicField(ValuedField, RatFuncField):
         if k >= 0:
             return self.make(tk, (one,))
         return self.make((one,), tk)
-
-    def residue_perfect(self):
-        # a finite residue field is perfect; GF(p)(c) is not, c has no p-th root
-        B = self.coeff_field
-        if B.order is not None:
-            return "PERFECT", None
-        return "IMPERFECT", B.var()
 
     def pth_root(self, a):
         r = RatFuncField.pth_root(self, a)
@@ -485,16 +476,13 @@ class FpPerfField(ValuedField):
 
     def canonical_unit(self, w):
         w = Q(w)
-        if not self.value_group.contains(w) and w != 0:
+        if not self.value_group.contains(w):
             raise NotInValueGroup(f"{w} is not in Z[1/{self.p}]")
         k, den = 0, w.denominator
         while den > 1:
             den //= self.p
             k += 1
         return PerfElem(k, ((w.numerator, 1),))
-
-    def residue_perfect(self):
-        return "PERFECT", None
 
     def pth_root(self, a):
         # t^(1/p^k) always has p-th roots: the same exponents one level up
@@ -524,31 +512,21 @@ class FpPerfField(ValuedField):
             m = min(a.terms[0][0], 0) if a.terms else 0
             num = [(e - m, c) for e, c in a.terms]
             den = [(-m, 1)]
-        ns = self._side_str(a.level, num)
+        u = self.p ** a.level
+
+        def side_str(terms):
+            # exponents of u = t^(1/p^level), printed highest first in t
+            parts = [term_str(str(c), "t", Q(i, u)) for i, c in reversed(terms)]
+            return " + ".join(parts) or "0"
+        ns = side_str(num)
         if den == [(0, 1)]:
             return ns
-        ds = self._side_str(a.level, den)
+        ds = side_str(den)
         if " + " in ns:
             ns = f"({ns})"
         if " + " in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
-
-    def _side_str(self, level: int, terms) -> str:
-        """Sorted (exponent, coefficient) terms in u = t^(1/p^level), printed
-        highest first in t."""
-        den = self.p ** level
-        parts = []
-        for i, c in reversed(terms):
-            e = Q(i, den)
-            cs = str(c)
-            if e == 0:
-                parts.append(cs)
-                continue
-            es = f"t^({e.numerator}/{e.denominator})" if e.denominator != 1 else (
-                "t" if e == 1 else f"t^{e.numerator}")
-            parts.append(es if cs == "1" else f"{cs}*{es}")
-        return " + ".join(parts) if parts else "0"
 
     @property
     def key(self):

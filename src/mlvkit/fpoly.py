@@ -9,6 +9,7 @@ function fields and the valued base fields.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import compress, count
 from math import comb
 from typing import Sequence, Tuple
@@ -255,29 +256,29 @@ def xgcd(F, f, g):
     return smul(F, c, r0), smul(F, c, s0), smul(F, c, t0)
 
 
+def square_and_multiply(product, a, n: int):
+    """a^n for n >= 1 under ``product``, left to right from the top bit of
+    n: bit_length(n) - 1 squarings and popcount(n) - 1 products by a."""
+    out = a
+    for bit in bin(n)[3:]:
+        out = product(out, out)
+        if bit == "1":
+            out = product(out, a)
+    return out
+
+
 def pow_(F, f, n: int) -> Coeffs:
-    """f^n by left-to-right square-and-multiply, from the top bit of n."""
+    """f^n by square-and-multiply."""
     if n <= 0:
         return const(F, F.one())
-    out = f
-    for bit in bin(n)[3:]:
-        out = mul(F, out, out)
-        if bit == "1":
-            out = mul(F, out, f)
-    return out
+    return square_and_multiply(partial(mul, F), f, n)
 
 
 def powmod(F, f, n: int, m) -> Coeffs:
     """f^n mod m, with one reduction after each product."""
     if n <= 0:
         return mod(F, const(F, F.one()), m)
-    base = mod(F, f, m)
-    out = base
-    for bit in bin(n)[3:]:
-        out = mod(F, mul(F, out, out), m)
-        if bit == "1":
-            out = mod(F, mul(F, out, base), m)
-    return out
+    return square_and_multiply(lambda a, b: mod(F, mul(F, a, b), m), mod(F, f, m), n)
 
 
 def deriv(F, f) -> Coeffs:

@@ -15,7 +15,7 @@ from typing import Dict, List, Tuple
 
 from .errors import NegativeValue, NotInValueGroup
 from .fields import ValuedField
-from .values import Q, is_inf, value_str
+from .values import Q, is_inf, term_str, value_str
 
 
 class SemigroupRingElement:
@@ -47,7 +47,7 @@ def element(K: ValuedField, pairs) -> SemigroupRingElement:
         exp = Q(exp)
         if exp < 0:
             raise NegativeValue("semigroup ring exponents must be >= 0")
-        if exp != 0 and not K.value_group.contains(exp):
+        if not K.value_group.contains(exp):
             raise NotInValueGroup(f"exponent {exp} is not in {K.value_group}")
         if exp in acc:
             acc[exp] = R.add(acc[exp], c)
@@ -152,7 +152,7 @@ def pth_root(K: ValuedField, x: SemigroupRingElement):
     pairs = []
     for e, c in x.terms:
         exp = Q(e, p)
-        if not (exp == 0 or K.value_group.contains(exp)):
+        if not K.value_group.contains(exp):
             return NoRoot(f"exponent {value_str(e)}/{p} not in the value group")
         # (b' T^exp)^p = b'^p * tau * T^(p exp) with tau the accumulated twist
         target = R.div(c, _pow_twist(K, exp, p))
@@ -167,14 +167,4 @@ def element_str(K: ValuedField, x: SemigroupRingElement) -> str:
     if x.is_zero():
         return "0"
     R = K.residue_field
-    parts = []
-    for exp, c in x.terms:
-        cs = R.elem_str(c)
-        if exp == 0:
-            parts.append(cs)
-            continue
-        es = "T" if exp == 1 else (
-            f"T^{exp.numerator}" if exp.denominator == 1
-            else f"T^({exp.numerator}/{exp.denominator})")
-        parts.append(es if cs == "1" else f"{cs}*{es}")
-    return " + ".join(parts)
+    return " + ".join([term_str(R.elem_str(c), "T", exp) for exp, c in x.terms])

@@ -258,7 +258,7 @@ class InductiveValuation:
         """w = i*gamma + w' with i in [0, e_rel) and w' in prev_group."""
         for i in range(self.e_rel):
             wp = w - vmul(i, self.gamma)
-            if wp == 0 or self.prev_group.contains(wp):
+            if self.prev_group.contains(wp):
                 return i, wp
         raise ArithmeticError(f"{w} not in the value group of the stage")
 
@@ -429,10 +429,7 @@ class InductiveValuation:
 
     def residual_field(self) -> Tuple[Field, int]:
         """(kappa, [kappa : Kv])."""
-        d = 1
-        for st in self.stages():
-            d *= st.fdeg
-        return self.kappa, d
+        return self.kappa, self.inertia_degree()
 
     def value_group(self) -> ValueGroup:
         return self.group
@@ -444,10 +441,8 @@ class InductiveValuation:
         return [st.fdeg for st in self.stages() if st.depth > 0]
 
     def ramification_index(self) -> int:
-        out = 1
-        for e in self.ram_indices():
-            out *= e
-        return out
+        """(group : vK), the product of the relative indices e_rel."""
+        return self.group.index_over(self.K.value_group)
 
     def inertia_degree(self) -> int:
         out = 1

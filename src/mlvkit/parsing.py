@@ -362,6 +362,8 @@ def parse_choice_overrides(s: str, K: ValuedField) -> dict:
             raise ParseError(f"bad override {part!r}")
         gamma_s, elem_s = part.split("=", 1)
         gamma = parse_value(gamma_s, finite=True)
+        if gamma in out:
+            raise ParseError(f"override at {gamma_s.strip()!r} given twice")
         out[gamma] = parse_element(elem_s, K)
     return out
 

@@ -85,11 +85,24 @@ def vmul(n: int, g: Value) -> Value:
 
 
 def value_str(v: Value) -> str:
-    if is_inf(v):
+    if v is INFINITY:
         return "inf"
     if v.denominator == 1:
         return str(v.numerator)
     return f"{v.numerator}/{v.denominator}"
+
+
+def term_str(cs: str, var: str, e: Fraction) -> str:
+    """The term c*var^e, given the printed coefficient cs: var, var^n or
+    var^(a/b), without the coefficient when it is 1 and without the
+    variable when e = 0."""
+    if e == 0:
+        return cs
+    if e.denominator != 1:
+        vs = f"{var}^({e.numerator}/{e.denominator})"
+    else:
+        vs = var if e == 1 else f"{var}^{e.numerator}"
+    return vs if cs == "1" else f"{cs}*{vs}"
 
 
 def value_from_str(s: str) -> Value:
@@ -150,8 +163,6 @@ class ValueGroup:
         for x in gammas:
             if is_inf(x):
                 raise ValueError("cannot join infinity into a value group")
-            if x == 0:
-                continue
             den = self._order_mod(x)
             m = m * den // gcd(m, den)
         return ValueGroup(self.gen / m, self.hull)

@@ -258,6 +258,7 @@ BAD_RATIONALS = ["1/0", "abc", "", "x=3", "inf=3"]
     (["graded", "--field", "FpPerf(2,t)", "--mul", "T^(1/2)", "T^(1/0)"], "'1/0'"),
     (["field", "--field", "Qp(2)", "--valuate", "0^(1/2)"], "powers of t only"),
     (["graded", "--field", "Qp(3)", "--mul", "T", "T", "--choice", "1=2"], "wrong valuation"),
+    (["graded", "--field", "Qp(3)", "--mul", "T", "T", "--choice", "1=3,1=6"], "'1' given twice"),
 ] + [(["field", "--field", "Qp(2)", "--choice", c], repr(c)) for c in BAD_RATIONALS]
   + [(["graded", "--field", "Qp(3)", "--mul", "T", "T", "--choice", c + "=3"],
       repr(c.split("=")[0])) for c in BAD_RATIONALS])

@@ -91,9 +91,11 @@ def euclid_make(B, num, den) -> RF:
 def test_make_with_a_monomial_side_equals_euclid(data):
     for B in BASES:
         R = RatFuncField(B, "v")
-        k = data.draw(st.integers(0, 40))
+        # the Euclidean reference over GF(2)(c) grows fast with the degree
+        small = isinstance(B, RatFuncField)
+        k = data.draw(st.integers(0, 12 if small else 40))
         mono = (B.zero(),) * k + (nonzero(B, data.draw(st.integers(1, 63))),)
-        other = data.draw(sparse_polys(B))
+        other = data.draw(sparse_polys(B, max_exp=12 if small else 60))
         assert R.make(mono, other) == euclid_make(B, mono, other)
         assert R.make(other, mono) == euclid_make(B, other, mono)
 

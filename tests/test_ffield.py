@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from mlvkit import fpoly
+from mlvkit import analyzer, fpoly
 from mlvkit.ffield import (ExtField, GFp, GFq, _split_prime_power, factor_monic,
                            find_irreducible, is_irreducible, poly_pth_root,
                            squarefree_decomposition)
@@ -212,6 +212,15 @@ def test_pow_makes_exact_square_and_multiply_products(monkeypatch, n, products):
         expect = mul(F, expect, f)
     assert got == expect
     assert got_mod == fpoly.mod(F, expect, m)
+    # the power mod T^R of stable-value, defined for n >= 1
+    if n:
+        mul_mod = analyzer._mul_mod
+        trunc_calls = []
+        monkeypatch.setattr(analyzer, "_mul_mod",
+                            lambda *a, **kw: trunc_calls.append(1) or mul_mod(*a, **kw))
+        got_trunc = analyzer._pow_mod(F, f, n, 4)
+        assert len(trunc_calls) == products
+        assert got_trunc == fpoly.norm(F, expect[:4])
     # the element power of a field, here over GF(16)
     E = GFq(16)
     emul = E.mul

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from mlvkit.values import (INFINITY, ValueGroup, is_inf, value_from_str,
                            value_str, vadd, vmul)
@@ -97,6 +97,9 @@ def test_join():
     J = H.join([Q(1, 3)])
     assert J.hull == 2 and J.gen == Q(1, 3)
     assert H.join([Q(1, 4)]).gen == Q(1)  # 2-power denominators absorbed
+    # 0 lies in every group, so joining it changes nothing
+    for G in (Z, H):
+        assert G.join([Q(0)]) == G
 
 
 def test_index_over():
@@ -130,6 +133,8 @@ def strip_p(n: int, p: int) -> int:
 @given(rationals, st.fractions(min_value=Q(1, 10 ** 4), max_value=10 ** 4,
                                max_denominator=10 ** 4),
        st.sampled_from([None, 2, 3, 5]))
+@example(Q(0), Q(3, 2), None)  # 0 lies in gen*Z ...
+@example(Q(0), Q(3, 2), 2)  # ... and in gen*Z[1/p]
 def test_int_order_matches_fraction_division(v, gen, hull):
     G = ValueGroup(gen, hull)
     den = (v / G.gen).denominator
