@@ -249,14 +249,33 @@ def is_irreducible(F: Field, f: tuple) -> bool:
     n = fpoly.deg(f)
     if n <= 0:
         return False
+    # the first piece has degree n only when no k <= n/2 found a factor;
+    # its factor g may be all of f (all factors of one degree) even then
+    return next(_distinct_degree(F, f))[1] == n
+
+
+def _distinct_degree(F: Field, f: tuple):
+    """The distinct-degree pieces (g, d) of f, deg f >= 1, by increasing d:
+    g = gcd(x^(q^d) - x, v) for the cofactor v of the earlier pieces,
+    skipping trivial g.  Once 2d exceeds deg v, the last piece is (v, deg v),
+    irreducible.  For squarefree f, g is the product of the irreducible
+    factors of degree d."""
     q = F.order
     x = fpoly.x(F)
-    h = x
-    for _ in range(n // 2):
-        h = fpoly.powmod(F, h, q, f)
-        if fpoly.deg(fpoly.gcd_(F, fpoly.sub(F, h, x), f)) > 0:
-            return False
-    return True
+    h = x  # x mod v while deg v >= 2, the only case in which h is used
+    v = f
+    d = 0
+    while fpoly.deg(v) > 0:
+        d += 1
+        if 2 * d > fpoly.deg(v):
+            yield v, fpoly.deg(v)
+            return
+        h = fpoly.powmod(F, h, q, v)
+        g = fpoly.gcd_(F, fpoly.sub(F, h, x), v)
+        if fpoly.deg(g) > 0:
+            yield g, d
+            v = fpoly.divmod_(F, v, g)[0]
+            h = fpoly.mod(F, h, v)
 
 
 @cache
@@ -439,20 +458,7 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
     rng = random.Random(_encode(F, f) ^ 0x5EED)
     result: List[Tuple[tuple, int]] = []
     for sf, mult in squarefree_decomposition(F, f):
-        # distinct-degree decomposition of the squarefree part
-        q = F.order
-        h = fpoly.mod(F, fpoly.x(F), sf)
-        v = sf
-        d = 0
-        while fpoly.deg(v) > 0:
-            d += 1
-            if 2 * d > fpoly.deg(v):
-                result.append((v, mult))
-                break
-            h = fpoly.powmod(F, h, q, v)
-            g = fpoly.gcd_(F, fpoly.sub(F, h, fpoly.mod(F, fpoly.x(F), v)), v)
-            if fpoly.deg(g) == 0:
-                continue
+        for g, d in _distinct_degree(F, sf):
             # split the degree-d part completely
             stack = [g]
             while stack:
@@ -463,8 +469,6 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
                 piece = _equal_degree_split(F, cur, d, rng)
                 stack.append(piece)
                 stack.append(fpoly.divmod_(F, cur, piece)[0])
-            v = fpoly.divmod_(F, v, g)[0]
-            h = fpoly.mod(F, h, v)
     result.sort(key=lambda t: _encode(F, t[0]))
     # merge duplicates (can arise when squarefree parts repeat a factor)
     merged: List[Tuple[tuple, int]] = []

@@ -10,6 +10,11 @@ of the valuation on the nonnegative value group):
 * ``Fpct(p)``         -- rational functions over GF(p)(c), t-adic
                          (imperfect residue field GF(p)(c)).
 
+The rules every family shares -- residues, canonical units, inverses,
+p-th-root refusals and descriptors -- are written once, in
+``ValuedField``; a family supplies its valuation, its arithmetic and four
+small hooks.
+
 ``Fqt`` and ``Fpct`` are one construction, ``TadicField``: the rational
 function field B(t) (a RatFuncField) with the t-adic valuation on top,
 for a coefficient field B that is also the residue field.  B = GF(q) is
@@ -66,28 +71,62 @@ class PerfElem:
 
 
 class ValuedField(Field):
+    """The contract every family keeps.
+
+    A family supplies ``valuate``, its element arithmetic, ``lift``,
+    ``accepts`` and four hooks:
+
+    * ``_unit_residue(a)``: the residue of a, for v(a) = 0;
+    * ``_unit(w)``: the canonical unit p^w or t^w, for w in vK;
+    * ``_inv(a)``: the inverse of a, for a != 0;
+    * ``_pth_root(a)``: the p-th root of a, or None when there is none
+      (positive characteristic only).
+
+    It declares its descriptor as ``name`` and ``args`` (the integer
+    argument, then fixed variable names: "Fq" and "q,t" for Fq(4,t)).
+    The rules built on these, and the errors they raise, live here once.
+    """
+
     kind: str
+    name: str
+    args: str
     p: int  # residue characteristic
     value_group: ValueGroup
     residue_field: Field
 
-    def __init__(self):
+    def __init__(self, n: int):
+        self.n = n  # the integer argument of the descriptor
+        self.key = (self.kind, n)
         self.choice_overrides: Dict[Fraction, object] = {}
 
     # -- valuation interface -------------------------------------------------
 
-    def valuate(self, a) -> Value:
-        raise NotImplementedError
-
     def residue(self, a):
-        raise NotImplementedError
+        v = self.valuate(a)
+        if v < 0:
+            raise NegativeValue(f"v({self.elem_str(a)}) = {v} < 0")
+        if v:  # v > 0, INFINITY included
+            return self.residue_field.zero()
+        return self._unit_residue(a)
 
-    def lift(self, r):
-        raise NotImplementedError
-
-    def canonical_unit(self, w: Fraction):
+    def canonical_unit(self, w):
         """The default multiplicative section of the valuation (any w in vK)."""
-        raise NotImplementedError
+        if not self.value_group.contains(w):
+            raise NotInValueGroup(f"{w} is not in {self.value_group}")
+        return self._unit(w)
+
+    def inv(self, a):
+        if self.is_zero(a):
+            raise InvertZero(f"division by zero in {self.descriptor_str()}")
+        return self._inv(a)
+
+    def pth_root(self, a):
+        if not self.char:
+            raise ArithmeticError(f"{self.descriptor_str()} has characteristic zero")
+        r = self._pth_root(a)
+        if r is None:
+            raise ArithmeticError(f"element is not a p-th power in {self.descriptor_str()}")
+        return r
 
     def choice(self, gamma: Value):
         """The choice function epsilon, honoring overrides; gamma >= 0 in vK."""
@@ -96,8 +135,6 @@ class ValuedField(Field):
         gamma = Q(gamma)
         if gamma < 0:
             raise NegativeExponent(f"epsilon undefined at negative {gamma}")
-        if not self.value_group.contains(gamma):
-            raise NotInValueGroup(f"{gamma} is not in {self.value_group}")
         if gamma in self.choice_overrides:
             return self.choice_overrides[gamma]
         return self.canonical_unit(gamma)
@@ -131,12 +168,9 @@ class ValuedField(Field):
             return "PERFECT", None
         return "IMPERFECT", self.residue_field.var()
 
-    def accepts(self, a) -> bool:
-        """Structural check that ``a`` looks like one of our elements."""
-        raise NotImplementedError
-
     def descriptor_str(self) -> str:
-        raise NotImplementedError
+        variables = self.args.split(",")[1:]
+        return f"{self.name}({','.join([str(self.n), *variables])})"
 
     def __repr__(self):
         return self.descriptor_str()
@@ -145,10 +179,10 @@ class ValuedField(Field):
 class QpField(ValuedField):
     """Rationals with the p-adic valuation.  Elements are Fractions."""
 
-    kind = "Qp"
+    kind, name, args = "Qp", "Qp", "p"
 
     def __init__(self, p: int):
-        super().__init__()
+        super().__init__(p)
         GFp(p)  # primality check
         self.p = p
         self.char = 0
@@ -176,9 +210,7 @@ class QpField(ValuedField):
     def mul(self, a, b):
         return a * b
 
-    def inv(self, a):
-        if a == 0:
-            raise InvertZero("division by zero in Qp")
+    def _inv(self, a):
         return self._ONE / a
 
     def eq(self, a, b):
@@ -204,29 +236,16 @@ class QpField(ValuedField):
             v -= 1
         return Q(v)
 
-    def residue(self, a):
-        v = self.valuate(a)
-        if is_inf(v):
-            return 0
-        if v < 0:
-            raise NegativeValue(f"v({a}) = {v} < 0")
-        if v > 0:
-            return 0
-        num = a.numerator % self.p
-        den = a.denominator % self.p
-        return num * pow(den, -1, self.p) % self.p
+    def _unit_residue(self, a):
+        p = self.p
+        return a.numerator % p * pow(a.denominator % p, -1, p) % p
 
     def lift(self, r):
         return Q(r % self.p)
 
-    def canonical_unit(self, w):
-        if w.denominator != 1:
-            raise NotInValueGroup(f"{w} is not in Z")
+    def _unit(self, w):
         n = w.numerator
         return Q(self.p ** n) if n >= 0 else Q(1, self.p ** -n)
-
-    def pth_root(self, a):
-        raise ArithmeticError("Qp has characteristic zero")
 
     def accepts(self, a):
         return isinstance(a, (Fraction, int))
@@ -234,21 +253,14 @@ class QpField(ValuedField):
     # an int or a Fraction prints as its value
     elem_str = staticmethod(value_str)
 
-    @property
-    def key(self):
-        return ("Qp", self.p)
-
-    def descriptor_str(self):
-        return f"Qp({self.p})"
-
 
 class TadicField(ValuedField, RatFuncField):
     """B(t) with the t-adic valuation, for a coefficient field B that is
     also the residue field.  Elements are RF over B: the arithmetic is
     that of RatFuncField(B, "t"), with the valuation on top."""
 
-    def __init__(self, B: Field):
-        ValuedField.__init__(self)
+    def __init__(self, B: Field, n: int):
+        ValuedField.__init__(self, n)
         RatFuncField.__init__(self, B, "t")
         self.coeff_field = B
         self.p = B.char
@@ -256,31 +268,18 @@ class TadicField(ValuedField, RatFuncField):
         self.residue_field = B
 
     t = RatFuncField.var
-
-    def inv(self, a):
-        if self.is_zero(a):
-            raise InvertZero(f"division by zero in {self.descriptor_str()}")
-        return RatFuncField.inv(self, a)
+    _inv = RatFuncField.inv
+    _pth_root = RatFuncField.pth_root
+    _unit_residue = RatFuncField.residue_at_zero
 
     def valuate(self, a) -> Value:
         k = self.ord_var(a)
         return INFINITY if k is None else Q(k)
 
-    def residue(self, a):
-        v = self.valuate(a)
-        if is_inf(v):
-            return self.coeff_field.zero()
-        if v < 0:
-            raise NegativeValue(f"t-adic value {v} < 0")
-        return self.residue_at_zero(a)
-
     def lift(self, r):
         return self.make(fpoly.const(self.coeff_field, r), (self.coeff_field.one(),))
 
-    def canonical_unit(self, w):
-        w = Q(w)
-        if w.denominator != 1:
-            raise NotInValueGroup(f"{w} is not in Z")
+    def _unit(self, w):
         k = w.numerator
         one = self.coeff_field.one()
         zero = self.coeff_field.zero()
@@ -289,12 +288,6 @@ class TadicField(ValuedField, RatFuncField):
             return self.make(tk, (one,))
         return self.make((one,), tk)
 
-    def pth_root(self, a):
-        r = RatFuncField.pth_root(self, a)
-        if r is None:
-            raise ArithmeticError(f"element is not a p-th power in {self.descriptor_str()}")
-        return r
-
     def accepts(self, a):
         return isinstance(a, RF) and _rf_over(self.coeff_field, a)
 
@@ -302,18 +295,10 @@ class TadicField(ValuedField, RatFuncField):
 class FqtField(TadicField):
     """GF(q)(t) with the t-adic valuation; residue field GF(q)."""
 
-    kind = "Fqt"
+    kind, name, args = "Fqt", "Fq", "q,t"
 
     def __init__(self, q: int):
-        super().__init__(GFq(q))
-        self.q = q
-
-    @property
-    def key(self):
-        return ("Fqt", self.q)
-
-    def descriptor_str(self):
-        return f"Fq({self.q},t)"
+        super().__init__(GFq(q), q)
 
 
 class FpPerfField(ValuedField):
@@ -328,10 +313,10 @@ class FpPerfField(ValuedField):
     when its reduced denominator is a monomial.
     """
 
-    kind = "FpPerf"
+    kind, name, args = "FpPerf", "FpPerf", "p,t"
 
     def __init__(self, p: int):
-        super().__init__()
+        super().__init__(p)
         self.coeff_field = GFp(p)
         self.p = p
         self.char = p
@@ -435,9 +420,7 @@ class FpPerfField(ValuedField):
     def mul(self, a, b):
         return self._binop(a, b, _mul_terms, self.rff.mul)
 
-    def inv(self, a):
-        if self.is_zero(a):
-            raise InvertZero("division by zero in the perfect closure")
+    def _inv(self, a):
         if a.rf is None and len(a.terms) == 1:
             (e, c), = a.terms
             return PerfElem(a.level, ((-e, pow(c, -1, self.p)),))
@@ -461,12 +444,7 @@ class FpPerfField(ValuedField):
             return INFINITY
         return Q(a.terms[0][0], self.p ** a.level)
 
-    def residue(self, a):
-        v = self.valuate(a)
-        if is_inf(v) or v > 0:
-            return 0
-        if v < 0:
-            raise NegativeValue(f"t-adic value {v} < 0")
+    def _unit_residue(self, a):
         if a.rf is not None:
             return self.rff.residue_at_zero(a.rf)
         return a.terms[0][1]
@@ -474,17 +452,14 @@ class FpPerfField(ValuedField):
     def lift(self, r):
         return self.from_int(r)
 
-    def canonical_unit(self, w):
-        w = Q(w)
-        if not self.value_group.contains(w):
-            raise NotInValueGroup(f"{w} is not in Z[1/{self.p}]")
+    def _unit(self, w):
         k, den = 0, w.denominator
         while den > 1:
             den //= self.p
             k += 1
         return PerfElem(k, ((w.numerator, 1),))
 
-    def pth_root(self, a):
+    def _pth_root(self, a):
         # t^(1/p^k) always has p-th roots: the same exponents one level up
         if a.rf is not None:
             return self._from_rf(a.level + 1, a.rf)
@@ -527,13 +502,6 @@ class FpPerfField(ValuedField):
         if " + " in ds:
             ds = f"({ds})"
         return f"{ns}/{ds}"
-
-    @property
-    def key(self):
-        return ("FpPerf", self.p)
-
-    def descriptor_str(self):
-        return f"FpPerf({self.p},t)"
 
 
 def _add_terms(s, t) -> dict:
@@ -580,21 +548,14 @@ def _terms_over(p: int, terms) -> bool:
 class FpctField(TadicField):
     """GF(p)(c)(t) with the t-adic valuation; residue field GF(p)(c)."""
 
-    kind = "Fpct"
+    kind, name, args = "Fpct", "FpC", "p,c,t"
 
     def __init__(self, p: int):
-        super().__init__(RatFuncField(GFp(p), "c"))
+        super().__init__(RatFuncField(GFp(p), "c"), p)
 
     def c(self):
         B = self.coeff_field
         return self.make(fpoly.const(B, B.var()), (B.one(),))
-
-    @property
-    def key(self):
-        return ("Fpct", self.p)
-
-    def descriptor_str(self):
-        return f"FpC({self.p},c,t)"
 
 
 def _rf_over(B: Field, a: RF) -> bool:

@@ -193,7 +193,9 @@ def _divmod_gfp(F, f, g) -> Tuple[Coeffs, Coeffs]:
 
 def _terms(cc) -> list:
     """(exponent, coefficient) of the nonzero canonical GF(p) ints in cc."""
-    # compress skips the zeros in C: perfect-closure tuples are mostly zero
+    # compress skips the zeros in C; the mostly-zero tuples are those of
+    # dense perfect-closure elements (denominator no monomial), stretched
+    # from u to u^(p^k) when they meet an element of a higher level
     return [(i, cc[i]) for i in compress(range(len(cc)), cc)]
 
 

@@ -205,9 +205,8 @@ class InductiveValuation:
         return out
 
     def seed_expansion(self, f: Poly, coeffs: List[Poly]) -> None:
-        """Memoize the phi-expansion of f; the table keeps at most 512 entries."""
-        if len(self._exp_cache) < 512:
-            self._exp_cache[f.coeffs] = coeffs
+        """Memoize the phi-expansion of f."""
+        self._exp_cache[f.coeffs] = coeffs
 
     def _coeff_value(self, c: Poly) -> Value:
         if self.prev is None:
@@ -230,18 +229,8 @@ class InductiveValuation:
             r = f.mod(self.phi)
             out = INFINITY if r.is_zero() else prev.evaluate(r)
         else:
-            best: Optional[Value] = None
-            for k, c in enumerate(self.expansion(f)):
-                if c.is_zero():
-                    continue
-                v = self._coeff_value(c)
-                if k:
-                    v = vadd(v, vmul(k, self.gamma))
-                if best is None or v < best:
-                    best = v
-            out = INFINITY if best is None else best
-        if len(self._eval_cache) < 4096:
-            self._eval_cache[key] = out
+            out = _expansion_min(self.expansion(f), self._coeff_value, self.gamma)
+        self._eval_cache[key] = out
         return out
 
     __call__ = evaluate
@@ -343,8 +332,7 @@ class InductiveValuation:
         if hit is not None:
             return hit
         out = self._graded_reduction_impl(f)
-        if len(self._red_cache) < 1024:
-            self._red_cache[key] = out
+        self._red_cache[key] = out
         return out
 
     def _graded_reduction_impl(self, f: Poly) -> GradedForm:
@@ -495,11 +483,19 @@ def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:
         # every term f_k q^k with k >= 1 has value oo
         r = f.mod(q)
         return INFINITY if r.is_zero() else nu(r)
+    return _expansion_min(phi_expansion(f, q), nu, vq)
+
+
+def _expansion_min(cc: Sequence[Poly], value_of: Callable[[Poly], Value],
+                   gamma: Value) -> Value:
+    """min_k value_of(c_k) + k*gamma over the nonzero c_k (oo if none)."""
     best: Optional[Value] = None
-    for k, c in enumerate(phi_expansion(f, q)):
+    for k, c in enumerate(cc):
         if c.is_zero():
             continue
-        v = vadd(nu(c), vmul(k, vq))
+        v = value_of(c)
+        if k:
+            v = vadd(v, vmul(k, gamma))
         if best is None or v < best:
             best = v
     return INFINITY if best is None else best

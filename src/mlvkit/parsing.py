@@ -208,9 +208,7 @@ def _fold(node, atom, ops, power, where=""):
 # ---------------------------------------------------------------------------
 
 _DESC_RE = re.compile(r"([A-Za-z]+)\(([^)]*)\)")
-# kind -> (class, its arguments: an integer, then fixed variable names)
-_FIELD_KINDS = {"Qp": (QpField, "p"), "Fq": (FqtField, "q,t"),
-                "FpPerf": (FpPerfField, "p,t"), "FpC": (FpctField, "p,c,t")}
+_FIELD_KINDS = {cls.name: cls for cls in (QpField, FqtField, FpPerfField, FpctField)}
 
 
 def parse_field(s: str) -> ValuedField:
@@ -219,12 +217,11 @@ def parse_field(s: str) -> ValuedField:
     if not m:
         raise ParseError(f"bad field descriptor {s!r}")
     name, args = m.group(1), [a.strip() for a in m.group(2).split(",")]
-    kind = _FIELD_KINDS.get(name)
-    if kind is None:
+    cls = _FIELD_KINDS.get(name)
+    if cls is None:
         raise ParseError(f"unknown field kind {name!r}")
-    cls, form = kind
-    if args[1:] != form.split(",")[1:]:
-        raise ParseError(f"bad field descriptor {s!r}: expected {name}({form})")
+    if args[1:] != cls.args.split(",")[1:]:
+        raise ParseError(f"bad field descriptor {s!r}: expected {name}({cls.args})")
     try:
         return cls(int(args[0]))
     except ValueError as exc:
@@ -331,18 +328,18 @@ def eval_graded(node, K: ValuedField) -> graded.SemigroupRingElement:
 
     def power(base_node, exp):
         # T^e is the unit monomial of exponent e; any other base is a
-        # twisted product of |e| factors
+        # twisted power by square-and-multiply (twisted_mul is associative:
+        # the twist is the coboundary of the choice function)
         if base_node == ("name", "T"):
             if exp < 0:
                 raise ParseError("graded exponents must be nonnegative")
             return mono(exp, R.one())
         if exp.denominator != 1 or exp < 0:
             raise ParseError("only T may carry fractional exponents")
-        out = mono(Q(0), R.one())
         base = _fold(base_node, atom, ops, power, where)
-        for _ in range(exp.numerator):
-            out = mul(out, base)
-        return out
+        if exp == 0:
+            return mono(Q(0), R.one())
+        return fpoly.square_and_multiply(mul, base, exp.numerator)
 
     return _fold(node, atom, ops, power, where)
 

@@ -39,7 +39,9 @@ class RatFuncField(Field):
             kn = fpoly.low_deg(B, num)
             kd = fpoly.low_deg(B, den)
             if kn == fpoly.deg(num) or kd == fpoly.deg(den):
-                # a monomial c*v^k shares only the factor v^min with the other side
+                # a monomial c*v^k shares only the factor v^min with the
+                # other side: no gcd for the units t^k, nor for the
+                # stretched tuples of dense perfect-closure elements
                 m = min(kn, kd)
                 num, den = num[m:], den[m:]
             else:

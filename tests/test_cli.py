@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -50,6 +51,17 @@ def test_graded_override_example(capsys):
                        "--mul", "T^1", "T^1", "--choice", "1=3,2=18")
     assert code == 0
     assert out.strip() == "2*T^2"
+    # a power at the exponent cap takes about log2(1000) twisted products;
+    # by Lucas, (1+T)^1000 = (1+T)(1+T^27)(1+T^243)(1+T^729) over GF(3)
+    import time
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "graded", "--field", "Qp(3)", "--mul", "(1+T)^1000", "1",
+                       "--json")
+    assert time.perf_counter() - start < 10.0
+    assert code == 0
+    terms = [sum(e) for e in itertools.product((0, 1), (0, 27), (0, 243), (0, 729))]
+    assert json.loads(out)["mul"]["result"] == " + ".join(
+        ["1", "T"] + [f"T^{e}" for e in sorted(terms)[2:]])
 
 
 def test_missing_field_is_parse_error(capsys):

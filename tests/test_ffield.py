@@ -179,9 +179,14 @@ def _irreducible_by_trial_division(F, f):
 @pytest.mark.parametrize("F, max_deg", [(GFp(2), 8), (GFp(3), 5), (GFq(4), 4)],
                          ids=repr)
 def test_is_irreducible_equals_trial_division(F, max_deg):
+    # every monic input: squares, and products of factors of one degree, included;
+    # factor_monic runs the same distinct-degree loop and must agree
     for n in range(max_deg + 1):
         for f in _monics(F, n):
-            assert is_irreducible(F, f) == _irreducible_by_trial_division(F, f), f
+            irreducible = _irreducible_by_trial_division(F, f)
+            assert is_irreducible(F, f) == irreducible, f
+            if n >= 1:
+                assert (factor_monic(F, f) == [(f, 1)]) == irreducible, f
 
 
 @pytest.mark.parametrize("F", [GFp(2), GFp(3), GFq(4)], ids=repr)

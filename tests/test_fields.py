@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as Q
 
 import pytest
@@ -79,6 +80,15 @@ def test_residue_negative_value_raises():
     K = QpField(3)
     with pytest.raises(NegativeValue):
         K.residue(Q(1, 3))
+    F = FqtField(2)
+    with pytest.raises(NegativeValue, match=r"v\(1/t\) = -1 < 0"):
+        F.residue(F.inv(F.t()))
+    P = FpPerfField(2)
+    with pytest.raises(NegativeValue):
+        P.residue(P.canonical_unit(Q(-1, 2)))
+    C = FpctField(2)
+    with pytest.raises(NegativeValue):
+        C.residue(C.inv(C.t()))
 
 
 def test_lift_examples():
@@ -109,6 +119,9 @@ def test_choice_guards():
         K.choice(Q(-1))
     with pytest.raises(NotInValueGroup):
         K.choice(Q(1, 2))
+    for L, w in ((K, Q(1, 2)), (FqtField(4), Q(1, 2)), (FpPerfField(2), Q(1, 3))):
+        with pytest.raises(NotInValueGroup, match=re.escape(str(L.value_group))):
+            L.canonical_unit(w)
 
 
 def test_residue_perfect():
@@ -131,6 +144,9 @@ def test_invert_zero():
     C = FpctField(2)
     with pytest.raises(InvertZero, match=r"FpC\(2,c,t\)"):
         C.inv(C.zero())
+    for K in (QpField(2), FqtField(2), FpPerfField(2), C):
+        with pytest.raises(InvertZero, match=re.escape(K.descriptor_str())):
+            K.inv(K.zero())
 
 
 def test_tadic_fields_keep_their_descriptors():
@@ -147,6 +163,9 @@ def test_tadic_fields_keep_their_descriptors():
     with pytest.raises(ArithmeticError, match=r"FpC\(2,c,t\)"):
         C.pth_root(C.c())
     assert C.eq(C.pth_root(C.mul(C.t(), C.t())), C.t())
+    # Qp has no Frobenius: the same refusal names its descriptor
+    with pytest.raises(ArithmeticError, match=r"Qp\(2\) has characteristic zero"):
+        QpField(2).pth_root(Q(4))
 
 
 def test_mixed_fields():

@@ -31,3 +31,12 @@ def test_report_functions_read_the_report_alone():
                analyzer.kahler_purely_ramified, analyzer.classify_kahler):
         assert list(inspect.signature(fn).parameters) == ["report"], fn.__name__
     assert "branch_index" not in inspect.signature(engine.finite_complete_sequence).parameters
+
+
+def test_field_rules_live_in_the_contract():
+    from mlvkit import fields
+    for cls in (fields.QpField, fields.TadicField, fields.FqtField,
+                fields.FpPerfField, fields.FpctField):
+        for name in ("residue", "canonical_unit", "inv", "pth_root", "key",
+                     "descriptor_str"):
+            assert name not in vars(cls), (cls.__name__, name)
