@@ -6,11 +6,14 @@ repeatedly factor the residual polynomial of g, lift each irreducible
 factor (other than y) to a new key polynomial, and augment along every
 principal slope of the polygon of g with respect to that key.  A branch
 terminates when g itself becomes a key polynomial and can be assigned
-the value infinity.  A branch that has not terminated stops at one of
-two rules: it has made ``max_limit_probes`` refinements at a stagnant
-key degree (the probe budget), or its last two refinements were
-separated (a single multiplicity-one residual factor, so e and f are
-final and only the approximation improves).  Such a branch is flagged
+the value infinity.  A branch in flight is one ``_State`` record, and
+one function, ``_stop``, decides whether it stops and why, trying three
+reasons in this order: TERMINATED (g is the node's key);
+SEPARATED_STALL (its last two refinements were separated: a single
+multiplicity-one residual factor, so e and f are final and only the
+approximation improves); PROBE_BUDGET (it has made ``max_limit_probes``
+refinements at a stagnant key degree).  The reason is kept as
+``Branch.stop``.  A branch stopped for either of the last two is
 LIMIT_SUSPECTED: it may be a genuine limit (defect, or branch separation
 over the henselization) or a budget that ran out, so its invariants are
 reported as bounds.  One step function, ``_step``, builds the children
@@ -28,7 +31,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import isqrt
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (BadBound, DepthExceeded, IndexOutOfRange,
@@ -36,11 +39,15 @@ from .errors import (BadBound, DepthExceeded, IndexOutOfRange,
 from .ffield import factor_monic
 from .fields import ValuedField
 from .indval import InductiveValuation
+from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
 from .values import INFINITY, Q, Value, is_inf, value_str
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
+# the reasons a non-terminated branch stops; both make it LIMIT_SUSPECTED
+SEPARATED_STALL = "SEPARATED_STALL"
+PROBE_BUDGET = "PROBE_BUDGET"
 
 
 class _Unstable:
@@ -54,13 +61,17 @@ UNSTABLE = _Unstable()
 @dataclass
 class Branch:
     chain: InductiveValuation
-    status: str
+    stop: str  # TERMINATED | SEPARATED_STALL | PROBE_BUDGET, from _stop
     e: int
     f: int
     d: Optional[int]
     d_lower: Optional[int]
     trajectory: List[dict]  # probes at the stagnant degree (incl. entry node)
-    prev_chain: Optional[InductiveValuation] = None
+    prev_chain: Optional[InductiveValuation]
+
+    @property
+    def status(self) -> str:
+        return TERMINATED if self.stop == TERMINATED else LIMIT_SUSPECTED
 
     @property
     def key_polys(self) -> List[Poly]:
@@ -155,25 +166,56 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
     return [gamma for gamma in polygon_gammas(pts) if gamma > cur], list(exp)
 
 
-def _traj_entry(node: InductiveValuation, g: Poly) -> dict:
-    return {"key": node.phi, "gamma": node.gamma, "g_value": node.evaluate(g)}
-
-
 def _y_poly(kappa) -> tuple:
     return (kappa.zero(), kappa.one())
 
 
-def _step(g: Poly, node: InductiveValuation, sep: int, traj: List[dict]
-          ) -> List[Tuple[InductiveValuation, int, List[dict], InductiveValuation]]:
-    """One exploration step below the non-terminal ``node``, whose value
-    of g is therefore finite, reached through ``sep`` consecutive
-    separated refinements and with probes ``traj`` at its degree.
+@dataclass(frozen=True)
+class _State:
+    """A branch in flight: its last ``node``, the number ``sep`` of
+    consecutive separated refinements that reached it, its probes
+    ``traj`` at its key degree, and the ``parent`` it was refined from."""
+    node: InductiveValuation
+    sep: int
+    traj: List[dict]
+    parent: Optional[InductiveValuation]
+
+    @classmethod
+    def at(cls, g: Poly, node: InductiveValuation,
+           parent: Optional[InductiveValuation] = None, sep: int = 0,
+           traj: Sequence[dict] = ()) -> "_State":
+        """The state at ``node``, refined from ``parent`` (None for a
+        depth-zero seed): a terminal node has no probes, a node at its
+        parent's degree extends ``traj`` and keeps ``sep``, and any other
+        node starts a new trajectory."""
+        if node.is_terminal():
+            return cls(node, 0, [], parent)
+        entry = {"key": node.phi, "gamma": node.gamma, "g_value": node.evaluate(g)}
+        if parent is not None and node.degree == parent.degree:
+            return cls(node, sep, [*traj, entry], parent)
+        return cls(node, 0, [entry], parent)
+
+
+def _stop(state: _State, max_limit_probes: int) -> Optional[str]:
+    """Why the branch at ``state`` stops (the reasons in the module
+    docstring, tried in that order), or None when it goes on."""
+    if state.node.is_terminal():
+        return TERMINATED
+    if state.sep >= 2:
+        return SEPARATED_STALL
+    if len(state.traj) > max_limit_probes:
+        return PROBE_BUDGET
+    return None
+
+
+def _step(g: Poly, state: _State) -> List[_State]:
+    """The child states of one exploration step below the non-terminal
+    ``state.node``, whose value of g is therefore finite.
 
     A refinement is separated when the residual polynomial of g is one
     multiplicity-one factor and g is not yet a key: e and f are final.
-    Returns the child states (child, sep, traj, node); a child of higher
-    degree starts a new trajectory and a terminal child has none.
     """
+    node = state.node
     gr = node.graded_reduction(g)
     kappa = node.kappa
     factors = factor_monic(kappa, gr.H)
@@ -181,8 +223,8 @@ def _step(g: Poly, node: InductiveValuation, sep: int, traj: List[dict]
               if not fpoly.eq(kappa, u, _y_poly(kappa))]
     separated = len(factors) == 1 and factors[0][1] == 1
     if separated and node.is_key(g):
-        return [(node.augment(g, INFINITY), 0, [], node)]
-    sep = sep + 1 if separated else 0
+        return [_State.at(g, node.augment(g, INFINITY), node)]
+    sep = state.sep + 1 if separated else 0
     out = []
     for rbar, _mult in proper:
         key = node.key_from_residual(rbar)
@@ -191,12 +233,7 @@ def _step(g: Poly, node: InductiveValuation, sep: int, traj: List[dict]
             child = node.augment(key, gamma, _rbar=rbar)
             if child.phi == key:
                 child.seed_expansion(g, exp_coeffs)
-            if child.is_terminal():
-                out.append((child, 0, [], node))
-            elif child.degree == node.degree:
-                out.append((child, sep, traj + [_traj_entry(child, g)], node))
-            else:
-                out.append((child, 0, [_traj_entry(child, g)], node))
+            out.append(_State.at(g, child, node, sep, state.traj))
     return out
 
 
@@ -263,11 +300,10 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
                     max_limit_probes: int = 8) -> ExtensionReport:
     """All extensions of v to K[x]/(g), as branches of augmentation chains."""
     _check_bound("max_depth", max_depth)
-    _check_bound("max_limit_probes", max_limit_probes)
+    _check_bound("max_limit_probes", max_limit_probes, MAX_EXPONENT)
     if not g.is_monic():
         raise NotMonic("g must be monic")
-    n = g.degree
-    if n < 1:
+    if g.degree < 1:
         raise NotMonic("g must be nonconstant")
     if K.residue_field.order is None:
         raise ResidueUnsupported(
@@ -277,46 +313,47 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
 
     branches: List[Branch] = []
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work: deque[Tuple[InductiveValuation, int, List[dict],
-                      Optional[InductiveValuation]]] = deque()
-    for gamma in polygon_gammas(pts):
-        node = InductiveValuation.depth_zero(K, K.zero(), gamma)
-        work.append((node, 0, [] if node.is_terminal() else [_traj_entry(node, g)], None))
-
+    work = deque(_State.at(g, InductiveValuation.depth_zero(K, K.zero(), gamma))
+                 for gamma in polygon_gammas(pts))
     while work:
-        node, sep, traj, prev_node = work.popleft()
-        if node.is_terminal() or len(traj) > max_limit_probes or sep >= 2:
-            branches.append(_finish(node, traj, prev_node))
-        elif node.depth > max_depth:
+        state = work.popleft()
+        reason = _stop(state, max_limit_probes)
+        if reason is not None:
+            branches.append(_finish(state, reason))
+        elif state.node.depth > max_depth:
             raise DepthExceeded(f"chain depth exceeded {max_depth}")
         else:
-            work.extend(_step(g, node, sep, traj))
+            work.extend(_step(g, state))
 
-    return _assemble(K, g, n, branches, warnings, bounds)
+    return _assemble(K, g, branches, warnings, bounds)
 
 
-def _check_bound(name: str, value: int) -> None:
+def _check_bound(name: str, value: int, cap: Optional[int] = None) -> None:
     if value < 0:
         raise BadBound(f"{name} must be >= 0, got {value}")
+    if cap is not None and value > cap:
+        raise BadBound(f"{name} = {value} exceeds {cap}")
 
 
-def _finish(node: InductiveValuation, traj: List[dict],
-            prev_node: Optional[InductiveValuation]) -> Branch:
-    """The branch ending at ``node``: TERMINATED with its exact defect when
-    g is its key, else LIMIT_SUSPECTED with the probes ``traj`` and the
-    parent ``prev_node``, its defect left to ``_assemble``."""
+def _finish(state: _State, reason: str) -> Branch:
+    """The branch ending at ``state``, stopped for ``reason``: a
+    TERMINATED one has its exact defect; any other keeps its probes and
+    parent, its defect left to ``_assemble``."""
+    node = state.node
     e = node.ramification_index()
     f = node.inertia_degree()
-    if not node.is_terminal():
-        return Branch(node, LIMIT_SUSPECTED, e, f, None, None, traj, prev_node)
-    if node.degree % (e * f) != 0:
-        raise InvariantViolated(f"e*f = {e * f} does not divide the degree {node.degree}")
-    return Branch(node, TERMINATED, e, f, node.degree // (e * f), None, [])
+    d = None
+    if reason == TERMINATED:
+        if node.degree % (e * f) != 0:
+            raise InvariantViolated(f"e*f = {e * f} does not divide the degree {node.degree}")
+        d = node.degree // (e * f)
+    return Branch(node, reason, e, f, d, None, state.traj, state.parent)
 
 
-def _assemble(K, g, n, branches: List[Branch], warnings, bounds) -> ExtensionReport:
+def _assemble(K, g, branches: List[Branch], warnings, bounds) -> ExtensionReport:
     # branches arrive in breadth-first exploration order, which is
     # deterministic for fixed (g, bounds)
+    n = g.degree
     total_ef = sum(b.e * b.f for b in branches)
     stalled = [b for b in branches if b.status == LIMIT_SUSPECTED]
     if stalled:
@@ -368,11 +405,13 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     approximant values when the branch stalls at degree m, and EMPTY when
     no degree-m key arises.  The stalled trajectory is probed further up
     to ``probe_budget`` values; the evidence is shorter when the
-    continuation splits, terminates or leaves degree m.
+    continuation splits, terminates or leaves degree m.  This walk keeps
+    its own rule rather than ``_stop`` (it ignores separation); it goes
+    once the exploration certifies the trajectory itself.
     """
     if m < 1:
         raise ZeroInput("degree must be >= 1")
-    _check_bound("probe_budget", probe_budget)
+    _check_bound("probe_budget", probe_budget, MAX_EXPONENT)
     b = _branch(report, branch_index)
     stages = b.chain.stages()
     match = [st for st in stages if st.degree == m]
@@ -381,17 +420,17 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     st = match[-1]
     stalled_here = (b.status == LIMIT_SUSPECTED and st is stages[-1])
     if stalled_here:
-        node, traj = b.chain, b.trajectory
-        while len(traj) <= probe_budget:
-            children = _step(report.g, node, 0, traj)
+        state = _State(b.chain, 0, b.trajectory, b.prev_chain)
+        while len(state.traj) <= probe_budget:
+            children = _step(report.g, state)
             if len(children) != 1:
                 break
-            child, _sep, child_traj, _node = children[0]
-            if child.is_terminal() or child.degree != node.degree:
+            child = children[0]
+            if child.node.is_terminal() or child.node.degree != state.node.degree:
                 break
-            node, traj = child, child_traj
+            state = child
         evidence = tuple((entry["key"], entry["gamma"])
-                         for entry in traj[1:probe_budget + 1])
+                         for entry in state.traj[1:probe_budget + 1])
         return ScanResult(m, "UNBOUNDED_EVIDENCE", evidence=evidence)
     return ScanResult(m, "MAX_ATTAINED", max_poly=st.phi,
                       max_value=induced_value(report, branch_index, st.phi))

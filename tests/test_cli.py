@@ -185,6 +185,18 @@ def test_negative_bound_is_engine_error(capsys, flag):
     assert "BAD_BOUND" in err
 
 
+def test_limit_probes_above_the_cap_is_refused_before_exploring(capsys):
+    # x^2+x+1/t stalls at every budget and its cost grows steeply with the
+    # budget: 1000 would take minutes, while 1001 is refused at once
+    import time
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extend", "--field", "FpPerf(2,t)", "--poly", "x^2+x+1/t",
+                         "--limit-probes", str(MAX_EXPONENT + 1), "--json")
+    assert time.perf_counter() - start < 10.0
+    assert (code, out) == (3, "")
+    assert f"[BAD_BOUND]: max_limit_probes = {MAX_EXPONENT + 1} exceeds {MAX_EXPONENT}" in err
+
+
 @pytest.mark.parametrize("argv, code, token", [
     (["--l-max", "0"], 3, "BAD_BOUND"),
     (["--l-start", "5", "--l-max", "4"], 3, "BAD_BOUND"),

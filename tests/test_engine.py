@@ -4,13 +4,14 @@ from fractions import Fraction as Q
 import pytest
 
 from corpus import corpus
-from mlvkit.engine import (LIMIT_SUSPECTED, TERMINATED, UNSTABLE, NoSequence,
-                           defect, finite_complete_sequence, induced_value,
+from mlvkit.engine import (LIMIT_SUSPECTED, PROBE_BUDGET, SEPARATED_STALL,
+                           TERMINATED, UNSTABLE, NoSequence, defect,
+                           finite_complete_sequence, induced_value,
                            mac_lane_chains, psi_m_scan)
 from mlvkit.errors import NotMonic, ResidueUnsupported
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
-from mlvkit.parsing import parse_poly
+from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly
 from mlvkit.values import INFINITY, is_inf
 
@@ -325,15 +326,18 @@ def test_negative_bounds_are_rejected():
     from mlvkit.errors import BadBound
     K = QpField(2)
     g = parse_poly("x^2-2", K)
-    for kwargs in ({"max_depth": -1}, {"max_limit_probes": -3}):
+    # a probe budget is also capped at 1000, as --l-max is
+    for kwargs in ({"max_depth": -1}, {"max_limit_probes": -3}, {"max_limit_probes": 1001}):
         with pytest.raises(BadBound) as exc:
             mac_lane_chains(K, g, **kwargs)
         assert exc.value.code == "BAD_BOUND"
     mac_lane_chains(K, g, max_limit_probes=0)  # zero is a bound, not an error
     rep = mac_lane_chains(K, g)
     assert psi_m_scan(rep, 0, 1, probe_budget=0).outcome == "MAX_ATTAINED"
-    with pytest.raises(BadBound):
-        psi_m_scan(rep, 0, 1, probe_budget=-1)
+    assert psi_m_scan(rep, 0, 1, probe_budget=1000).outcome == "MAX_ATTAINED"
+    for budget in (-1, 1001):
+        with pytest.raises(BadBound):
+            psi_m_scan(rep, 0, 1, probe_budget=budget)
 
 
 def test_invariant_failure_is_a_typed_error(monkeypatch):
@@ -587,3 +591,45 @@ def test_scan_stops_early_at_a_split():
     assert scan.outcome == "UNBOUNDED_EVIDENCE"
     assert [v for _, v in scan.evidence] == [Q(2 * k) for k in range(1, 10)]
     assert len(mac_lane_chains(K, g, max_limit_probes=10).branches) == 2
+
+
+# (field, polynomial, probe budget, the stop reason of each branch in order)
+STOP_CASES = [
+    ("Qp(2)", "x^2-2", 8, [TERMINATED]),
+    ("Qp(2)", "x^2-17", 8, [SEPARATED_STALL, SEPARATED_STALL]),
+    ("FpPerf(3,t)", "x^2-x+t", 8, [SEPARATED_STALL, SEPARATED_STALL]),
+    ("FpPerf(2,t)", "x^3+x+t", 8, [SEPARATED_STALL, PROBE_BUDGET]),
+    ("FpPerf(2,t)", "x^2+x+1/t", 8, [PROBE_BUDGET]),
+    ("Qp(2)", "x^2 - 2/3*x + 1/9 - 17*2^40", 8, [PROBE_BUDGET]),
+    # the budget is spent before the first step, which would find g a key;
+    # certified probing (ROADMAP items 1 and 2) is to let this terminate
+    ("Qp(2)", "x^2-2", 0, [PROBE_BUDGET]),
+]
+
+
+@pytest.mark.parametrize("desc,text,budget,stops", STOP_CASES,
+                         ids=[f"{desc}-{text}-{budget}" for desc, text, budget, _ in STOP_CASES])
+def test_stop_reasons(desc, text, budget, stops):
+    K = parse_field(desc)
+    r = mac_lane_chains(K, parse_poly(text, K), max_limit_probes=budget)
+    assert [b.stop for b in r.branches] == stops
+    for b in r.branches:
+        assert b.status == (TERMINATED if b.stop == TERMINATED else LIMIT_SUSPECTED)
+        _assert_trajectory_fits_stop(b, budget)
+
+
+def _assert_trajectory_fits_stop(b, budget):
+    if b.stop == TERMINATED:
+        assert b.trajectory == []
+    elif b.stop == PROBE_BUDGET:
+        assert len(b.trajectory) == budget + 1
+
+
+def test_stop_reason_counts_over_the_corpus():
+    counts = {TERMINATED: 0, SEPARATED_STALL: 0, PROBE_BUDGET: 0}
+    for K, polys in corpus():
+        for g in polys:
+            for b in mac_lane_chains(K, g).branches:
+                counts[b.stop] += 1
+                _assert_trajectory_fits_stop(b, 8)
+    assert counts == {TERMINATED: 110, SEPARATED_STALL: 57, PROBE_BUDGET: 5}
