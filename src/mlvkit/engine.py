@@ -158,9 +158,19 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
     """Admissible new values for ``key``: the candidates of its Newton
     polygon that exceed mu(key).
 
-    Also returns the key-expansion of g so children can reuse it.
+    Also returns the key-expansion of g so children can reuse it.  A
+    degree-one key x - a' arises only at depth zero, where the node
+    already holds g's expansion at its center a: the expansion at a' is
+    its Taylor shift by a' - a.  ``key_from_residual`` makes a' - a a
+    single term, so every product in the shift has a one-term factor.
     """
-    exp = phi_expansion(g, key)
+    if node.prev is None and key.degree == 1:
+        K = node.K
+        delta = K.sub(K.neg(key[0]), node.center)
+        at_a = [c[0] for c in node.expansion(g)]
+        exp = [Poly.const(K, c) for c in fpoly.taylor_shift(K, at_a, delta)]
+    else:
+        exp = phi_expansion(g, key)
     pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
     cur = node.evaluate(key)
     return [gamma for gamma in polygon_gammas(pts) if gamma > cur], list(exp)

@@ -450,12 +450,16 @@ def _random_elem(F: Field, rng: random.Random):
 def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
     """Irreducible factorization over a finite field, sorted deterministically.
 
-    Returns [(g, multiplicity)] with monic irreducible g.
+    Returns [(g, multiplicity)] with monic irreducible g.  A linear f is
+    its own factorization.  Equal-degree splits draw from one stream seeded
+    by f, built at the first split.
     """
     if F.order is None:
         raise ValueError("factorization requires a finite coefficient field")
     f = fpoly.monic(F, f)
-    rng = random.Random(_encode(F, f) ^ 0x5EED)
+    if fpoly.deg(f) == 1:
+        return [(f, 1)]
+    rng = None
     result: List[Tuple[tuple, int]] = []
     for sf, mult in squarefree_decomposition(F, f):
         for g, d in _distinct_degree(F, sf):
@@ -466,6 +470,8 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
                 if fpoly.deg(cur) == d:
                     result.append((cur, mult))
                     continue
+                if rng is None:
+                    rng = random.Random(_encode(F, f) ^ 0x5EED)
                 piece = _equal_degree_split(F, cur, d, rng)
                 stack.append(piece)
                 stack.append(fpoly.divmod_(F, cur, piece)[0])

@@ -21,13 +21,13 @@ for a coefficient field B that is also the residue field.  B = GF(q) is
 perfect and B = GF(p)(c) is not, which is exactly what the Frobenius
 criterion on gr(K) tells apart.
 
-Elements are plain data: ``Fraction`` for Qp, ``RF`` pairs for the
-t-adic families, and ``PerfElem`` for the perfect closure: the minimal
-level k plus, when the reduced denominator is a monomial, the sorted
-(exponent, coefficient) terms of a Laurent polynomial in u = t^(1/p^k),
-and otherwise a dense RF in u.  Every descriptor also implements the
-generic Field protocol over its own elements, so the polynomial toolbox
-applies uniformly.
+Elements are plain data: for Qp an ``int`` when integral, else a
+``Fraction``; ``RF`` pairs for the t-adic families; and ``PerfElem`` for
+the perfect closure: the minimal level k plus, when the reduced
+denominator is a monomial, the sorted (exponent, coefficient) terms of a
+Laurent polynomial in u = t^(1/p^k), and otherwise a dense RF in u.
+Every descriptor also implements the generic Field protocol over its own
+elements, so the polynomial toolbox applies uniformly.
 
 Default choice functions are the multiplicative ones (p^gamma, t^gamma);
 a descriptor may carry a finite override table, which is what produces
@@ -177,7 +177,9 @@ class ValuedField(Field):
 
 
 class QpField(ValuedField):
-    """Rationals with the p-adic valuation.  Elements are Fractions."""
+    """Rationals with the p-adic valuation.  Elements are ints when
+    integral, else Fractions; an int and a Fraction of equal value compare
+    and hash alike, so results of arithmetic need no normalizing."""
 
     kind, name, args = "Qp", "Qp", "p"
 
@@ -189,14 +191,11 @@ class QpField(ValuedField):
         self.value_group = ValueGroup(Q(1), None)
         self.residue_field = GFp(p)
 
-    _ZERO = Q(0)
-    _ONE = Q(1)
-
     def zero(self):
-        return self._ZERO
+        return 0
 
     def one(self):
-        return self._ONE
+        return 1
 
     def add(self, a, b):
         return a + b
@@ -211,7 +210,10 @@ class QpField(ValuedField):
         return a * b
 
     def _inv(self, a):
-        return self._ONE / a
+        num, den = a.numerator, a.denominator
+        if num < 0:
+            num, den = -num, -den
+        return den if num == 1 else Q(den, num)
 
     def eq(self, a, b):
         return a == b
@@ -220,7 +222,7 @@ class QpField(ValuedField):
         return a == 0
 
     def from_int(self, n):
-        return Q(n)
+        return n
 
     def valuate(self, a) -> Value:
         num, den = a.numerator, a.denominator
@@ -241,14 +243,15 @@ class QpField(ValuedField):
         return a.numerator % p * pow(a.denominator % p, -1, p) % p
 
     def lift(self, r):
-        return Q(r % self.p)
+        return r % self.p
 
     def _unit(self, w):
         n = w.numerator
-        return Q(self.p ** n) if n >= 0 else Q(1, self.p ** -n)
+        return self.p ** n if n >= 0 else Q(1, self.p ** -n)
 
     def accepts(self, a):
-        return isinstance(a, (Fraction, int))
+        # type(a) is int, so that True cannot pass as 1
+        return type(a) is int or isinstance(a, Fraction)
 
     # an int or a Fraction prints as its value
     elem_str = staticmethod(value_str)

@@ -83,18 +83,26 @@ def add(K: ValuedField, x: SemigroupRingElement, y: SemigroupRingElement) -> Sem
 def twisted_mul(K: ValuedField, x: SemigroupRingElement,
                 y: SemigroupRingElement) -> SemigroupRingElement:
     R = K.residue_field
+    # element() checked every exponent, and without overrides the choice
+    # function is multiplicative, so every twist is 1
+    twisted = bool(K.choice_overrides)
     pairs = []
     for ex, cx in x.terms:
         for ey, cy in y.terms:
-            c = R.mul(R.mul(cx, cy), twist(K, ex, ey))
+            c = R.mul(cx, cy)
+            if twisted:
+                c = R.mul(c, twist(K, ex, ey))
             pairs.append((ex + ey, c))
     return element(K, pairs)
 
 
 def _pow_twist(K: ValuedField, g: Fraction, n: int):
-    """tau with (T^g)^n = tau * T^(ng): the product of twist(ig, g), i = 1..n-1."""
+    """tau with (T^g)^n = tau * T^(ng): the product of twist(ig, g), i = 1..n-1
+    (1 without overrides, as in ``twisted_mul``)."""
     R = K.residue_field
     tau = R.one()
+    if not K.choice_overrides:
+        return tau
     for i in range(1, n):
         tau = R.mul(tau, twist(K, i * g, g))
     return tau

@@ -543,9 +543,13 @@ def test_rational_root_test_matches_trial_division():
         checked += 1
 
 
-# (polynomial over FpPerf(p,t), p, q, budget): the trajectory gammas are -1/q^(l+1)
+# (polynomial over FpPerf(p,t), p, q, budget): the trajectory gammas are
+# -1/q^(l+1); the last three probe deep enough that each probe's centre has
+# many terms, where the engine Taylor-shifts g's expansion by one term
 ARTIN_SCHREIER_CASES = [("x^4+x+1/t", 2, 4, 8), ("x^2+x+1/t", 2, 2, 12),
-                        ("x^4+x+1/t", 2, 4, 12), ("x^3-x-1/t", 3, 3, 10)]
+                        ("x^4+x+1/t", 2, 4, 12), ("x^3-x-1/t", 3, 3, 10),
+                        ("x^2+x+1/t", 2, 2, 200), ("x^4+x+1/t", 2, 4, 60),
+                        ("x^3-x-1/t", 3, 3, 60)]
 
 
 @pytest.mark.parametrize("text,p,q,budget", ARTIN_SCHREIER_CASES,
@@ -555,7 +559,7 @@ def test_artin_schreier_probes_at_large_budgets(text, p, q, budget):
     r = mac_lane_chains(P, parse_poly(text, P), max_limit_probes=budget)
     assert len(r.branches) == 1
     b = r.branches[0]
-    assert b.status == LIMIT_SUSPECTED
+    assert b.status == LIMIT_SUSPECTED and b.stop == PROBE_BUDGET
     assert [e["gamma"] for e in b.trajectory] == [Q(-1, q ** (l + 1)) for l in range(budget + 1)]
     assert b.d is None and b.d_lower >= 2
     assert isinstance(finite_complete_sequence(r), NoSequence)

@@ -7,8 +7,11 @@ its elements, falling back to dense rational functions in u only for a
 denominator that is not a monomial.
 ``phi_expansion`` takes its last coefficient without dividing, ``divmod_``
 returns at once for a shorter dividend and skips the inverse of a monic
-divisor's leading coefficient, ``taylor_shift`` at 0 is the identity and
-``QpField.sub`` is one Fraction subtraction.  ``InductiveValuation.evaluate``
+divisor's leading coefficient, and ``taylor_shift`` at 0 is the identity.
+The engine expands g at a new degree-one key by Taylor-shifting the
+expansion it holds at the old centre, ``QpField`` keeps integral elements
+as ints, and ``factor_monic`` returns a linear input at once, building
+no random stream.  ``InductiveValuation.evaluate``
 hands inputs of lower degree than the key to the previous stage and
 reduces once modulo the key at a terminal stage, and ``truncation_eval``
 reduces once modulo a base of infinite value.  Each is compared here with
@@ -18,6 +21,7 @@ against naive sums and by rebuilding f), and depth-zero stages skip their
 trivial twists (checked by lifting graded reductions back).
 """
 
+import random
 from fractions import Fraction as Q
 from functools import lru_cache
 
@@ -26,11 +30,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from corpus import FPPERF2, FPPERF3, FQ2T, FQ3T, QP2, QP3, QP5
 from mlvkit import fpoly
-from mlvkit.engine import TERMINATED, mac_lane_chains
+from mlvkit.engine import TERMINATED, _new_values, mac_lane_chains
 from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
-from mlvkit.ffield import ExtField, GFp, GFq
+from mlvkit.ffield import ExtField, GFp, GFq, factor_monic, is_irreducible
 from mlvkit.fields import ADD, INV, MUL, FpPerfField, PerfElem, QpField, field_arith
-from mlvkit.indval import truncation_eval
+from mlvkit.indval import InductiveValuation, truncation_eval
 from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly, phi_expansion
 from mlvkit.ratfunc import RF, RatFuncField
@@ -478,6 +482,109 @@ def test_taylor_shift_equals_synthetic_division(data):
 def test_qp_sub_equals_add_of_negation(a, b):
     K = QpField(2)
     assert K.sub(a, b) == K.add(a, K.neg(b))
+
+
+# ---------------------------------------------------------------------------
+# The engine's degree-one shift, int Qp elements, linear factorizations
+# ---------------------------------------------------------------------------
+
+CORPUS_FIELDS = [parse_field(d) for d in ("Qp(2)", "Qp(3)", "Qp(5)", "Fq(2,t)",
+                                          "Fq(3,t)", "FpPerf(2,t)", "FpPerf(3,t)")]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_taylor_shift_of_an_expansion_equals_the_expansion_at_the_new_centre(data):
+    digits = st.tuples(*[st.integers(-3, 3)] * 4)
+    for K in CORPUS_FIELDS:
+        g = Poly(K, data.draw(valued_coeffs(K, 5)) + (K.one(),))
+        a = valued_element(K, data.draw(digits))
+        if data.draw(st.booleans()):
+            # one term lift(r) * epsilon(w), as key_from_residual makes it
+            r = K.residue_field.from_int(data.draw(st.integers(1, K.p - 1)))
+            level = data.draw(st.integers(0, 2)) if K.kind == "FpPerf" else 0
+            w = Q(data.draw(st.integers(-2, 4)), K.p ** level)
+            delta = K.mul(K.lift(r), K.canonical_unit(w))
+        else:
+            delta = valued_element(K, data.draw(digits))
+        key = Poly(K, (K.neg(K.add(a, delta)), K.one()))
+        exp = phi_expansion(g, key)
+        shifted = fpoly.taylor_shift(K, fpoly.taylor_shift(K, g.coeffs, a), delta)
+        assert len(shifted) == len(exp) == g.degree + 1
+        assert all(K.eq(c, e[0]) for c, e in zip(shifted, exp))
+        # the engine's depth-zero path gives the same expansion
+        node = InductiveValuation.depth_zero(K, a, Q(data.draw(st.integers(0, 3))))
+        assert _new_values(node, g, key)[1] == list(exp)
+
+
+def qp_numbers():
+    return st.one_of(st.integers(-10**6, 10**6), st.fractions(max_denominator=10**4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(PRIMES), qp_numbers(), qp_numbers())
+@example(2, 1, -1)
+@example(3, Q(-1), Q(1, 3))
+def test_qp_int_elements_agree_with_fractions(p, a, b):
+    K = QpField(p)
+    fa, fb = Q(a), Q(b)
+    for got, want in ((K.add(a, b), fa + fb), (K.sub(a, b), fa - fb),
+                      (K.mul(a, b), fa * fb), (K.neg(a), -fa)):
+        assert got == want and hash(got) == hash(want)
+        assert K.elem_str(got) == K.elem_str(want)
+        assert K.valuate(got) == K.valuate(want)
+    assert K.valuate(a) == K.valuate(fa)
+    assert K.elem_str(a) == K.elem_str(fa)
+    if K.valuate(fa) >= 0:
+        assert K.residue(a) == K.residue(fa)
+    if fa:
+        inv = K.inv(a)
+        assert inv == 1 / fa and K.inv(fa) == inv
+        assert (type(inv) is int) == ((1 / fa).denominator == 1)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_qp_integral_constructors_return_ints(p):
+    K = QpField(p)
+    assert type(K.zero()) is int and type(K.one()) is int
+    for n in (-7, 0, 1, p, 10**20):
+        assert type(K.from_int(n)) is int and K.from_int(n) == n
+    for r in range(p if p < 10 else 10):
+        assert type(K.lift(r)) is int and K.residue(K.lift(r)) == r
+    for n in range(4):
+        assert type(K.canonical_unit(Q(n))) is int
+    assert K.canonical_unit(Q(-1)) == Q(1, p)
+
+
+def test_qp_refuses_a_bool():
+    K = QpField(2)
+    assert K.accepts(1) and K.accepts(Q(1, 2)) and not K.accepts(True)
+    with pytest.raises(MixedFields):
+        field_arith(K, ADD, True, 1)
+
+
+def test_a_linear_input_is_its_own_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("no random stream for a linear input")
+    monkeypatch.setattr(random, "Random", refuse)
+    for F in (GFp(2), GFp(3), GFq(4), GFq(9)):
+        for f in ((F.one(), F.one()), (F.zero(), F.from_int(2) if F.char > 2 else F.one())):
+            assert factor_monic(F, f) == [(fpoly.monic(F, f), 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_factor_monic_of_small_inputs_multiplies_back(data):
+    for F in (GFp(2), GFp(3), GFq(4), GFq(9)):
+        cc = data.draw(st.lists(st.integers(0, F.order - 1), min_size=1, max_size=7))
+        f = fpoly.norm(F, [element(F, n) for n in cc])
+        if not f:
+            continue
+        acc = (F.one(),)
+        for g, mult in factor_monic(F, f):
+            assert fpoly.is_monic(F, g) and is_irreducible(F, g)
+            acc = fpoly.mul(F, acc, fpoly.pow_(F, g, mult))
+        assert acc == fpoly.monic(F, f)
 
 
 # chains of the corpus polynomials, plus a few deeper ones; the Fq(2,t)

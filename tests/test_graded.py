@@ -6,7 +6,7 @@ import pytest
 from mlvkit import graded as G
 from mlvkit.errors import NegativeValue, ParseError
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
-from mlvkit.parsing import parse_graded
+from mlvkit.parsing import parse_choice_overrides, parse_graded
 
 
 def stable_seed(K):
@@ -225,3 +225,62 @@ def test_pth_root_surjective_linkage():
     v, (kind, wit) = G.frobenius_surjective(K)
     assert v == "NO" and kind == "VALUE_WITNESS"
     assert isinstance(G.pth_root(K, G.element(K, [(wit, 1)])), G.NoRoot)
+
+
+def fields_with_and_without_tables():
+    """Qp(3), Fq(4,t) and FpPerf(2,t), each plain and with an override
+    table; Fq(4,t)'s table uses a generator z of GF(4), so twist(1, 1) = z^2."""
+    K3, K4, P2 = QpField(3), FqtField(4), FpPerfField(2)
+    z = K4.lift(K4.residue_field.gen())
+    return [K3, K3.with_choice_overrides(parse_choice_overrides("1=6,2=18", K3)),
+            K4, K4.with_choice_overrides({Q(1): K4.mul(z, K4.t())}),
+            P2, P2.with_choice_overrides(parse_choice_overrides("1/2=t^(1/2)+t,1=t+t^2", P2))]
+
+
+def residue_elements(R):
+    if R.order == R.char:
+        return [R.from_int(n) for n in range(R.order)]
+    return [R.zero()] + [R.pow(R.gen(), i) for i in range(R.order - 1)]
+
+
+def full_twist_mul(K, x, y):
+    R = K.residue_field
+    return G.element(K, [(ex + ey, R.mul(R.mul(cx, cy), G.twist(K, ex, ey)))
+                         for ex, cx in x.terms for ey, cy in y.terms])
+
+
+def full_twist_frobenius(K, x):
+    R, p = K.residue_field, K.p
+    pairs = []
+    for e, c in x.terms:
+        tau = R.one()
+        for i in range(1, p):
+            tau = R.mul(tau, G.twist(K, i * e, e))
+        pairs.append((p * e, R.mul(R.pow(c, p), tau)))
+    return G.element(K, pairs)
+
+
+@pytest.mark.parametrize("K", fields_with_and_without_tables(),
+                         ids=lambda k: k.descriptor_str() + ("+eps" if k.choice_overrides else ""))
+def test_products_and_frobenius_equal_the_full_twist_computation(K):
+    """Without overrides every twist is 1 and is not computed; with a
+    table the products still match the twist computed term by term."""
+    rng = random.Random(0x7E ^ stable_seed(K))
+    R = K.residue_field
+    coeffs = residue_elements(R)
+    if K.choice_overrides and R.order > 2:
+        # the table makes some twist visible (GF(2) has no unit but 1)
+        assert any(G.twist(K, g, g) != R.one() for g in K.choice_overrides)
+    gen, hull = K.value_group.gen, K.value_group.hull
+
+    def draw():
+        pairs = []
+        for _ in range(rng.randrange(0, 4)):
+            den = hull ** rng.randrange(0, 3) if hull else 1
+            pairs.append((gen * Q(rng.randrange(0, 5), den), rng.choice(coeffs)))
+        return G.element(K, pairs)
+
+    for _ in range(60):
+        x, y = draw(), draw()
+        assert G.twisted_mul(K, x, y) == full_twist_mul(K, x, y)
+        assert G.frobenius(K, x) == full_twist_frobenius(K, x)
