@@ -57,7 +57,8 @@ def branch_to_dict(b: Branch) -> dict:
         "chain": chain,
         "e": b.e,
         "f": b.f,
-        "keyPolys": [p.to_str() for p in b.key_polys],
+        # the key polynomials are the chain's phis, printed once above
+        "keyPolys": [st["phi"] for st in chain],
     }
     if b.d is not None:
         out["d"] = b.d

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from math import isqrt
+from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
@@ -41,7 +41,7 @@ from .fields import ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
-from .values import INFINITY, Q, Value, is_inf, value_str
+from .values import INFINITY, Q, Value, value_str
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
@@ -122,9 +122,9 @@ class ScanResult:
 # ---------------------------------------------------------------------------
 
 
-def lower_hull(points: List[Tuple[int, Q]]) -> List[Tuple[int, Q]]:
+def lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     pts = sorted(points)
-    hull: List[Tuple[int, Q]] = []
+    hull: List[Tuple[int, int]] = []
     for p in pts:
         while len(hull) >= 2:
             (x1, y1), (x2, y2) = hull[-2], hull[-1]
@@ -139,12 +139,22 @@ def lower_hull(points: List[Tuple[int, Q]]) -> List[Tuple[int, Q]]:
 def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
     """Candidate key values from the points (k, v(a_k)) of the nonzero
     coefficients: INFINITY first when there is no constant term (the key
-    divides g), then gamma = -(slope) for each lower-hull edge."""
-    finite = [(k, v) for k, v in points.items() if not is_inf(v)]
-    hull = lower_hull(finite)
+    divides g), then gamma = -(slope) for each lower-hull edge.
+
+    The hull runs on ints: every value is scaled by L, the lcm of the
+    denominators (1 when all values are integral), and each slope is
+    an int when it is exact."""
+    finite = [(k, v.numerator, v.denominator)
+              for k, v in points.items() if v is not INFINITY]
+    L = 1
+    for _, _, den in finite:
+        if den != 1:
+            L = L * den // gcd(L, den)
+    hull = lower_hull([(k, num * (L // den)) for k, num, den in finite])
     out: List[Value] = [] if 0 in points else [INFINITY]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        out.append((v1 - v2) / (k2 - k1))
+        num, den = v1 - v2, (k2 - k1) * L
+        out.append(num // den if num % den == 0 else Q(num, den))
     return out
 
 

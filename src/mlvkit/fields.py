@@ -236,7 +236,7 @@ class QpField(ValuedField):
         while den % p == 0:
             den //= p
             v -= 1
-        return Q(v)
+        return v
 
     def _unit_residue(self, a):
         p = self.p
@@ -277,7 +277,7 @@ class TadicField(ValuedField, RatFuncField):
 
     def valuate(self, a) -> Value:
         k = self.ord_var(a)
-        return INFINITY if k is None else Q(k)
+        return INFINITY if k is None else k
 
     def lift(self, r):
         return self.make(fpoly.const(self.coeff_field, r), (self.coeff_field.one(),))
@@ -441,11 +441,15 @@ class FpPerfField(ValuedField):
         return PerfElem(0, ((0, n),)) if n else self._zero
 
     def valuate(self, a) -> Value:
+        # the value e / p^level of the lowest exponent e in u
         if a.rf is not None:
-            return Q(self.rff.ord_var(a.rf), self.p ** a.level)
-        if not a.terms:
+            e = self.rff.ord_var(a.rf)
+        elif a.terms:
+            e = a.terms[0][0]
+        else:
             return INFINITY
-        return Q(a.terms[0][0], self.p ** a.level)
+        den = self.p ** a.level
+        return e // den if e % den == 0 else Q(e, den)
 
     def _unit_residue(self, a):
         if a.rf is not None:

@@ -1,9 +1,14 @@
 """Exact valuation values (rationals plus infinity) and rank-1 value groups.
 
-Values are plain ``fractions.Fraction`` objects, with a single shared
-``INFINITY`` sentinel adjoined.  Infinity absorbs addition and dominates
-every rational in comparisons, so ``min()`` / ``sorted()`` work directly
-on mixed lists.
+A finite value is a plain ``int`` when it is integral and a
+``fractions.Fraction`` when it is not; no value is ever a float.  The
+valuations of every field, ``vadd``, ``vmul`` and the Newton-polygon
+slopes keep that rule, so the common integral case runs on int
+arithmetic.  An int and a Fraction of equal value compare and hash
+alike, so an integral Fraction (a caller's input, or a difference formed
+with ``-``) mixes freely with them.  A single shared ``INFINITY``
+sentinel is adjoined: it absorbs addition and dominates every rational
+in comparisons, so ``min()`` / ``sorted()`` work directly on mixed lists.
 """
 
 from __future__ import annotations
@@ -58,10 +63,7 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Value = Union[Fraction, _Infinity]
-
-
-_ZERO = Q(0)
+Value = Union[int, Fraction, _Infinity]
 
 
 def is_inf(v: Value) -> bool:
@@ -71,17 +73,26 @@ def is_inf(v: Value) -> bool:
 def vadd(a: Value, b: Value) -> Value:
     if a is INFINITY or b is INFINITY:
         return INFINITY
-    return a + b
+    s = a + b
+    if type(s) is int or s.denominator != 1:
+        return s
+    return s.numerator
 
 
 def vmul(n: int, g: Value) -> Value:
     """n*g for an integer n >= 0; 0 * INFINITY is 0 by convention."""
     if n == 0:
-        return _ZERO
+        return 0
     if g is INFINITY:
         return INFINITY
-    # built from ints: int * Fraction goes through the reflected operator
-    return Q(n * g.numerator, g.denominator)
+    if type(g) is int:
+        return n * g
+    # built from ints, not by the reflected int * Fraction operator; g is
+    # reduced, so n*g is integral exactly when its denominator divides n
+    den = g.denominator
+    if n % den == 0:
+        return n // den * g.numerator
+    return Q(n * g.numerator, den)
 
 
 def value_str(v: Value) -> str:
@@ -131,14 +142,17 @@ class ValueGroup:
     hull: Optional[int] = None  # prime p for gen*Z[1/p], None for gen*Z
 
     def __post_init__(self):
-        if self.gen <= 0:
+        g = self.gen
+        if type(g) is not Q:  # an int generator: keep gen / m exact
+            g = Q(g)
+        if g <= 0:
             raise ValueError("value group generator must be positive")
         if self.hull is not None:
-            g = Q(_strip_p(self.gen.numerator, self.hull),
-                  _strip_p(self.gen.denominator, self.hull))
-            object.__setattr__(self, "gen", g)
+            g = Q(_strip_p(g.numerator, self.hull),
+                  _strip_p(g.denominator, self.hull))
+        object.__setattr__(self, "gen", g)
 
-    def _order_mod(self, v: Fraction) -> int:
+    def _order_mod(self, v: Union[int, Fraction]) -> int:
         """Smallest e >= 1 with e*v in the group: the reduced denominator of
         v/gen (p-free for a hull), computed in ints."""
         num = v.numerator * self.gen.denominator
@@ -165,7 +179,7 @@ class ValueGroup:
                 raise ValueError("cannot join infinity into a value group")
             den = self._order_mod(x)
             m = m * den // gcd(m, den)
-        return ValueGroup(self.gen / m, self.hull)
+        return self if m == 1 else ValueGroup(self.gen / m, self.hull)
 
     def index_over(self, sub: "ValueGroup") -> int:
         """(self : sub) for a finite-index subgroup of the same kind."""

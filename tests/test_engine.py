@@ -2,12 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from corpus import corpus
 from mlvkit.engine import (LIMIT_SUSPECTED, PROBE_BUDGET, SEPARATED_STALL,
                            TERMINATED, UNSTABLE, NoSequence, defect,
                            finite_complete_sequence, induced_value,
-                           mac_lane_chains, psi_m_scan)
+                           mac_lane_chains, polygon_gammas, psi_m_scan)
 from mlvkit.errors import NotMonic, ResidueUnsupported
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
@@ -637,3 +638,61 @@ def test_stop_reason_counts_over_the_corpus():
                 counts[b.stop] += 1
                 _assert_trajectory_fits_stop(b, 8)
     assert counts == {TERMINATED: 110, SEPARATED_STALL: 57, PROBE_BUDGET: 5}
+
+
+# -- the value contract: an int when integral, else a Fraction, never a float --
+
+
+def _is_value(v):
+    return v is INFINITY or type(v) is int or (type(v) is Q and v.denominator != 1)
+
+
+def _reference_gammas(points):
+    """The Fraction hull: slopes of the lower convex hull, divided as Fractions."""
+    hull = []
+    for k, v in sorted((k, Q(v)) for k, v in points.items() if not is_inf(v)):
+        while len(hull) >= 2:
+            (x1, y1), (x2, y2) = hull[-2], hull[-1]
+            if (y2 - y1) * (k - x1) >= (v - y1) * (x2 - x1):
+                hull.pop()
+            else:
+                break
+        hull.append((k, v))
+    out = [] if 0 in points else [INFINITY]
+    return out + [(v1 - v2) / (k2 - k1) for (k1, v1), (k2, v2) in zip(hull, hull[1:])]
+
+
+_point_values = (st.integers(-50, 50)
+                 | st.fractions(min_value=-50, max_value=50, max_denominator=12)
+                 | st.just(INFINITY))
+
+
+@given(st.dictionaries(st.integers(0, 12), _point_values, max_size=10),
+       st.booleans())
+@example({0: 1, 2: 0}, True)  # slope 1/2 from ints
+@example({0: Q(1, 2), 1: Q(1, 2), 3: Q(-3, 2)}, True)  # integral slopes of Fractions
+@example({1: 3, 2: Q(1, 3), 4: 0}, False)  # no constant term
+def test_polygon_gammas_match_the_fraction_hull(points, constant):
+    if not constant:
+        points.pop(0, None)
+    got = polygon_gammas(points)
+    want = _reference_gammas(points)
+    assert got == want
+    assert all(_is_value(g) for g in got), got
+    assert (got[:1] == [INFINITY]) == (0 not in points)
+
+
+def test_corpus_values_are_ints_or_proper_fractions():
+    """Every chain gamma, trajectory gamma and g value of the corpus
+    reports is an int or a non-integral Fraction, never a float."""
+    seen = 0
+    for K, polys in corpus():
+        for g in polys:
+            for b in mac_lane_chains(K, g).branches:
+                vals = [stage.gamma for stage in b.chain.stages()]
+                for e in b.trajectory:
+                    vals += [e["gamma"], e["g_value"]]
+                bad = [v for v in vals if not _is_value(v)]
+                assert not bad, (K, g.to_str(), bad)
+                seen += len(vals)
+    assert seen > 600

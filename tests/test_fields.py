@@ -304,3 +304,27 @@ def test_qp_v2_hypothesis(a, b):
     assert K.valuate(s) >= min(K.valuate(a), K.valuate(b))
     if K.valuate(a) != K.valuate(b):
         assert K.valuate(s) == min(K.valuate(a), K.valuate(b))
+
+
+def test_valuate_is_an_int_exactly_when_integral():
+    Qp = QpField(3)
+    cases = [(Qp, 18, 2), (Qp, Q(18), 2), (Qp, Q(1, 9), -2), (Qp, Q(5, 7), 0)]
+    for F in (FqtField(3), FpctField(2)):
+        t = F.t()
+        cases += [(F, F.pow(t, 2), 2),
+                  (F, F.div(F.one(), F.mul(t, F.add(F.one(), t))), -1)]
+    P = FpPerfField(2)
+    u = P.canonical_unit
+    # t + t^(5/4) lives at level 2, yet its value is 1
+    level_two = P.add(P.t(), u(Q(5, 4)))
+    assert level_two.level == 2
+    # t / (1 + t^(1/2)) is dense at level 1, with value 1
+    dense = P.div(P.t(), P.add(P.one(), u(Q(1, 2))))
+    assert dense.rf is not None and dense.level == 1
+    cases += [(P, P.t(), 1), (P, level_two, 1), (P, dense, 1),
+              (P, u(Q(3, 4)), Q(3, 4)),
+              (P, P.div(u(Q(1, 2)), P.add(P.one(), P.t())), Q(1, 2))]
+    for K, a, v in cases:
+        got = K.valuate(a)
+        assert got == v, (K, a)
+        assert type(got) is (int if Q(v).denominator == 1 else Q), (K, a, got)

@@ -40,3 +40,23 @@ def test_field_rules_live_in_the_contract():
         for name in ("residue", "canonical_unit", "inv", "pth_root", "key",
                      "descriptor_str"):
             assert name not in vars(cls), (cls.__name__, name)
+
+
+def test_readme_library_example():
+    """The README's library example runs and gives its commented results."""
+    import ast
+    from fractions import Fraction as Q
+    from pathlib import Path
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Library entry points", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    ns, results = {}, []
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):  # a line whose result is commented
+            results.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), ns))
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
+    ef, fcs, augmented = results
+    assert ef == (2, 1)
+    assert [p.to_str() for p in fcs] == ["x", "x^2 - 2"]
+    assert augmented.gamma == Q(3, 2)

@@ -11,6 +11,8 @@ from mlvkit.values import (INFINITY, ValueGroup, is_inf, value_from_str,
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
                          max_denominator=10 ** 4)
+# finite values as the library makes them (ints) and as callers may pass them
+finite_values = rationals | st.integers(-10 ** 6, 10 ** 6)
 
 
 def test_infinity_order():
@@ -41,10 +43,47 @@ def test_infinity_stays_the_singleton():
     assert not is_inf(Q(10 ** 9))
 
 
-@given(st.integers(0, 10 ** 6), rationals)
+def value_type(v):
+    """The type a value must have: int when integral, else Fraction."""
+    return int if Q(v).denominator == 1 else Q
+
+
+@given(st.integers(0, 10 ** 6), finite_values)
+@example(2, Q(1, 2))  # an integral product of a Fraction is an int
+@example(3, Q(4))  # so is that of an integral Fraction
 def test_vmul_equals_the_fraction_product(n, g):
     got = vmul(n, g)
-    assert type(got) is Q and got == n * g
+    assert got == n * g and type(got) is value_type(n * g)
+
+
+@given(finite_values, finite_values)
+@example(Q(1, 2), Q(1, 2))  # an integral sum of two Fractions is an int
+@example(Q(1, 3), 2)
+def test_vadd_equals_the_fraction_sum(a, b):
+    got = vadd(a, b)
+    assert got == Q(a) + Q(b) and type(got) is value_type(Q(a) + Q(b))
+
+
+@given(finite_values, st.integers(1, 10 ** 4), st.sampled_from([None, 2, 3, 5]))
+def test_int_and_fraction_generators_give_equal_groups(x, gen, hull):
+    G, H = ValueGroup(gen, hull), ValueGroup(Q(gen), hull)
+    assert G == H and type(G.gen) is Q
+    assert G.join([x]) == H.join([x]) and type(G.join([x]).gen) is Q
+    assert G.contains(x) == H.contains(x)
+    assert G.join([x]).contains(x)
+    # 6*gen*Z has index 6, less the factor the hull absorbs
+    index = {None: 6, 2: 3, 3: 2, 5: 6}[hull]
+    for sub in (ValueGroup(6 * gen, hull), ValueGroup(Q(6 * gen), hull)):
+        assert G.index_over(sub) == H.index_over(sub) == index
+
+
+def test_int_generator_joins_exactly():
+    # 2Z + (1/3)Z = (1/3)Z, not a float generator
+    G = ValueGroup(2, None).join([Q(1, 3)])
+    assert G.gen == Q(1, 3) and type(G.gen) is Q
+    assert G.contains(Q(2, 3)) and not G.contains(Q(1, 6))
+    assert ValueGroup(3, None).index_over(ValueGroup(6, None)) == 2
+    assert ValueGroup(Q(3), None).index_over(ValueGroup(6, None)) == 2
 
 
 def test_value_strings():
