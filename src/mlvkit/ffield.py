@@ -4,7 +4,10 @@ Field objects implement a small uniform protocol (zero/one/add/sub/mul/
 neg/inv/div/eq/is_zero/from_int/elem_str plus char and order) over plain
 element data: integers for prime fields, coefficient tuples for
 extensions.  Extensions over extensions give the residue-field towers
-that inductive valuations build.
+that inductive valuations build.  ``GFq(q)`` for q = p^m, m >= 2, up to
+TABLE_CAP is a ``TableField`` instead: its elements are int codes whose
+base-p digits are the coefficients of the ExtField element, and its
+arithmetic reads log tables.
 
 Extension moduli searched here are deterministic: the monic irreducible
 of the requested degree whose coefficient vector is smallest in the
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
+from itertools import repeat
 from typing import List, Optional, Tuple
 
 from . import fpoly
@@ -204,6 +208,168 @@ class ExtField(Field):
         return f"{self.base!r}[{self.varname}]/(...)"
 
 
+TABLE_CAP = 256  # the largest order q = p^m, m >= 2, that GFq tabulates
+
+
+class TableField(Field):
+    """GF(p)[z]/(modulus) for a small order q = p^m, m >= 2, on int codes.
+
+    The element c_0 + c_1 z + ... + c_(m-1) z^(m-1) of
+    ``ExtField(GFp(p), modulus, varname)`` is the int sum c_i p^i in
+    [0, q); zero is 0 and one is 1.  Products, inverses, quotients,
+    negatives and p-th roots add or scale discrete logarithms to
+    a primitive element g.  A sum is XOR for p = 2; for odd p it is the
+    Zech logarithm g^a + g^b = g^(a + Z(b - a)) with 1 + g^k = g^Z(k)
+    (Lidl-Niederreiter, Finite Fields, section 9.2).
+    """
+
+    def __init__(self, p: int, m: int, varname: str = "z"):
+        self.base = GFp(p)
+        self.modulus = find_irreducible(p, m)
+        self.degree = m
+        self.varname = varname
+        self.char = p
+        self.order = p ** m
+        self._n = self.order - 1
+        self._exp, self._log, self._zech = _log_tables(p, m)
+
+    def digits(self, a: int) -> tuple:
+        """The coefficient tuple of a in ExtField(GFp(p), modulus)."""
+        return _digits(a, self.char)
+
+    def from_digits(self, cc) -> int:
+        """The code of the element with coefficient tuple cc."""
+        return _code(cc, self.char)
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def gen(self):
+        return self.char  # z
+
+    def add(self, a, b):
+        if not a:
+            return b
+        if not b:
+            return a
+        log = self._log
+        la = log[a]
+        # a negative difference indexes from the end: Z(k) = Z(k + q - 1)
+        z = self._zech[log[b] - la]
+        return 0 if z is None else self._exp[la + z]
+
+    def neg(self, a):
+        # -1 = g^((q-1)/2) for odd p
+        return self._exp[self._log[a] + self._n // 2] if a else 0
+
+    def mul(self, a, b):
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
+
+    def inv(self, a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero in extension field")
+        return self._exp[self._n - self._log[a]]
+
+    def div(self, a, b):
+        if not b:
+            raise ZeroDivisionError("inverse of zero in extension field")
+        return self._exp[self._log[a] - self._log[b] + self._n] if a else 0
+
+    def eq(self, a, b):
+        return a == b
+
+    def is_zero(self, a):
+        return not a
+
+    def is_one(self, a):
+        return a == 1
+
+    def from_int(self, n):
+        return n % self.char
+
+    def pth_root(self, a):
+        # the inverse of Frobenius is a -> a^(q/p)
+        return self._exp[self._log[a] * (self.order // self.char) % self._n] if a else 0
+
+    def elem_str(self, a):
+        return fpoly.to_str(self.base, self.digits(a), self.varname)
+
+    def __repr__(self):
+        return f"GF({self.order})[{self.varname}]"
+
+
+class _Char2TableField(TableField):
+    """A TableField of characteristic 2: a sum is the XOR of the codes."""
+
+    def add(self, a, b):
+        return a ^ b
+
+    sub = add
+
+    def neg(self, a):
+        return a
+
+
+@cache
+def _log_tables(p: int, m: int):
+    """(exp, log, zech) of GF(p^m) on TableField codes, for a primitive g.
+
+    exp has 2(q - 1) entries, exp[k] = g^k, so that a sum or difference of
+    two logarithms (plus q - 1) needs no reduction; log[a] is the
+    logarithm of a != 0.  For odd p, zech[k] is the logarithm of 1 + g^k,
+    None where that sum is zero; for p = 2 zech is None."""
+    q = p ** m
+    n = q - 1
+    E = ExtField(GFp(p), find_irreducible(p, m))
+    # candidates by code from z = p up; the constants below p lie in GF(p)*
+    g = next(g for g in map(_digits, range(p, q), repeat(p)) if _is_primitive(E, g, n))
+    exp, a = [], E.one()
+    for _ in range(n):
+        exp.append(_code(a, p))
+        a = E.mul(a, g)
+    log = [0] * q
+    for k, c in enumerate(exp):
+        log[c] = k
+    zech = None
+    if p != 2:
+        # 1 + c adds 1 to the constant digit of c
+        zech = [log[c1] if c1 else None for c1 in (c - c % p + (c + 1) % p for c in exp)]
+    return exp + exp, log, zech
+
+
+def _digits(c: int, p: int) -> tuple:
+    """The base-p digits of c >= 0, least significant first, no trailing 0."""
+    out = []
+    while c:
+        c, d = divmod(c, p)
+        out.append(d)
+    return tuple(out)
+
+
+def _code(cc, p: int) -> int:
+    c = 0
+    for d in reversed(cc):
+        c = c * p + d
+    return c
+
+
+def _is_primitive(E: Field, g, n: int) -> bool:
+    """g generates the multiplicative group of order n: g^(n/r) != 1 for
+    every prime r dividing n."""
+    r, k = 2, n
+    while k > 1:
+        if k % r == 0:
+            if E.is_one(E.pow(g, n // r)):
+                return False
+            while k % r == 0:
+                k //= r
+        r += 1
+    return True
+
+
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -312,10 +478,13 @@ def find_irreducible(p: int, degree: int) -> tuple:
 
 
 def GFq(q: int, varname: str = "g") -> Field:
-    """The field with q = p^m elements under the deterministic modulus."""
+    """The field with q = p^m elements under the deterministic modulus:
+    GFp for m = 1, a TableField up to TABLE_CAP, an ExtField above it."""
     p, m = _split_prime_power(q)
     if m == 1:
         return GFp(p)
+    if q <= TABLE_CAP:
+        return (_Char2TableField if p == 2 else TableField)(p, m, varname)
     return ExtField(GFp(p), find_irreducible(p, m), varname)
 
 
@@ -346,17 +515,18 @@ def _iroot(n: int, m: int) -> int:
 
 
 def _encode(F: Field, f: tuple) -> int:
-    """Stable integer encoding of a polynomial for RNG seeding."""
+    """Stable integer encoding of a polynomial for RNG seeding; a TableField
+    element encodes as its coefficient tuple, as in the ExtField."""
     parts = []
 
     def enc(field, a):
-        if isinstance(a, int):
+        if isinstance(field, GFp):
             parts.append(a)
-        else:
-            parts.append(-1)
-            for c in a:
-                enc(field, c)
-            parts.append(-2)
+            return
+        parts.append(-1)
+        for c in field.digits(a) if isinstance(field, TableField) else a:
+            enc(field.base, c)
+        parts.append(-2)
 
     for c in f:
         enc(F, c)
@@ -444,6 +614,8 @@ def _random_elem(F: Field, rng: random.Random):
     if isinstance(F, GFp):
         return rng.randrange(F.p)
     cc = [_random_elem(F.base, rng) for _ in range(F.degree)]
+    if isinstance(F, TableField):
+        return F.from_digits(cc)
     return fpoly.norm(F.base, cc)
 
 

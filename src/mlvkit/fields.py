@@ -46,7 +46,7 @@ from typing import Dict, Optional
 from . import fpoly
 from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
                      NotInValueGroup)
-from .ffield import Field, GFp, GFq
+from .ffield import Field, GFp, GFq, TableField
 from .ratfunc import RF, RatFuncField
 from .values import INFINITY, Q, Value, ValueGroup, is_inf, term_str, value_str
 
@@ -566,8 +566,9 @@ class FpctField(TadicField):
 
 
 def _rf_over(B: Field, a: RF) -> bool:
-    if isinstance(B, GFp):
-        return all(isinstance(c, int) and 0 <= c < B.p for c in a.num + a.den)
+    if isinstance(B, (GFp, TableField)):
+        # int codes: residues mod p, or GF(q) elements below q
+        return all(isinstance(c, int) and 0 <= c < B.order for c in a.num + a.den)
     if isinstance(B, RatFuncField):
         return all(isinstance(c, RF) for c in a.num + a.den)
     return all(isinstance(c, tuple) for c in a.num + a.den)

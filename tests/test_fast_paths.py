@@ -32,7 +32,7 @@ from corpus import FPPERF2, FPPERF3, FQ2T, FQ3T, QP2, QP3, QP5
 from mlvkit import fpoly
 from mlvkit.engine import TERMINATED, _new_values, mac_lane_chains
 from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
-from mlvkit.ffield import ExtField, GFp, GFq, factor_monic, is_irreducible
+from mlvkit.ffield import GFp, GFq, factor_monic, is_irreducible
 from mlvkit.fields import ADD, INV, MUL, FpPerfField, PerfElem, QpField, field_arith
 from mlvkit.indval import InductiveValuation, truncation_eval
 from mlvkit.parsing import parse_field, parse_poly
@@ -54,10 +54,15 @@ def element(B, n: int):
     """A base-field element indexed by n >= 0; n = 0 gives zero."""
     if isinstance(B, GFp):
         return B.from_int(n)
-    if isinstance(B, ExtField):
+    if B.order is not None:
+        # GF(q): the element whose coefficient of gen^i is base-p digit i of n
         n %= B.order
-        return fpoly.from_ints(B.base, [(n // B.base.p ** i) % B.base.p
-                                        for i in range(B.degree)])
+        acc, power = B.zero(), B.one()
+        for _ in range(B.degree):
+            n, d = divmod(n, B.char)
+            acc = B.add(acc, B.mul(B.from_int(d), power))
+            power = B.mul(power, B.gen())
+        return acc
     num = fpoly.from_ints(B.base, [(n >> i) & 1 for i in range(3)])
     return B.make(num, fpoly.from_ints(B.base, [1] + [(n >> i) & 1 for i in range(3, 6)]))
 
@@ -353,7 +358,7 @@ def second_generator(K):
         return K.from_int(3)
     if K.kind == "Fqt":
         R = K.residue_field
-        return K.lift(R.gen() if isinstance(R, ExtField) else R.from_int(2))
+        return K.lift(R.gen() if R.order != R.char else R.from_int(2))
     if K.kind == "FpPerf":
         return K.canonical_unit(Q(1, K.p))
     return K.c()
@@ -686,7 +691,7 @@ HORNER_FIELDS = [GFp(5), GFq(4)] + [parse_field(d) for d in ("Qp(3)", "Fq(3,t)",
 
 def horner_element(F, d):
     """An element of a finite or valued field from four small ints."""
-    if isinstance(F, (GFp, ExtField)):
+    if F.order is not None:
         return element(F, sum(abs(x) << (2 * i) for i, x in enumerate(d)))
     return valued_element(F, d)
 

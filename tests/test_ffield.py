@@ -9,10 +9,19 @@ from mlvkit.ffield import (ExtField, GFp, GFq, _split_prime_power, factor_monic,
                            squarefree_decomposition)
 
 
+def from_digits(F, digits):
+    """The element sum digits[i] * gen^i of GF(p^m), by field operations."""
+    acc, power = F.zero(), F.one()
+    for d in digits:
+        acc = F.add(acc, F.mul(F.from_int(d), power))
+        power = F.mul(power, F.gen())
+    return acc
+
+
 def random_poly(F, rng, maxdeg=8):
     deg = rng.randrange(1, maxdeg + 1)
     cc = [rng.randrange(F.p) if isinstance(F, GFp) else
-          fpoly.norm(F.base, [rng.randrange(F.base.p) for _ in range(F.degree)])
+          from_digits(F, [rng.randrange(F.char) for _ in range(F.degree)])
           for _ in range(deg)]
     return fpoly.norm(F, tuple(cc) + (F.one(),))
 
@@ -160,8 +169,7 @@ def test_is_irreducible_examples():
 def _elements(F):
     if isinstance(F, GFp):
         return list(range(F.p))
-    return [fpoly.norm(F.base, cc)
-            for cc in itertools.product(_elements(F.base), repeat=F.degree)]
+    return [from_digits(F, cc) for cc in itertools.product(range(F.char), repeat=F.degree)]
 
 
 def _monics(F, n):

@@ -100,3 +100,46 @@ def test_readme_cli_examples_are_pinned(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_CLI_SHA256[" ".join(argv)]
+
+
+# GF(q) outputs over q = p^m, m >= 2: the residue fields that the corpus and
+# the survey (Fq(2,t), Fq(3,t) only) never reach.  256 is the largest order
+# whose arithmetic runs on log tables, 289 = 17^2 the next order with m >= 2.
+GFQ_ORDERS = (4, 8, 9, 16, 25, 27, 81, 243, 256, 289)
+GFQ_EXTEND_POLYS = ("x^2+t", "x^2+x+t", "x^2+x+1/t", "x^3+t", "x^3+t^2*x+t",
+                    "(x^2+x+1)^2+t", "(x^2+1)^2+t^3", "(x^3+x+1)^2+t*x",
+                    "(x^2+x+1)^3+t", "(x^3+2*x+2)^2+t", "x^4+x+1+t",
+                    "(x^4+x+1)^2+t", "x^6+t^2*x+t^3", "(x^2+2)^2+t^2*x+t^3")
+GFQ_TAME_SUITES = ("x^3+t;x^2+x+t", "(x^2+x+1)^2+t;x^4+x+1+t")
+GFQ_KAHLER_POLYS = ("x^2+t", "(x^2+x+1)^2+t", "x^4+x+1+t")
+GFQ_STABLE_EXPRS = ("S - (c1*T + c2*T^2)", "(S^2 - c1*S*T)/(S + c3*T^2)", "c1*S^3 + T*S + c2*T^3")
+GFQ_STABLE_ORDERS = ((2, 4), (2, 8), (3, 9), (2, 16), (3, 27))
+GFQ_SHA256 = "a16577220c5ab6377d7791df8cf3fec7f98427b9f7102951ab40c0f0f4025c97"
+
+
+def _gfq_commands():
+    for q in GFQ_ORDERS:
+        field = f"Fq({q},t)"
+        for g in GFQ_EXTEND_POLYS:
+            yield ["extend", "--json", "--field", field, "--poly", g]
+        for suite in GFQ_TAME_SUITES:
+            yield ["tame", "--json", "--field", field, "--suite", suite]
+        yield ["graded", "--json", "--field", field, "--surjective"]
+        for g in GFQ_KAHLER_POLYS:
+            yield ["kahler", "--json", "--field", field, "--poly", g]
+    for p, q in GFQ_STABLE_ORDERS:
+        for expr in GFQ_STABLE_EXPRS:
+            for seed in range(4):
+                yield ["stable-value", "--json", "--p", str(p), "--q", str(q),
+                       "--expr", expr, "--seed", str(seed)]
+
+
+def test_gfq_outputs_are_pinned(capsys):
+    """Exit code, stdout and stderr of extend, tame, graded and kahler over
+    Fq(q,t) for q = p^m, m >= 2, and of stable-value sampling from GF(q)."""
+    h = hashlib.sha256()
+    for argv in _gfq_commands():
+        code = main(argv)
+        out, err = capsys.readouterr()
+        h.update(f"{' '.join(argv)}\n{code}\n{out}{err}\n".encode())
+    assert h.hexdigest() == GFQ_SHA256
