@@ -4,10 +4,8 @@ Field objects implement a small uniform protocol (zero/one/add/sub/mul/
 neg/inv/div/eq/is_zero/from_int/elem_str plus char and order) over plain
 element data: integers for prime fields, coefficient tuples for
 extensions.  Extensions over extensions give the residue-field towers
-that inductive valuations build.  ``GFq(q)`` for q = p^m, m >= 2, up to
-TABLE_CAP is a ``TableField`` instead: its elements are int codes whose
-base-p digits are the coefficients of the ExtField element, and its
-arithmetic reads log tables.
+that inductive valuations build.  An extension of GF(p) of order at most
+TABLE_CAP computes on log tables keyed by its coefficient tuples.
 
 Extension moduli searched here are deterministic: the monic irreducible
 of the requested degree whose coefficient vector is smallest in the
@@ -17,8 +15,8 @@ base-p integer encoding (constant coefficient least significant).
 from __future__ import annotations
 
 import random
-from functools import cache
-from itertools import repeat
+from functools import cache, partial
+from itertools import product
 from typing import List, Optional, Tuple
 
 from . import fpoly
@@ -135,11 +133,19 @@ class GFp(Field):
         return f"GF({self.p})"
 
 
+TABLE_CAP = 256  # the largest order q = p^m, m >= 2, of an ExtField on log tables
+
+
 class ExtField(Field):
     """base[z]/(modulus); elements are coefficient tuples over base.
 
     The modulus is a monic irreducible tuple over ``base``.  Works for
-    towers: base may itself be an ExtField.
+    towers: base may itself be an ExtField.  Over base exactly GFp, with
+    degree >= 2 and order q <= TABLE_CAP, products, inverses, quotients,
+    negatives and p-th roots add or scale discrete logarithms to a
+    primitive element g, and a sum is the Zech logarithm
+    g^a + g^b = g^(a + Z(b - a)) with 1 + g^k = g^Z(k) (Lidl-Niederreiter,
+    Finite Fields, section 9.2); the tables are keyed by the same tuples.
     """
 
     def __init__(self, base: Field, modulus: tuple, varname: str = "z"):
@@ -151,6 +157,14 @@ class ExtField(Field):
         self.varname = varname
         self.char = base.char
         self.order = None if base.order is None else base.order ** self.degree
+        self._log = None
+        if type(base) is GFp and self.degree >= 2 and self.order <= TABLE_CAP:
+            tables = _log_tables(base.p, self.modulus)
+            if tables is not None:
+                self._exp, self._log, self._zech = tables
+                self._n = self.order - 1
+                # -1 = g^((q-1)/2) for odd p, and -1 = 1 = g^0 for p = 2
+                self._neg_log = self._n // 2 if self.char != 2 else 0
 
     def _red(self, cc) -> tuple:
         return fpoly.mod(self.base, cc, self.modulus)
@@ -169,32 +183,65 @@ class ExtField(Field):
         return fpoly.const(self.base, a)
 
     def add(self, a, b):
-        return fpoly.add(self.base, a, b)
+        log = self._log
+        if log is None:
+            return fpoly.add(self.base, a, b)
+        if not a:
+            return b
+        if not b:
+            return a
+        la = log[a]
+        # a negative difference indexes from the end: Z(k) = Z(k + q - 1)
+        z = self._zech[log[b] - la]
+        return () if z is None else self._exp[la + z]
 
     def neg(self, a):
-        return fpoly.neg(self.base, a)
+        if self._log is None:
+            return fpoly.neg(self.base, a)
+        return self._exp[self._log[a] + self._neg_log] if a else ()
 
     def mul(self, a, b):
-        return self._red(fpoly.mul(self.base, a, b))
+        log = self._log
+        if log is None:
+            return self._red(fpoly.mul(self.base, a, b))
+        return self._exp[log[a] + log[b]] if a and b else ()
 
     def inv(self, a):
         if not a:
             raise ZeroDivisionError("inverse of zero in extension field")
+        if self._log is not None:
+            return self._exp[self._n - self._log[a]]
         d, s, _ = fpoly.xgcd(self.base, a, self.modulus)
         if fpoly.deg(d) != 0:
             raise ArithmeticError("modulus not irreducible")
         return self._red(fpoly.smul(self.base, self.base.inv(d[0]), s))
 
+    def div(self, a, b):
+        log = self._log
+        if log is None:
+            return self.mul(a, self.inv(b))
+        if not b:
+            raise ZeroDivisionError("inverse of zero in extension field")
+        return self._exp[log[a] - log[b] + self._n] if a else ()
+
     def eq(self, a, b):
-        return fpoly.eq(self.base, a, b)
+        if self._log is None:
+            return fpoly.eq(self.base, a, b)
+        return a == b
 
     def is_zero(self, a):
         return not a
+
+    def is_one(self, a):
+        return a == (1,) if self._log is not None else self.eq(a, self.one())
 
     def from_int(self, n):
         return fpoly.const(self.base, self.base.from_int(n))
 
     def pth_root(self, a):
+        if self._log is not None:
+            # the inverse of Frobenius is a -> a^(q/p)
+            return self._exp[self._log[a] * (self.order // self.char) % self._n] if a else ()
         # |F| = p^s, so the inverse of Frobenius is x -> x^(p^(s-1)).
         s = _p_power_exponent(self.order, self.char)
         return self.pow(a, self.char ** (s - 1))
@@ -208,166 +255,39 @@ class ExtField(Field):
         return f"{self.base!r}[{self.varname}]/(...)"
 
 
-TABLE_CAP = 256  # the largest order q = p^m, m >= 2, that GFq tabulates
-
-
-class TableField(Field):
-    """GF(p)[z]/(modulus) for a small order q = p^m, m >= 2, on int codes.
-
-    The element c_0 + c_1 z + ... + c_(m-1) z^(m-1) of
-    ``ExtField(GFp(p), modulus, varname)`` is the int sum c_i p^i in
-    [0, q); zero is 0 and one is 1.  Products, inverses, quotients,
-    negatives and p-th roots add or scale discrete logarithms to
-    a primitive element g.  A sum is XOR for p = 2; for odd p it is the
-    Zech logarithm g^a + g^b = g^(a + Z(b - a)) with 1 + g^k = g^Z(k)
-    (Lidl-Niederreiter, Finite Fields, section 9.2).
-    """
-
-    def __init__(self, p: int, m: int, varname: str = "z"):
-        self.base = GFp(p)
-        self.modulus = find_irreducible(p, m)
-        self.degree = m
-        self.varname = varname
-        self.char = p
-        self.order = p ** m
-        self._n = self.order - 1
-        self._exp, self._log, self._zech = _log_tables(p, m)
-
-    def digits(self, a: int) -> tuple:
-        """The coefficient tuple of a in ExtField(GFp(p), modulus)."""
-        return _digits(a, self.char)
-
-    def from_digits(self, cc) -> int:
-        """The code of the element with coefficient tuple cc."""
-        return _code(cc, self.char)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def gen(self):
-        return self.char  # z
-
-    def add(self, a, b):
-        if not a:
-            return b
-        if not b:
-            return a
-        log = self._log
-        la = log[a]
-        # a negative difference indexes from the end: Z(k) = Z(k + q - 1)
-        z = self._zech[log[b] - la]
-        return 0 if z is None else self._exp[la + z]
-
-    def neg(self, a):
-        # -1 = g^((q-1)/2) for odd p
-        return self._exp[self._log[a] + self._n // 2] if a else 0
-
-    def mul(self, a, b):
-        return self._exp[self._log[a] + self._log[b]] if a and b else 0
-
-    def inv(self, a):
-        if not a:
-            raise ZeroDivisionError("inverse of zero in extension field")
-        return self._exp[self._n - self._log[a]]
-
-    def div(self, a, b):
-        if not b:
-            raise ZeroDivisionError("inverse of zero in extension field")
-        return self._exp[self._log[a] - self._log[b] + self._n] if a else 0
-
-    def eq(self, a, b):
-        return a == b
-
-    def is_zero(self, a):
-        return not a
-
-    def is_one(self, a):
-        return a == 1
-
-    def from_int(self, n):
-        return n % self.char
-
-    def pth_root(self, a):
-        # the inverse of Frobenius is a -> a^(q/p)
-        return self._exp[self._log[a] * (self.order // self.char) % self._n] if a else 0
-
-    def elem_str(self, a):
-        return fpoly.to_str(self.base, self.digits(a), self.varname)
-
-    def __repr__(self):
-        return f"GF({self.order})[{self.varname}]"
-
-
-class _Char2TableField(TableField):
-    """A TableField of characteristic 2: a sum is the XOR of the codes."""
-
-    def add(self, a, b):
-        return a ^ b
-
-    sub = add
-
-    def neg(self, a):
-        return a
-
-
 @cache
-def _log_tables(p: int, m: int):
-    """(exp, log, zech) of GF(p^m) on TableField codes, for a primitive g.
+def _log_tables(p: int, modulus: tuple):
+    """(exp, log, zech) of GF(p)[z]/(modulus) for a primitive g, or None
+    when no element has q - 1 distinct nonzero powers (a reducible modulus).
 
     exp has 2(q - 1) entries, exp[k] = g^k, so that a sum or difference of
-    two logarithms (plus q - 1) needs no reduction; log[a] is the
-    logarithm of a != 0.  For odd p, zech[k] is the logarithm of 1 + g^k,
-    None where that sum is zero; for p = 2 zech is None."""
-    q = p ** m
-    n = q - 1
-    E = ExtField(GFp(p), find_irreducible(p, m))
-    # candidates by code from z = p up; the constants below p lie in GF(p)*
-    g = next(g for g in map(_digits, range(p, q), repeat(p)) if _is_primitive(E, g, n))
-    exp, a = [], E.one()
-    for _ in range(n):
-        exp.append(_code(a, p))
-        a = E.mul(a, g)
-    log = [0] * q
-    for k, c in enumerate(exp):
-        log[c] = k
-    zech = None
-    if p != 2:
-        # 1 + c adds 1 to the constant digit of c
-        zech = [log[c1] if c1 else None for c1 in (c - c % p + (c + 1) % p for c in exp)]
+    two logarithms (plus q - 1) needs no reduction; log maps each nonzero
+    element to its logarithm; zech[k] is the logarithm of 1 + g^k, None
+    where that sum is zero.  Built by polynomial arithmetic, once per
+    (p, modulus) in each process."""
+    F = GFp(p)
+    m = len(modulus) - 1
+    n = p ** m - 1
+    # in the order of the base-p code of the coefficients: 0, the constants, z, ...
+    candidates = (fpoly.norm(F, cc[::-1]) for cc in product(range(p), repeat=m))
+    log = next((log for log in map(partial(_powers, F, modulus), candidates)
+                if len(log) == n), None)
+    if log is None:
+        return None
+    exp = list(log)
+    zech = [log.get(fpoly.add(F, (1,), c)) for c in exp]
     return exp + exp, log, zech
 
 
-def _digits(c: int, p: int) -> tuple:
-    """The base-p digits of c >= 0, least significant first, no trailing 0."""
-    out = []
-    while c:
-        c, d = divmod(c, p)
-        out.append(d)
-    return tuple(out)
-
-
-def _code(cc, p: int) -> int:
-    c = 0
-    for d in reversed(cc):
-        c = c * p + d
-    return c
-
-
-def _is_primitive(E: Field, g, n: int) -> bool:
-    """g generates the multiplicative group of order n: g^(n/r) != 1 for
-    every prime r dividing n."""
-    r, k = 2, n
-    while k > 1:
-        if k % r == 0:
-            if E.is_one(E.pow(g, n // r)):
-                return False
-            while k % r == 0:
-                k //= r
-        r += 1
-    return True
+def _powers(F: Field, modulus: tuple, g: tuple) -> dict:
+    """{g^k mod modulus: k} for k = 0, 1, ... up to the first power that is
+    zero or repeated.  Only a primitive element of a field has q - 1 of
+    them, so a reducible modulus gets no tables."""
+    log, a = {}, (1,)
+    while a and a not in log:
+        log[a] = len(log)
+        a = fpoly.mod(F, fpoly.mul(F, a, g), modulus)
+    return log
 
 
 def _is_prime(n: int) -> bool:
@@ -479,12 +399,10 @@ def find_irreducible(p: int, degree: int) -> tuple:
 
 def GFq(q: int, varname: str = "g") -> Field:
     """The field with q = p^m elements under the deterministic modulus:
-    GFp for m = 1, a TableField up to TABLE_CAP, an ExtField above it."""
+    GFp for m = 1, an ExtField over GFp otherwise."""
     p, m = _split_prime_power(q)
     if m == 1:
         return GFp(p)
-    if q <= TABLE_CAP:
-        return (_Char2TableField if p == 2 else TableField)(p, m, varname)
     return ExtField(GFp(p), find_irreducible(p, m), varname)
 
 
@@ -515,8 +433,7 @@ def _iroot(n: int, m: int) -> int:
 
 
 def _encode(F: Field, f: tuple) -> int:
-    """Stable integer encoding of a polynomial for RNG seeding; a TableField
-    element encodes as its coefficient tuple, as in the ExtField."""
+    """Stable integer encoding of a polynomial for RNG seeding."""
     parts = []
 
     def enc(field, a):
@@ -524,7 +441,7 @@ def _encode(F: Field, f: tuple) -> int:
             parts.append(a)
             return
         parts.append(-1)
-        for c in field.digits(a) if isinstance(field, TableField) else a:
+        for c in a:
             enc(field.base, c)
         parts.append(-2)
 
@@ -614,8 +531,6 @@ def _random_elem(F: Field, rng: random.Random):
     if isinstance(F, GFp):
         return rng.randrange(F.p)
     cc = [_random_elem(F.base, rng) for _ in range(F.degree)]
-    if isinstance(F, TableField):
-        return F.from_digits(cc)
     return fpoly.norm(F.base, cc)
 
 
@@ -647,12 +562,6 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
                 piece = _equal_degree_split(F, cur, d, rng)
                 stack.append(piece)
                 stack.append(fpoly.divmod_(F, cur, piece)[0])
+    # squarefree parts are pairwise coprime, so no factor appears twice
     result.sort(key=lambda t: _encode(F, t[0]))
-    # merge duplicates (can arise when squarefree parts repeat a factor)
-    merged: List[Tuple[tuple, int]] = []
-    for g, m in result:
-        if merged and fpoly.eq(F, merged[-1][0], g):
-            merged[-1] = (g, merged[-1][1] + m)
-        else:
-            merged.append((g, m))
-    return merged
+    return result

@@ -46,7 +46,7 @@ from typing import Dict, Optional
 from . import fpoly
 from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
                      NotInValueGroup)
-from .ffield import Field, GFp, GFq, TableField
+from .ffield import Field, GFp, GFq
 from .ratfunc import RF, RatFuncField
 from .values import INFINITY, Q, Value, ValueGroup, is_inf, term_str, value_str
 
@@ -566,12 +566,19 @@ class FpctField(TadicField):
 
 
 def _rf_over(B: Field, a: RF) -> bool:
-    if isinstance(B, (GFp, TableField)):
-        # int codes: residues mod p, or GF(q) elements below q
-        return all(isinstance(c, int) and 0 <= c < B.order for c in a.num + a.den)
     if isinstance(B, RatFuncField):
         return all(isinstance(c, RF) for c in a.num + a.den)
-    return all(isinstance(c, tuple) for c in a.num + a.den)
+    return all(_finite_elem(B, c) for c in a.num + a.den)
+
+
+def _finite_elem(B: Field, c) -> bool:
+    """c is the canonical data of an element of GF(p) or of an extension:
+    an int in [0, p), or a tuple of at most B.degree base elements without
+    trailing zeros."""
+    if isinstance(B, GFp):
+        return isinstance(c, int) and 0 <= c < B.p
+    return (isinstance(c, tuple) and len(c) <= B.degree and not (c and B.base.is_zero(c[-1]))
+            and all(_finite_elem(B.base, d) for d in c))
 
 
 # ---------------------------------------------------------------------------

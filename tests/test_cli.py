@@ -151,6 +151,14 @@ def test_tame_command(capsys):
         graded_witness = json.loads(out)["frobeniusSurjective"]["witness"]
         assert graded_witness["kind"] == kind
         assert d["witness"]["witness"] == graded_witness
+    code, out, _ = run(capsys, "tame", "--field", "FpPerf(2,t)", "--suite", "x^3+t;x^2+x+1/t")
+    assert code == 0
+    assert out.splitlines() == [
+        "FpPerf(2,t): NOT_TAME (gr perfect: True)",
+        "  x^3 + t: FCS=True TE1=True TE2=True TE3=True",
+        "  x^2 + x + 1/t: FCS=False TE1=True TE2=True TE3=False",
+        "  witness: {'kind': 'FCS_FAILURE', 'g': 'x^2 + x + 1/t', 'reason': 'DEFECT_SUSPECTED'}",
+    ]
 
 
 def test_tame_over_imperfect_residue_uses_the_graded_witness(capsys):
@@ -270,6 +278,12 @@ def test_stable_value_command(capsys):
     assert d["stableValue"] == 3 and d["l0"] == 3
     code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "c13", "--l-max", "20")
     assert code == 0 and err == ""
+    # v(S) = l never settles below l_max = 2
+    code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "S", "--l-max", "2")
+    assert (code, out, err) == (0, "NOT_STABILIZED\n", "")
+    code, out, err = run(capsys, "stable-value", "--p", "2", "--expr", "S", "--l-max", "2", "--json")
+    assert (code, out, err) == (
+        0, '{"expr":"S","outcome":"NOT_STABILIZED","schemaVersion":1,"seed":0}\n', "")
 
 
 BAD_RATIONALS = ["1/0", "abc", "", "x=3", "inf=3"]

@@ -586,10 +586,13 @@ def test_factor_monic_of_small_inputs_multiplies_back(data):
         if not f:
             continue
         acc = (F.one(),)
-        for g, mult in factor_monic(F, f):
+        factors = factor_monic(F, f)
+        for g, mult in factors:
             assert fpoly.is_monic(F, g) and is_irreducible(F, g)
             acc = fpoly.mul(F, acc, fpoly.pow_(F, g, mult))
         assert acc == fpoly.monic(F, f)
+        # each irreducible appears once, with its full multiplicity
+        assert len({g for g, _ in factors}) == len(factors)
 
 
 # chains of the corpus polynomials, plus a few deeper ones; the Fq(2,t)
