@@ -37,7 +37,7 @@ def has_tables(F) -> bool:
 
 
 @pytest.mark.parametrize("q", ORDERS)
-def test_every_operation_equals_polynomial_arithmetic(q):
+def test_every_operation_equals_the_extension_field(q):
     T, E = pair(q)
     assert has_tables(T) and not has_tables(E)
     assert (repr(T), T.order, T.char, T.degree) == (repr(E), E.order, E.char, E.degree)
@@ -69,7 +69,7 @@ def test_every_operation_equals_polynomial_arithmetic(q):
 
 
 @pytest.mark.parametrize("q", [4, 8, 9, 27, 256])
-def test_encoding_factors_and_draws_equal_polynomial_arithmetic(q):
+def test_encoding_factors_and_draws_equal_the_extension_field(q):
     """_encode seeds the equal-degree splits and orders the factors, and
     _random_elem samples stable-value's c_i: both see the same tuples."""
     T, E = pair(q)
@@ -85,7 +85,7 @@ def test_encoding_factors_and_draws_equal_polynomial_arithmetic(q):
         assert r1.random() == r2.random()
 
 
-def test_the_order_and_the_base_choose_the_tables():
+def test_the_cap_chooses_the_representation():
     assert has_tables(GFq(TABLE_CAP))
     # 289 = 17^2 is the first order above the cap with m >= 2
     assert not any(has_tables(GFq(q)) for q in (289, 2 ** 16, 3 ** 16))
@@ -111,7 +111,7 @@ def test_a_reducible_modulus_gets_no_tables():
 
 
 @pytest.mark.parametrize("q", [4, 9])
-def test_fqt_refuses_malformed_coefficients(q):
+def test_fqt_refuses_tuples_and_codes_beyond_q(q):
     K = FqtField(q)
     B = K.coeff_field
     p = B.char
