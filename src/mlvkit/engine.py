@@ -24,6 +24,11 @@ d = deg(factor)/(e*f); when the sum of e*f over all branches reaches
 deg(g) the fundamental equality forces d = 1 everywhere; a single
 stalled branch gets the lower bound max(2, n/(e*f)), or 2 when e*f does
 not divide n = deg(g); anything else keeps the trivial lower bound 1.
+
+A report with some d unknown, or with every d known and n != sum e*f*d,
+is checked for a repeated factor (``_check_squarefree``), which raises
+NOT_SQUAREFREE; for a squarefree g a known sum other than n is an
+internal error.
 """
 
 from __future__ import annotations
@@ -34,10 +39,10 @@ from math import gcd, isqrt
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fpoly
-from .errors import (BadBound, DepthExceeded, IndexOutOfRange,
-                     InvariantViolated, NotMonic, ResidueUnsupported, ZeroInput)
+from .errors import (BadBound, DepthExceeded, IndexOutOfRange, InvariantViolated,
+                     NotMonic, NotSquarefree, ResidueUnsupported, ZeroInput)
 from .ffield import factor_monic
-from .fields import ValuedField
+from .fields import TadicField, ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
@@ -228,17 +233,22 @@ def _stop(state: _State, max_limit_probes: int) -> Optional[str]:
     return None
 
 
-def _step(g: Poly, state: _State) -> List[_State]:
+def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     """The child states of one exploration step below the non-terminal
     ``state.node``, whose value of g is therefore finite.
 
     A refinement is separated when the residual polynomial of g is one
     multiplicity-one factor and g is not yet a key: e and f are final.
+    ``factorizations`` maps (kappa, H) to the factors of H over kappa; the
+    caller keeps it for one exploration, whose probes often meet the same
+    residual polynomial again.
     """
     node = state.node
     gr = node.graded_reduction(g)
     kappa = node.kappa
-    factors = factor_monic(kappa, gr.H)
+    factors = factorizations.get((kappa, gr.H))
+    if factors is None:
+        factors = factorizations[kappa, gr.H] = factor_monic(kappa, gr.H)
     proper = [(u, m) for u, m in factors
               if not fpoly.eq(kappa, u, _y_poly(kappa))]
     separated = len(factors) == 1 and factors[0][1] == 1
@@ -332,6 +342,7 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
     bounds = {"max_depth": max_depth, "max_limit_probes": max_limit_probes}
 
     branches: List[Branch] = []
+    factorizations: Dict[tuple, list] = {}
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
     work = deque(_State.at(g, InductiveValuation.depth_zero(K, K.zero(), gamma))
                  for gamma in polygon_gammas(pts))
@@ -343,7 +354,7 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
         elif state.node.depth > max_depth:
             raise DepthExceeded(f"chain depth exceeded {max_depth}")
         else:
-            work.extend(_step(g, state))
+            work.extend(_step(g, state, factorizations))
 
     return _assemble(K, g, branches, warnings, bounds)
 
@@ -388,7 +399,36 @@ def _assemble(K, g, branches: List[Branch], warnings, bounds) -> ExtensionReport
             for b in stalled:
                 b.d_lower = 1
     report = ExtensionReport(K, g, n, branches, len(branches) == 1, warnings, bounds)
+    # a repeated factor ends its branch on a key of lower degree than the
+    # factor, so n = sum e*f*d fails or some d stays unknown: only then is
+    # gcd(g, g') worth computing
+    total = report.sum_efd
+    if total != n:
+        _check_squarefree(K, g)
+        if total is not None:
+            raise InvariantViolated(f"sum e*f*d = {total} != n = {n} for a squarefree g")
     return report
+
+
+def _check_squarefree(K: ValuedField, g: Poly) -> None:
+    """Raise NotSquarefree, naming h, when g has a repeated factor.
+
+    Over a perfect K (Qp, FpPerf) that is h = gcd(g, g') nonconstant; g' = 0
+    makes g a p-th power.  B(t) is not perfect, and an irreducible g there
+    may have g' = 0 (x^2 + t over F_2(t)), so h also takes the gcd with
+    d/dt of g's coefficients: a monic irreducible factor dividing g, g' and
+    dg/dt would have coefficients in B(t^p) and exponents divisible by p,
+    so it would be a p-th power.  Hence h = 1 exactly when g is squarefree.
+    """
+    cc = g.coeffs
+    h = fpoly.gcd_(K, cc, fpoly.deriv(K, cc))
+    if isinstance(K, TadicField) and fpoly.deg(h) > 0:
+        h = fpoly.gcd_(K, h, fpoly.norm(K, [K.derivative(c) for c in cc]))
+    if fpoly.deg(h) > 0:
+        factor = Poly(K, h)
+        raise NotSquarefree(
+            f"g = {g.to_str()} is not squarefree: every irreducible factor of "
+            f"{factor.to_str()} divides it at least twice", factor)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +481,9 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     stalled_here = (b.status == LIMIT_SUSPECTED and st is stages[-1])
     if stalled_here:
         state = _State(b.chain, 0, b.trajectory, b.prev_chain)
+        factorizations: Dict[tuple, list] = {}
         while len(state.traj) <= probe_budget:
-            children = _step(report.g, state)
+            children = _step(report.g, state, factorizations)
             if len(children) != 1:
                 break
             child = children[0]

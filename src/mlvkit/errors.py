@@ -76,6 +76,18 @@ class NotMonic(MlvError):
     code = "NOT_MONIC"
 
 
+class NotSquarefree(MlvError):
+    """g has a repeated factor (over a perfect field an inseparable g is a
+    p-th power): every irreducible factor of ``factor`` divides g at least
+    twice."""
+
+    code = "NOT_SQUAREFREE"
+
+    def __init__(self, message: str, factor):
+        super().__init__(message)
+        self.factor = factor
+
+
 class ResidueUnsupported(MlvError):
     code = "RESIDUE_UNSUPPORTED"
 

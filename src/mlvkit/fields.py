@@ -13,7 +13,9 @@ of the valuation on the nonnegative value group):
 The rules every family shares -- residues, canonical units, inverses,
 p-th-root refusals and descriptors -- are written once, in
 ``ValuedField``; a family supplies its valuation, its arithmetic and four
-small hooks.
+small hooks: ``initial`` (the value of a nonzero element and the residue
+of its quotient by p^w or t^w, read off its lowest term), ``_unit``,
+``_inv`` and ``_pth_root``.
 
 ``Fqt`` and ``Fpct`` are one construction, ``TadicField``: the rational
 function field B(t) (a RatFuncField) with the t-adic valuation on top,
@@ -76,7 +78,9 @@ class ValuedField(Field):
     A family supplies ``valuate``, its element arithmetic, ``lift``,
     ``accepts`` and four hooks:
 
-    * ``_unit_residue(a)``: the residue of a, for v(a) = 0;
+    * ``initial(a)``: (b, w) with w = v(a) and b the residue of a / p^w
+      (or a / t^w), for a != 0, read off the lowest term of a without
+      forming the quotient;
     * ``_unit(w)``: the canonical unit p^w or t^w, for w in vK;
     * ``_inv(a)``: the inverse of a, for a != 0;
     * ``_pth_root(a)``: the p-th root of a, or None when there is none
@@ -102,12 +106,12 @@ class ValuedField(Field):
     # -- valuation interface -------------------------------------------------
 
     def residue(self, a):
-        v = self.valuate(a)
+        if self.is_zero(a):
+            return self.residue_field.zero()
+        b, v = self.initial(a)
         if v < 0:
             raise NegativeValue(f"v({self.elem_str(a)}) = {v} < 0")
-        if v:  # v > 0, INFINITY included
-            return self.residue_field.zero()
-        return self._unit_residue(a)
+        return self.residue_field.zero() if v else b
 
     def canonical_unit(self, w):
         """The default multiplicative section of the valuation (any w in vK)."""
@@ -225,9 +229,11 @@ class QpField(ValuedField):
         return n
 
     def valuate(self, a) -> Value:
+        return INFINITY if a == 0 else self.initial(a)[1]
+
+    def initial(self, a):
+        # p stripped from numerator and denominator once
         num, den = a.numerator, a.denominator
-        if num == 0:
-            return INFINITY
         p = self.p
         v = 0
         while num % p == 0:
@@ -236,11 +242,9 @@ class QpField(ValuedField):
         while den % p == 0:
             den //= p
             v -= 1
-        return v
-
-    def _unit_residue(self, a):
-        p = self.p
-        return a.numerator % p * pow(a.denominator % p, -1, p) % p
+        if den == 1:
+            return num % p, v
+        return num * pow(den, -1, p) % p, v
 
     def lift(self, r):
         return r % self.p
@@ -273,7 +277,7 @@ class TadicField(ValuedField, RatFuncField):
     t = RatFuncField.var
     _inv = RatFuncField.inv
     _pth_root = RatFuncField.pth_root
-    _unit_residue = RatFuncField.residue_at_zero
+    initial = RatFuncField.lowest_term
 
     def valuate(self, a) -> Value:
         k = self.ord_var(a)
@@ -441,20 +445,17 @@ class FpPerfField(ValuedField):
         return PerfElem(0, ((0, n),)) if n else self._zero
 
     def valuate(self, a) -> Value:
-        # the value e / p^level of the lowest exponent e in u
-        if a.rf is not None:
-            e = self.rff.ord_var(a.rf)
-        elif a.terms:
-            e = a.terms[0][0]
-        else:
-            return INFINITY
-        den = self.p ** a.level
-        return e // den if e % den == 0 else Q(e, den)
+        return INFINITY if self.is_zero(a) else self.initial(a)[1]
 
-    def _unit_residue(self, a):
+    def initial(self, a):
+        # the value e / p^level of the lowest exponent e in u, and its
+        # coefficient: the first sparse term, or the lowest terms of the rf
         if a.rf is not None:
-            return self.rff.residue_at_zero(a.rf)
-        return a.terms[0][1]
+            b, e = self.rff.lowest_term(a.rf)
+        else:
+            e, b = a.terms[0]
+        den = self.p ** a.level
+        return b, (e // den if e % den == 0 else Q(e, den))
 
     def lift(self, r):
         return self.from_int(r)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import NegativeValue, NotInValueGroup
 from .fields import ValuedField
-from .values import Q, is_inf, term_str, value_str
+from .values import Q, term_str, value_str
 
 
 class SemigroupRingElement:
@@ -67,13 +68,18 @@ def twist(K: ValuedField, g: Fraction, gp: Fraction):
 
 
 def initial_form(K: ValuedField, a) -> SemigroupRingElement:
-    """Image of a under gr(O_K) ~ Kv[T^(vK>=0)]: (a / eps(v(a)))v * T^v(a)."""
-    v = K.valuate(a)
-    if is_inf(v):
+    """Image of a under gr(O_K) ~ Kv[T^(vK>=0)]: (a / eps(v(a)))v * T^v(a).
+
+    Without an override at v(a), eps(v(a)) is the canonical unit and the
+    coefficient is the one ``K.initial`` reads off the lowest term of a."""
+    if K.is_zero(a):
         return SemigroupRingElement(())
+    b, v = K.initial(a)
     if v < 0:
         raise NegativeValue(f"v(a) = {v} < 0")
-    return element(K, [(v, K.residue(K.div(a, K.choice(v))))])
+    if v in K.choice_overrides:
+        b = K.residue(K.div(a, K.choice(v)))
+    return element(K, [(v, b)])
 
 
 def add(K: ValuedField, x: SemigroupRingElement, y: SemigroupRingElement) -> SemigroupRingElement:
@@ -83,17 +89,25 @@ def add(K: ValuedField, x: SemigroupRingElement, y: SemigroupRingElement) -> Sem
 def twisted_mul(K: ValuedField, x: SemigroupRingElement,
                 y: SemigroupRingElement) -> SemigroupRingElement:
     R = K.residue_field
-    # element() checked every exponent, and without overrides the choice
-    # function is multiplicative, so every twist is 1
+    # without overrides the choice function is multiplicative, so every
+    # twist is 1
     twisted = bool(K.choice_overrides)
-    pairs = []
+    # a sum of two exponents that element() checked is again a nonnegative
+    # exponent in the value group: the products are collected as they are,
+    # keyed by int numerators over the common denominator L
+    L = lcm(*[e.denominator for e, _ in x.terms + y.terms])
+    ys = [(ey.numerator * (L // ey.denominator), ey, cy) for ey, cy in y.terms]
+    acc: Dict[int, object] = {}
     for ex, cx in x.terms:
-        for ey, cy in y.terms:
+        kx = ex.numerator * (L // ex.denominator)
+        for ky, ey, cy in ys:
             c = R.mul(cx, cy)
             if twisted:
                 c = R.mul(c, twist(K, ex, ey))
-            pairs.append((ex + ey, c))
-    return element(K, pairs)
+            k = kx + ky
+            acc[k] = R.add(acc[k], c) if k in acc else c
+    return SemigroupRingElement(tuple([(Q(k, L), acc[k]) for k in sorted(acc)
+                                       if not R.is_zero(acc[k])]))
 
 
 def _pow_twist(K: ValuedField, g: Fraction, n: int):
@@ -115,8 +129,10 @@ def frobenius(K: ValuedField, x: SemigroupRingElement) -> SemigroupRingElement:
     if p <= 0:
         raise ArithmeticError("Frobenius requires positive residue characteristic")
     R = K.residue_field
-    return element(K, [(p * exp, R.mul(R.pow(c, p), _pow_twist(K, exp, p)))
-                       for exp, c in x.terms])
+    # p*exp stays in the value group and keeps the exponents distinct and
+    # sorted; c^p * tau is a unit times a nonzero c
+    return SemigroupRingElement(tuple([(p * exp, R.mul(R.pow(c, p), _pow_twist(K, exp, p)))
+                                       for exp, c in x.terms]))
 
 
 def check_psi_homomorphism(K: ValuedField,

@@ -299,13 +299,10 @@ class InductiveValuation:
     # -- reduction and lifting ------------------------------------------------------
 
     def _coef(self, c: Poly):
-        """(b, w) with in(c) = b * U(w), for 0 != deg c < m."""
-        K = self.K
+        """(b, w) with in(c) = b * U(w), for 0 != c of degree < m."""
         if self.prev is None:
-            a = c[0]
-            w = K.valuate(a)
-            b = K.residue(K.div(a, K.canonical_unit(w)))
-            return b, w
+            # U(w) is the initial form of the canonical unit p^w or t^w
+            return self.K.initial(c[0])
         gr = self.prev.graded_reduction(c)
         kap = self.kappa
         b = kap.zero()
@@ -314,10 +311,7 @@ class InductiveValuation:
         return b, gr.value
 
     def _uncoef(self, b, w: Q) -> Poly:
-        """A polynomial of degree < m whose _coef is (b, w)."""
-        K = self.K
-        if self.prev is None:
-            return Poly.const(K, K.mul(K.lift(b), K.canonical_unit(w)))
+        """A polynomial of degree < m whose _coef is (b, w), above depth zero."""
         if self.fdeg > 1:
             coeffs = list(b)
         else:
@@ -375,15 +369,24 @@ class InductiveValuation:
 
     def _lift_homog(self, H: Sequence, i0: int, w0: Q) -> Poly:
         """Inverse of graded_reduction on homogeneous data."""
-        kap = self.kappa
-        out = Poly(self.K, ())
+        K, kap = self.K, self.kappa
+        if self.prev is None:
+            # every twist is 1: lift(h) * U(w0 - k*gamma) is the coefficient
+            # of (x - center)^k, k = i0 + mpow*e, and one Taylor shift by
+            # -center gives the coefficients in x
+            cc = [K.zero()] * (i0 + (len(H) - 1) * self.e_rel + 1)
+            for mpow, h in enumerate(H):
+                if not kap.is_zero(h):
+                    k = i0 + mpow * self.e_rel
+                    cc[k] = K.mul(K.lift(h), K.canonical_unit(w0 - vmul(k - i0, self.gamma)))
+            return Poly(K, fpoly.taylor_shift(K, cc, K.neg(self.center)))
+        out = Poly(K, ())
         for mpow, h in enumerate(H):
             if kap.is_zero(h):
                 continue
             shift = vmul(mpow * self.e_rel, self.gamma)
             w_m = w0 - shift
-            if self.prev is not None:  # twists and _ymul are 1 at depth zero
-                h = kap.div(kap.mul(h, self._ymul(mpow)), self._twist(w_m, shift))
+            h = kap.div(kap.mul(h, self._ymul(mpow)), self._twist(w_m, shift))
             out = out + self._uncoef(h, w_m) * (self.phi ** (i0 + mpow * self.e_rel))
         return out
 

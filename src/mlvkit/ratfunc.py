@@ -10,7 +10,7 @@ fields.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 from . import fpoly
 from .ffield import Field, poly_pth_root
@@ -98,22 +98,21 @@ class RatFuncField(Field):
             return None
         return fpoly.low_deg(self.base, a.num) - fpoly.low_deg(self.base, a.den)
 
-    def split_order(self, a: RF) -> Tuple[int, RF]:
-        """(k, u) with a = var^k * u and u a unit at var = 0."""
+    def lowest_term(self, a: RF):
+        """(c, k) with a = c * var^k + (higher powers of var), for a != 0:
+        the lowest coefficients of numerator and denominator, divided."""
         B = self.base
         kn = fpoly.low_deg(B, a.num)
         kd = fpoly.low_deg(B, a.den)
-        return kn - kd, RF(a.num[kn:], a.den[kd:])
+        c, d = a.num[kn], a.den[kd]
+        return (c if B.is_one(d) else B.div(c, d)), kn - kd
 
-    def residue_at_zero(self, a: RF):
-        """Value at var = 0 of an element regular there (base field element)."""
+    def derivative(self, a: RF) -> RF:
+        """d/dvar of a = n/d: (n'd - nd') / d^2."""
         B = self.base
-        k, u = self.split_order(a)
-        if k > 0:
-            return B.zero()
-        if k < 0:
-            raise ValueError("pole at the origin")
-        return B.div(u.num[0], u.den[0])
+        n, d = a.num, a.den
+        return self.make(fpoly.sub(B, fpoly.mul(B, fpoly.deriv(B, n), d),
+                                   fpoly.mul(B, n, fpoly.deriv(B, d))), fpoly.mul(B, d, d))
 
     def pth_root(self, a: RF):
         """p-th root when it exists in the field, else None.

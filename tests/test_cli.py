@@ -323,7 +323,7 @@ def test_exponent_above_the_cap_is_parse_error(capsys, argv):
 
 
 @pytest.mark.parametrize("poly, code", [
-    ("((x+1)^10)^1000", 2), ("(x^2)^501", 2), ("(x^2)^500", 0)])
+    ("((x+1)^10)^1000", 2), ("(x^2)^501", 2), ("(x^2)^500+2", 0)])
 def test_power_degree_above_the_cap_is_parse_error(capsys, poly, code):
     import time
     start = time.perf_counter()
@@ -399,3 +399,39 @@ def test_deep_nesting_parses_or_is_a_parse_error(capsys, poly):
     assert "Traceback" not in err
     if code == 2:
         assert f"nested deeper than {MAX_NESTING}" in err
+
+
+@pytest.mark.parametrize("argv, factor", [
+    (["extend", "--field", "Qp(3)", "--poly", "(x^2+1)^2"], "x^2 + 1"),
+    (["tame", "--field", "Qp(3)", "--suite", "(x^2+1)^2"], "x^2 + 1"),
+    # over a perfect base an inseparable g is a p-th power: (x + t^(1/2))^2
+    (["extend", "--field", "FpPerf(2,t)", "--poly", "x^2+t"], "x^2 + t"),
+    (["tame", "--field", "FpPerf(2,t)", "--suite", "x^2+t"], "x^2 + t"),
+    (["tame", "--field", "FpPerf(3,t)", "--suite", "x^3-t"], "x^3 + 2*t"),
+    # (x + t^2)(x + t^(1/2))^2
+    (["extend", "--field", "FpPerf(2,t)", "--poly", "x^3+t^2*x^2+t*x+t^3"], "x^2 + t"),
+    # (x - 1)^2 (x + 1)
+    (["extend", "--field", "Qp(2)", "--poly", "x^3-x^2-x+1"], "x - 1"),
+    (["kahler", "--field", "Qp(2)", "--poly", "(x^2+x+1)^2"], "x^2 + x + 1"),
+    # x^2 over F_2(t) has g' = 0, but its t-derivative test finds x twice
+    (["extend", "--field", "Fq(2,t)", "--poly", "x^2"], "x^2"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_squarefree_g_is_refused(capsys, argv, factor):
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, *argv, *json_flag)
+        assert (code, out) == (3, "")
+        assert err.startswith("error [NOT_SQUAREFREE]")
+        assert f"every irreducible factor of {factor} divides it" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # irreducible and inseparable over the imperfect F_p(t): g' = 0 is allowed
+    ["extend", "--field", "Fq(3,t)", "--poly", "x^3-t"],
+    ["tame", "--field", "Fq(2,t)", "--suite", "x^2+t"],
+    # reducible but squarefree: two branches, and sum e*f*d = n
+    ["extend", "--field", "Qp(2)", "--poly", "x^2-1"],
+])
+def test_squarefree_g_is_still_answered(capsys, argv):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["schemaVersion"] == SCHEMA_VERSION

@@ -2,14 +2,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import corpus
+from mlvkit import engine
 from mlvkit.engine import (LIMIT_SUSPECTED, PROBE_BUDGET, SEPARATED_STALL,
                            TERMINATED, UNSTABLE, NoSequence, defect,
                            finite_complete_sequence, induced_value,
                            mac_lane_chains, polygon_gammas, psi_m_scan)
-from mlvkit.errors import NotMonic, ResidueUnsupported
+from mlvkit.errors import NotMonic, NotSquarefree, ResidueUnsupported
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
 from mlvkit.parsing import parse_field, parse_poly
@@ -470,7 +471,13 @@ def test_engine_fuzz_no_crashes():
                                        K.t()))
                 cc.append(a)
             g = Poly(K, cc + [K.one()])
-            rep = mac_lane_chains(K, g, max_limit_probes=4)
+            try:
+                rep = mac_lane_chains(K, g, max_limit_probes=4)
+            except NotSquarefree as exc:
+                # the typed refusal names a proper factor h = gcd(g, g')
+                h = exc.factor
+                assert h.degree >= 1 and g.mod(h).is_zero()
+                continue
             assert rep.branches
             for b in rep.branches:
                 assert b.status in (TERMINATED, LIMIT_SUSPECTED)
@@ -696,3 +703,53 @@ def test_corpus_values_are_ints_or_proper_fractions():
                 assert not bad, (K, g.to_str(), bad)
                 seen += len(vals)
     assert seen > 600
+
+
+# ---------------------------------------------------------------------------
+# Non-squarefree g
+# ---------------------------------------------------------------------------
+
+SQUAREFREE_FIELDS = ["Qp(2)", "Qp(3)", "Qp(5)", "Fq(2,t)", "Fq(3,t)", "FpPerf(2,t)",
+                     "FpPerf(3,t)"]
+
+
+def monic_poly(data, K, degree):
+    """A monic polynomial of the given degree with small coefficients of
+    value -1, 0 or 1 (t^(1/p) also appears over the perfect closure)."""
+    pieces = [K.one(), K.canonical_unit(Q(1)), K.canonical_unit(Q(-1))]
+    if K.kind == "FpPerf":
+        pieces.append(K.canonical_unit(Q(1, K.p)))
+    cc = []
+    for _ in range(degree):
+        a = K.zero()
+        for piece in pieces:
+            a = K.add(a, K.mul(K.from_int(data.draw(st.integers(-2, 2))), piece))
+        cc.append(a)
+    return Poly(K, cc + [K.one()])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SQUAREFREE_FIELDS), st.data())
+def test_a_repeated_factor_is_refused_naming_it(desc, data):
+    K = parse_field(desc)
+    g = monic_poly(data, K, data.draw(st.integers(0, 2)))
+    h = monic_poly(data, K, data.draw(st.integers(1, 2)))
+    with pytest.raises(NotSquarefree) as info:
+        mac_lane_chains(K, g * h * h, max_limit_probes=4)
+    factor = info.value.factor
+    assert factor.degree >= h.degree and factor.mod(h).is_zero()
+    assert info.value.code == "NOT_SQUAREFREE"
+
+
+def test_only_reports_short_of_n_test_for_a_repeated_factor(monkeypatch):
+    # a report whose every d is known and sums to n pays no gcd(g, g')
+    calls = []
+    real = engine._check_squarefree
+    monkeypatch.setattr(engine, "_check_squarefree",
+                        lambda K, g: calls.append(g) or real(K, g))
+    for K, polys in corpus():
+        for g in polys:
+            calls.clear()
+            r = mac_lane_chains(K, g)
+            assert r.sum_efd in (None, r.n)
+            assert len(calls) == (r.sum_efd is None)

@@ -18,7 +18,11 @@ reduces once modulo a base of infinite value.  Each is compared here with
 the general algorithm it stands in for.  ``fpoly.evaluate`` and
 ``taylor_shift`` run Horner's rule from the leading coefficient (checked
 against naive sums and by rebuilding f), and depth-zero stages skip their
-trivial twists (checked by lifting graded reductions back).
+trivial twists (checked by lifting graded reductions back).  Each field's
+``initial`` reads value and residue off the lowest term (checked against
+the residue of the quotient by p^w or t^w), a depth-zero lift is one
+Taylor shift (checked against the sum of Poly powers it replaced), and an
+exploration factors each residual polynomial once.
 """
 
 import random
@@ -304,7 +308,9 @@ def test_perf_arithmetic_equals_the_dense_reference(case):
         if v is INFINITY or v > 0:
             assert K.residue(e) == 0
         elif v == 0:
-            assert K.residue(e) == R.rff.residue_at_zero(r[1])
+            # a reduced unit at u = 0: both constant terms are nonzero
+            num, den = r[1].num, r[1].den
+            assert K.residue(e) == num[0] * pow(den[0], -1, p) % p
         else:
             with pytest.raises(NegativeValue):
                 K.residue(e)
@@ -767,3 +773,159 @@ def test_lift_homog_inverts_graded_reduction(desc, depth_zero, data):
     lift = stage._lift_homog(gr.H, gr.i0, gr.w0)
     assert stage.evaluate(lift) == gr.value
     assert stage.graded_reduction(lift) == gr
+
+
+# ---------------------------------------------------------------------------
+# Initial terms read off the lowest term; depth-zero lifts in one Taylor
+# shift; one factorization per residual polynomial and exploration
+# ---------------------------------------------------------------------------
+
+HOOK_FIELDS = [parse_field(d) for d in (
+    "Qp(2)", "Qp(5)", "Fq(2,t)", "Fq(3,t)", "Fq(4,t)", "Fq(9,t)", "FpC(2,c,t)",
+    "FpC(3,c,t)", "FpPerf(2,t)", "FpPerf(3,t)")]
+
+
+def ref_value(K, a):
+    """v(a) without K.initial: p divided out one factor at a time over Qp,
+    else the orders at 0 of numerator and denominator (of the dense form
+    in u = t^(1/p^level) over the perfect closure)."""
+    if K.kind == "Qp":
+        a, v = Q(a), 0
+        while a.numerator % K.p == 0:
+            a, v = a / K.p, v + 1
+        while a.denominator % K.p == 0:
+            a, v = a * K.p, v - 1
+        return v
+    if K.kind == "FpPerf":
+        rf = K._dense(a, a.level)
+        return Q(fpoly.low_deg(K.coeff_field, rf.num) - fpoly.low_deg(K.coeff_field, rf.den),
+                 K.p ** a.level)
+    return fpoly.low_deg(K.coeff_field, a.num) - fpoly.low_deg(K.coeff_field, a.den)
+
+
+def ref_unit_residue(K, u):
+    """The residue of a unit u without K.initial: its value at 0, where
+    both constant terms of a reduced unit are nonzero."""
+    if K.kind == "Qp":
+        u = Q(u)
+        return u.numerator * pow(u.denominator, -1, K.p) % K.p
+    if K.kind == "FpPerf":
+        rf = K._dense(u, u.level)
+        return rf.num[0] * pow(rf.den[0], -1, K.p) % K.p
+    return K.coeff_field.div(u.num[0], u.den[0])
+
+
+def hook_elements(K, data):
+    """Nonzero elements with values of both signs: valued_element times
+    p^k or t^k; over the perfect closure also t^(k/p^2), with sparse and
+    dense forms above level 0; over Qp also plain ints and Fractions."""
+    digits = data.draw(st.tuples(*[st.integers(-3, 3)] * 4))
+    a = valued_element(K, digits)
+    a = K.one() if K.is_zero(a) else a
+    level = 2 if K.kind == "FpPerf" else 0
+    out = [K.mul(a, K.canonical_unit(Q(data.draw(st.integers(-9, 9)), K.p ** level)))]
+    if K.kind == "Qp":
+        out.append(data.draw(st.integers(1, 10**6)) * data.draw(st.sampled_from([1, -1])))
+        out.append(data.draw(st.fractions(max_denominator=10**4).filter(lambda x: x != 0)))
+    if K.kind == "FpPerf":
+        # 1/(1 + t^(1/p)) * t^(-1/p^2) is dense at level 2, t^(3/4) + t^(5/4) sparse
+        out.append(K.div(K.canonical_unit(Q(-1, K.p ** 2)),
+                         K.add(K.one(), K.canonical_unit(Q(1, K.p)))))
+        out.append(K.add(K.canonical_unit(Q(3, K.p ** 2)), K.canonical_unit(Q(5, K.p ** 2))))
+        assert [(e.level, e.rf is None) for e in out[-2:]] == [(2, False), (2, True)]
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_initial_equals_the_residue_of_the_quotient(data):
+    for K in HOOK_FIELDS:
+        R = K.residue_field
+        for a in hook_elements(K, data):
+            w = ref_value(K, a)
+            b, v = K.initial(a)
+            assert v == w and (type(v) is int) == (Q(w).denominator == 1)
+            assert R.eq(b, ref_unit_residue(K, K.div(a, K.canonical_unit(w))))
+            if w >= 0:
+                assert R.eq(K.residue(a), b if w == 0 else R.zero())
+
+
+def poly_sum_lift(stage, H, i0, w0):
+    """The depth-zero lift as the general machinery built it: the sum of
+    lift(h) * p^w (or t^w) * phi^k, k = i0 + mpow*e, over Poly powers."""
+    K = stage.K
+    out = Poly(K, ())
+    for mpow, h in enumerate(H):
+        if stage.kappa.is_zero(h):
+            continue
+        k = i0 + mpow * stage.e_rel
+        unit = K.canonical_unit(w0 - vmul(mpow * stage.e_rel, stage.gamma))
+        out = out + Poly.const(K, K.mul(K.lift(h), unit)) * stage.phi ** k
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_depth_zero_lift_equals_the_poly_sum_lift(data):
+    digits = st.tuples(*[st.integers(-3, 3)] * 4)
+    for K in CORPUS_FIELDS:
+        R = K.residue_field
+        centre = valued_element(K, data.draw(digits))
+        level = 1 if K.kind == "FpPerf" else 0
+        # e_rel = den of gamma (prime to p over the perfect closure) up to 3
+        gamma = Q(data.draw(st.integers(-4, 6)), data.draw(st.integers(1, 3)) * K.p ** level)
+        stage = InductiveValuation.depth_zero(K, centre, gamma)
+        H = [R.from_int(n) for n in data.draw(st.lists(st.integers(0, R.order - 1),
+                                                        min_size=1, max_size=4))]
+        i0 = data.draw(st.integers(0, stage.e_rel - 1))
+        w0 = Q(data.draw(st.integers(-3, 3)))
+        assert stage._lift_homog(H, i0, w0) == poly_sum_lift(stage, H, i0, w0)
+        # keys: a monic residual of degree 1 to 3 lifts to degree deg * e
+        rbar = tuple(H[:3]) + (R.one(),)
+        key = stage.key_from_residual(rbar)
+        assert key == poly_sum_lift(stage, rbar, 0, vmul(len(rbar) - 1, vmul(stage.e_rel, gamma)))
+        assert key.degree == (len(rbar) - 1) * stage.e_rel
+
+
+def test_depth_zero_lift_of_a_ramified_key_with_an_inert_residual():
+    # e_rel = 2 and deg rbar = 2: y^2 + y + 1 over GF(2) lifts to the
+    # quartic (x - 3)^4 + 2*(x - 3)^2 + 4 at centre 3 over Qp(2)
+    K = QpField(2)
+    stage = InductiveValuation.depth_zero(K, 3, Q(1, 2))
+    key = stage.key_from_residual((1, 1, 1))
+    assert key == poly_sum_lift(stage, (1, 1, 1), 0, Q(2))
+    y = Poly(K, (-3, 1))
+    assert key == y ** 4 + Poly.const(K, 2) * y ** 2 + Poly.const(K, 4)
+
+
+def test_one_factorization_per_residual_polynomial(monkeypatch):
+    import mlvkit.engine as engine
+    calls, steps = [], []
+    real_factor, real_step = engine.factor_monic, engine._step
+
+    def factor(F, f):
+        calls.append((F, f))
+        return real_factor(F, f)
+
+    def step(g, state, factorizations):
+        node = state.node
+        steps.append((node.kappa, node.graded_reduction(g).H))
+        return real_step(g, state, factorizations)
+
+    monkeypatch.setattr(engine, "factor_monic", factor)
+    monkeypatch.setattr(engine, "_step", step)
+    K = FpPerfField(2)
+    g = parse_poly("x^2+x+1/t", K)
+    report = mac_lane_chains(K, g, max_limit_probes=10)
+    # the ladder meets (y + 1)^2 at every probe, and factors it once
+    assert len(steps) > len(set(steps)) and len(calls) == len(set(steps))
+    assert set(calls) == set(steps)
+    first = list(calls)
+    calls.clear()
+    mac_lane_chains(K, g, max_limit_probes=10)
+    assert calls == first  # nothing is kept from the earlier exploration
+    # a scan keeps its own table, for its own probes only
+    calls.clear()
+    steps.clear()
+    engine.psi_m_scan(report, 0, 1, probe_budget=12)
+    assert calls and len(calls) == len(set(steps)) < len(steps)
