@@ -167,28 +167,40 @@ def kahler_purely_inertial(report: ExtensionReport) -> KahlerReport:
 def kahler_purely_ramified(report: ExtensionReport) -> KahlerReport:
     """Rank-1 criterion with Delta = {0}.
 
-    Discrete vL: the positive part of vL/Delta has a minimal element, so
-    Omega is nonzero with annihilator v(g'(eta)).  Non-discrete vL (a
-    p-divisible hull): Omega vanishes iff some coefficient index l of g
+    The criterion reads gamma = v(eta - c) and the coefficients a_l of
+    g(x + c), whose root is eta - c, for the centre c of the chain's
+    depth-zero stage (c = 0 when that stage is terminal, n = 1): a root
+    that is a unit, such as that of (x - 1)^4 + t, is then translated to
+    a small one.  Discrete vL: the positive part of vL/Delta has a
+    minimal element, so Omega is nonzero with annihilator v(g'(eta)),
+    which the translation does not change.  Non-discrete vL (a
+    p-divisible hull): Omega vanishes iff some coefficient index l
     satisfies v(l) + v(a_l) - (n-l) gamma = 0.
     """
     K, b, n = report.K, report.branches[0], report.n
     if not (report.settled and b.e == n):
         raise NotPurelyRamified(f"e = {b.e} != n = {report.n}")
+    base = b.chain.stages()[0]
+    c = K.zero() if base.is_terminal() else base.center
+    eta = "eta"
+    if not K.is_zero(c):
+        cs = K.elem_str(c)
+        cs = f"({cs})" if " " in cs else cs
+        eta = f"eta + {cs[1:]}" if cs.startswith("-") else f"eta - {cs}"
     # vL/vK is automatically cyclic for these rank-1 groups
-    gamma = induced_value(report, 0, Poly.x(K))
+    gamma = induced_value(report, 0, Poly(K, (K.neg(c), K.one())))
     if is_inf(gamma) or gamma <= 0:
-        raise GammaNotPositive(f"v(eta) = {value_str(gamma)} must be positive")
+        raise GammaNotPositive(f"v({eta}) = {value_str(gamma)} must be positive")
     vL = b.chain.value_group()
-    trace = [f"vL = {vL}", f"gamma = v(eta) = {value_str(gamma)}"]
+    trace = [f"vL = {vL}", f"gamma = v({eta}) = {value_str(gamma)}"]
     if vL.hull is None:
         gprime = report.g.derivative()
         val = induced_value(report, 0, gprime)
         trace.append("vL is discrete: (vL/Delta)_{>0} has a minimal element")
         return KahlerReport("PURELY_RAMIFIED", False, val, tuple(trace))
-    g = report.g
+    coeffs = report.g.taylor_coeffs(c)
     for ell in range(1, n + 1):
-        a_l = g[ell]
+        a_l = coeffs[ell]
         if K.is_zero(a_l):
             continue
         v_ell = K.valuate(K.from_int(ell))

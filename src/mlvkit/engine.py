@@ -8,7 +8,9 @@ principal slope of the polygon of g with respect to that key.  A branch
 terminates when g itself becomes a key polynomial and can be assigned
 the value infinity.  A branch in flight is one ``_State`` record, and
 one function, ``_stop``, decides whether it stops and why, trying three
-reasons in this order: TERMINATED (g is the node's key);
+reasons in this order: TERMINATED (g is the node's key; a separated
+key is certified from its step's own factorization, which has already
+proved its residual polynomial irreducible);
 SEPARATED_STALL (its last two refinements were separated: a single
 multiplicity-one residual factor, so e and f are final and only the
 approximation improves); PROBE_BUDGET (it has made ``max_limit_probes``
@@ -36,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (BadBound, DepthExceeded, IndexOutOfRange, InvariantViolated,
@@ -195,8 +197,7 @@ def _y_poly(kappa) -> tuple:
     return (kappa.zero(), kappa.one())
 
 
-@dataclass(frozen=True)
-class _State:
+class _State(NamedTuple):
     """A branch in flight: its last ``node``, the number ``sep`` of
     consecutive separated refinements that reached it, its probes
     ``traj`` at its key degree, and the ``parent`` it was refined from."""
@@ -241,7 +242,11 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     multiplicity-one factor and g is not yet a key: e and f are final.
     ``factorizations`` maps (kappa, H) to the factors of H over kappa; the
     caller keeps it for one exploration, whose probes often meet the same
-    residual polynomial again.
+    residual polynomial again.  A separated node's factorization is
+    [(monic(H), 1)], so factor_monic's distinct-degree pass has already
+    proved monic(H) irreducible: the key test of g makes only the
+    minimality checks, and the terminal augmentation takes monic(H) as
+    its residual.
     """
     node = state.node
     gr = node.graded_reduction(g)
@@ -252,8 +257,8 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     proper = [(u, m) for u, m in factors
               if not fpoly.eq(kappa, u, _y_poly(kappa))]
     separated = len(factors) == 1 and factors[0][1] == 1
-    if separated and node.is_key(g):
-        return [_State.at(g, node.augment(g, INFINITY), node)]
+    if separated and node._is_key(g, gr):
+        return [_State.at(g, node.augment(g, INFINITY, _rbar=factors[0][0]), node)]
     sep = state.sep + 1 if separated else 0
     out = []
     for rbar, _mult in proper:
@@ -511,9 +516,11 @@ def finite_complete_sequence(report: ExtensionReport):
     sequence is then the chain key of each occurring degree (ending in g
     itself).  It is complete by construction: the keys of a chain of
     ordinary augmentations form a complete set (MacLane, Trans. AMS 40,
-    1936; Vaquie, Trans. AMS 359, 2007), and ``augment`` accepted each key
-    only after ``_certify_key`` proved it minimal with an irreducible
-    residual polynomial.
+    1936; Vaquie, Trans. AMS 359, 2007), and each key is minimal with an
+    irreducible residual polynomial: ``key_from_residual`` lifts an
+    irreducible factor from ``factor_monic``, g passed the minimality checks
+    with the single irreducible factor of its step's residual polynomial,
+    and ``augment`` certified every same-degree refinement over its base.
     """
     if not report.unibranched:
         return NoSequence("BRANCHED")

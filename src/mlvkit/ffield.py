@@ -479,6 +479,10 @@ def squarefree_decomposition(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
             rec(poly_pth_root(F, g), mult * p)
             return
         c = fpoly.gcd_(F, g, d)
+        if fpoly.deg(c) == 0:
+            # g is squarefree: the loop below would only divide by 1
+            out.append((g, mult))
+            return
         w = fpoly.divmod_(F, g, c)[0]
         # w is the squarefree part through multiplicity counting
         i = 1

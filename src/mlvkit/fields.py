@@ -39,11 +39,10 @@ nontrivial twists in the graded ring.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd
-from typing import Dict, Optional
+from typing import Dict, NamedTuple, Optional
 
 from . import fpoly
 from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
@@ -53,8 +52,7 @@ from .ratfunc import RF, RatFuncField
 from .values import INFINITY, Q, Value, ValueGroup, is_inf, term_str, value_str
 
 
-@dataclass(frozen=True)
-class PerfElem:
+class PerfElem(NamedTuple):
     """Element of GF(p)(t^(1/p^oo)) at its minimal level k, written in
     u = t^(1/p^k); the level is minimal when k = 0 or some exponent in u
     is prime to p.

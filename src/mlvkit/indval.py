@@ -26,8 +26,7 @@ factorizations meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (ImperfectResidueUnsupported, InvariantViolated, NonMonicBase,
@@ -38,8 +37,7 @@ from .poly import Poly, phi_expansion
 from .values import INFINITY, Q, Value, ValueGroup, is_inf, value_str, vadd, vmul
 
 
-@dataclass(frozen=True)
-class GradedForm:
+class GradedForm(NamedTuple):
     """Normalized initial form: s^i0 * U(w0) * H(y), of grade ``value``."""
 
     H: Optional[tuple]  # residual polynomial over kappa; None when value = oo
@@ -147,9 +145,9 @@ class InductiveValuation:
             raise InvariantViolated("residual generator must be a unit")
         return node
 
-    def _certify_key(self, phi: Poly) -> tuple:
-        """Residual polynomial of a key candidate over self, after checks."""
-        gr = self.graded_reduction(phi)
+    def _minimal_residual(self, phi: Poly, gr: GradedForm) -> tuple:
+        """monic(H) of a key candidate whose graded reduction is ``gr``,
+        after the minimality checks; its irreducibility is the caller's."""
         if is_inf(gr.value):
             raise NotAKeyPolynomial("candidate lies in the support")
         ntop = phi.degree // self.m
@@ -159,7 +157,11 @@ class InductiveValuation:
             # min not attained at both ends of the expansion: either
             # equivalence-divisible by the current key or not minimal
             raise NotAKeyPolynomial("candidate is not nu-minimal for this valuation")
-        rbar = fpoly.monic(self.kappa, H)
+        return fpoly.monic(self.kappa, H)
+
+    def _certify_key(self, phi: Poly) -> tuple:
+        """Residual polynomial of a key candidate over self, after checks."""
+        rbar = self._minimal_residual(phi, self.graded_reduction(phi))
         if fpoly.deg(rbar) == 1:
             return rbar
         if self.kappa.order is None:
@@ -445,6 +447,13 @@ class InductiveValuation:
 
     def is_key(self, f: Poly) -> bool:
         """MacLane's effective key test for this valuation."""
+        return self._is_key(f, None)
+
+    def _is_key(self, f: Poly, gr: Optional[GradedForm]) -> bool:
+        """``is_key(f)``.  A caller that holds f's graded reduction ``gr``
+        and has already proved its residual polynomial irreducible (the
+        engine, from the factorization of its step) passes ``gr``: only
+        the minimality checks then run, with no irreducibility test."""
         if not f.is_monic() or f.degree < 1 or f.degree % self.m:
             return False
         if is_inf(self.gamma):
@@ -452,7 +461,10 @@ class InductiveValuation:
         if f.degree == self.m and self.evaluate(f - self.phi) > self.gamma:
             return True  # f ~ phi
         try:
-            self._certify_key(f)
+            if gr is None:
+                self._certify_key(f)
+            else:
+                self._minimal_residual(f, gr)
         except NotAKeyPolynomial:
             return False
         return True

@@ -10,7 +10,7 @@ from mlvkit.engine import mac_lane_chains, psi_m_scan
 from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive, IndexOutOfRange,
                            NotPurelyInertial, NotPurelyRamified, ZeroInput)
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
-from mlvkit.parsing import parse_expression, parse_poly
+from mlvkit.parsing import parse_expression, parse_field, parse_poly
 from mlvkit.values import ValueGroup
 
 
@@ -163,6 +163,29 @@ def test_gamma_not_positive_guard():
     assert rep.unibranched and b.status == "TERMINATED" and b.e == rep.n == 2
     with pytest.raises(GammaNotPositive):
         kahler_purely_ramified(rep)
+
+
+@pytest.mark.parametrize("desc, g, translates", [
+    # discrete vL: the annihilator v(g'(eta)) is unchanged
+    ("Qp(2)", "x^2-2", ["(x-1)^2-2", "(x+3)^2-2", "(x-1/2)^2-2"]),
+    ("Fq(3,t)", "x^4+t", ["(x^2+x+1)^2+t", "(x-1-t)^4+t"]),
+    ("Fq(9,t)", "x^2+t", ["(x+1)^2+t", "(x+t+2)^2+t"]),
+    # p-divisible vL: the hull test reads the coefficients of g(x + c)
+    ("FpPerf(3,t)", "x^2+t", ["(x+1)^2+t", "(x+t+2)^2+t"]),
+    ("FpPerf(2,t)", "x^3+t", ["(x+1)^3+t", "(x+1+t)^3+t"]),
+])
+def test_kahler_purely_ramified_is_translation_invariant(desc, g, translates):
+    K = parse_field(desc)
+    ref = kahler_purely_ramified(mac_lane_chains(K, parse_poly(g, K)))
+    assert ref.trace[1].startswith("gamma = v(eta) = ")
+    for s in translates:
+        kr = kahler_purely_ramified(mac_lane_chains(K, parse_poly(s, K)))
+        assert (kr.kind, kr.omega_trivial, kr.annihilator_value) == \
+            (ref.kind, ref.omega_trivial, ref.annihilator_value)
+        # the same gamma, read as v(eta - c) for a centre c != 0
+        translated, gamma = kr.trace[1].rsplit(" = ", 1)
+        assert gamma == ref.trace[1].rsplit(" = ", 1)[1]
+        assert translated.startswith("gamma = v(eta ") and translated != "gamma = v(eta)"
 
 
 def test_drvg():

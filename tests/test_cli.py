@@ -248,6 +248,23 @@ def test_kahler_command(capsys):
     assert d["annihilatorValue"] == "3/2"
 
 
+def test_kahler_unit_root_is_translated(capsys):
+    # (x^2+x+1)^2 + t = (x - 1)^4 + t: the same extension as x^4 + t, whose
+    # root is the root of g minus the depth-zero centre 1
+    answers = []
+    for poly in ("(x^2+x+1)^2+t", "x^4+t"):
+        code, out, err = run(capsys, "kahler", "--json", "--field", "Fq(3,t)", "--poly", poly)
+        assert (code, err) == (0, "")
+        d = json.loads(out)
+        answers.append((d["kind"], d["omegaTrivial"], d["annihilatorValue"], d["trace"][1]))
+    assert answers == [("PURELY_RAMIFIED", False, "3/4", "gamma = v(eta - 1) = 1/4"),
+                       ("PURELY_RAMIFIED", False, "3/4", "gamma = v(eta) = 1/4")]
+    # the root 1/t + sqrt(-1/t) is still not small after the translation
+    code, out, err = run(capsys, "kahler", "--field", "Fq(3,t)", "--poly", "(x-1/t)^2+1/t")
+    assert (code, out) == (3, "")
+    assert err == "error [GAMMA_NOT_POSITIVE]: v(eta - 1/t) = -1/2 must be positive\n"
+
+
 def test_graded_surjective_command(capsys):
     code, out, _ = run(capsys, "graded", "--field", "FpC(2,c,t)", "--surjective", "--json")
     assert code == 0

@@ -114,7 +114,9 @@ GFQ_TAME_SUITES = ("x^3+t;x^2+x+t", "(x^2+x+1)^2+t;x^4+x+1+t")
 GFQ_KAHLER_POLYS = ("x^2+t", "(x^2+x+1)^2+t", "x^4+x+1+t")
 GFQ_STABLE_EXPRS = ("S - (c1*T + c2*T^2)", "(S^2 - c1*S*T)/(S + c3*T^2)", "c1*S^3 + T*S + c2*T^3")
 GFQ_STABLE_ORDERS = ((2, 4), (2, 8), (3, 9), (2, 16), (3, 27))
-GFQ_SHA256 = "a16577220c5ab6377d7791df8cf3fec7f98427b9f7102951ab40c0f0f4025c97"
+# kahler on (x^2+x+1)^2+t = (x-1)^4+t answers PURELY_RAMIFIED with
+# annihilator 3/4, as x^4+t does, through the depth-zero centre 1
+GFQ_SHA256 = "28677518a29e7634dd2660c7e10f8816d97bd9cac65ea61d6ba3b14320604bed"
 
 
 def _gfq_commands():
