@@ -150,18 +150,14 @@ class KahlerReport:
 
 
 def kahler_purely_inertial(report: ExtensionReport) -> KahlerReport:
-    """Omega = O_L/(g'(eta)); trivial iff the residue extension is separable."""
+    """Omega = 0, annihilator 0: the residue extension, a finite-field tower,
+    is separable.  v(g'(eta)) is the annihilator only when O_L = O_K[eta],
+    which fails for x^2 - 25x + 50 over Qp(5) (v(g'(eta)) = 1)."""
     b = report.branches[0]
     if not (report.settled and b.f == report.n):
         raise NotPurelyInertial(f"f = {b.f} != n = {report.n}")
-    gprime = report.g.derivative()
-    val = induced_value(report, 0, gprime)
-    trivial = val == 0
-    # cross-check: residual extensions computed here are towers of finite
-    # fields, hence separable, which forces v(g'(eta)) = 0
-    trace = (f"v(g'(eta)) = {value_str(val)}",
-             "residue extension is a finite-field tower: separable")
-    return KahlerReport("PURELY_INERTIAL", trivial, val, trace)
+    trace = ("residue extension is a finite-field tower: separable, so Omega = 0",)
+    return KahlerReport("PURELY_INERTIAL", True, 0, trace)
 
 
 def kahler_purely_ramified(report: ExtensionReport) -> KahlerReport:
@@ -173,9 +169,12 @@ def kahler_purely_ramified(report: ExtensionReport) -> KahlerReport:
     that is a unit, such as that of (x - 1)^4 + t, is then translated to
     a small one.  Discrete vL: the positive part of vL/Delta has a
     minimal element, so Omega is nonzero with annihilator v(g'(eta)),
-    which the translation does not change.  Non-discrete vL (a
-    p-divisible hull): Omega vanishes iff some coefficient index l
-    satisfies v(l) + v(a_l) - (n-l) gamma = 0.
+    which the translation does not change, when O_L = O_K[eta]: exactly
+    when gamma is the generator of vL.  A larger gamma = a/n (a > 1) makes
+    O_K[eta] a proper order (of index (a-1)(n-1)/2 with one polygon slope),
+    and the annihilator is unknown short of Ore's index theorem.
+    Non-discrete vL (a p-divisible hull): Omega vanishes iff some
+    coefficient index l satisfies v(l) + v(a_l) - (n-l) gamma = 0.
     """
     K, b, n = report.K, report.branches[0], report.n
     if not (report.settled and b.e == n):
@@ -194,9 +193,12 @@ def kahler_purely_ramified(report: ExtensionReport) -> KahlerReport:
     vL = b.chain.value_group()
     trace = [f"vL = {vL}", f"gamma = v({eta}) = {value_str(gamma)}"]
     if vL.hull is None:
-        gprime = report.g.derivative()
-        val = induced_value(report, 0, gprime)
         trace.append("vL is discrete: (vL/Delta)_{>0} has a minimal element")
+        if gamma != vL.gen:
+            trace.append(f"gamma > {value_str(vL.gen)}: {eta} is not a uniformizer, "
+                         "O_K[eta] is not O_L and the annihilator is unknown")
+            return KahlerReport("PURELY_RAMIFIED", False, None, tuple(trace))
+        val = induced_value(report, 0, report.g.derivative())
         return KahlerReport("PURELY_RAMIFIED", False, val, tuple(trace))
     coeffs = report.g.taylor_coeffs(c)
     for ell in range(1, n + 1):

@@ -520,7 +520,8 @@ def finite_complete_sequence(report: ExtensionReport):
     irreducible residual polynomial: ``key_from_residual`` lifts an
     irreducible factor from ``factor_monic``, g passed the minimality checks
     with the single irreducible factor of its step's residual polynomial,
-    and ``augment`` certified every same-degree refinement over its base.
+    and ``augment`` takes a same-degree refinement phi' of mu only when
+    mu(phi') = gamma, so that phi' keeps the residual of mu's key.
     """
     if not report.unibranched:
         return NoSequence("BRANCHED")

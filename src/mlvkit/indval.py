@@ -3,8 +3,9 @@
 A valuation is an immutable chain of stages.  Stage 0 is a depth-zero
 valuation w_(a,gamma) acting through (x-a)-expansions; each later stage
 [mu; phi, gamma] acts through phi-expansions of the previous stage.  The
-chain keeps MacLane-Vaquie shape: key degrees strictly increase, so
-augmenting by a key of the same degree collapses onto the previous stage.
+chain keeps MacLane-Vaquie shape: key degrees strictly increase, so a key
+phi' of degree deg(mu), which is one with mu(phi') = gamma, collapses
+onto the previous stage with mu's residual data.
 
 Each stage carries exact graded-ring data:
 
@@ -49,8 +50,7 @@ class GradedForm(NamedTuple):
 class InductiveValuation:
     __slots__ = ("K", "prev", "phi", "gamma", "center", "m", "e_rel",
                  "prev_group", "group", "kappa", "rbar", "fdeg", "zgen",
-                 "depth", "_twist_cache", "_red_cache", "_eval_cache",
-                 "_exp_cache")
+                 "depth", "_twist_cache", "_eval_cache", "_exp_cache")
 
     # -- construction ---------------------------------------------------------
 
@@ -65,7 +65,6 @@ class InductiveValuation:
         ramification index; the caller sets the center and residue data."""
         node = object.__new__(InductiveValuation)
         node._twist_cache = {}
-        node._red_cache = {}
         node._eval_cache = {}
         node._exp_cache = {}
         node.K = K
@@ -102,11 +101,12 @@ class InductiveValuation:
     def augment(self, phi: Poly, gamma: Value, *, _rbar=None) -> "InductiveValuation":
         """The ordinary augmentation [self; phi, gamma].
 
-        phi must be a MacLane-Vaquie key polynomial for self (monic, with
-        minimal-degree expansion behavior and irreducible residual), and
-        gamma must strictly exceed self(phi).  Augmenting by a key of the
-        same degree collapses onto the previous stage, which keeps the
-        chain in MLV shape.
+        phi must be a key polynomial for self and gamma must exceed
+        self(phi).  A monic phi of degree m = deg(self) is self.phi + a with
+        deg a < m, so self(phi) = min(self(a), gamma): it is a key exactly
+        when self(phi) = gamma, and the new stage [prev; phi, gamma] keeps
+        self's residual data, since phi ~ self.phi over prev.  A key of
+        higher degree passes MacLane's criterion (``_certify_key``).
         """
         K = self.K
         if self.is_terminal():
@@ -121,26 +121,24 @@ class InductiveValuation:
             raise ValueNotIncreased(
                 f"gamma = {value_str(gamma)} must exceed mu(phi) = {value_str(cur)}")
         if phi.degree == self.m:
-            base = self.prev
-            if base is None:
-                center = K.neg(phi[0])
-                return InductiveValuation.depth_zero(K, center, gamma)
-            # same-degree refinement: the residual with respect to the
-            # collapse base is unchanged in class but must be recomputed
-            # over the base's residue field
-            rbar = base._certify_key(phi)
-        else:
-            base = self
-            rbar = _rbar if _rbar is not None else self._certify_key(phi)
-        node = InductiveValuation._new(K, base, phi, gamma)
-        node.rbar = tuple(rbar)
+            if cur != self.gamma:
+                raise NotAKeyPolynomial(
+                    f"mu(phi) = {value_str(cur)} is not gamma = {value_str(self.gamma)}")
+            if self.prev is None:
+                return InductiveValuation.depth_zero(K, K.neg(phi[0]), gamma)
+            node = InductiveValuation._new(K, self.prev, phi, gamma)
+            node.rbar, node.fdeg = self.rbar, self.fdeg
+            node.kappa, node.zgen = self.kappa, self.zgen
+            return node
+        node = InductiveValuation._new(K, self, phi, gamma)
+        node.rbar = tuple(_rbar if _rbar is not None else self._certify_key(phi))
         node.fdeg = fpoly.deg(node.rbar)
         if node.fdeg > 1:
-            node.kappa = ExtField(base.kappa, node.rbar, varname=f"z{node.depth}")
+            node.kappa = ExtField(self.kappa, node.rbar, varname=f"z{node.depth}")
             node.zgen = node.kappa.gen()
         else:
-            node.kappa = base.kappa
-            node.zgen = base.kappa.neg(node.rbar[0])
+            node.kappa = self.kappa
+            node.zgen = self.kappa.neg(node.rbar[0])
         if node.kappa.is_zero(node.zgen):
             raise InvariantViolated("residual generator must be a unit")
         return node
@@ -323,15 +321,6 @@ class InductiveValuation:
 
     def graded_reduction(self, f: Poly) -> GradedForm:
         """Normalized initial form of f at this stage."""
-        key = f.coeffs
-        hit = self._red_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._graded_reduction_impl(f)
-        self._red_cache[key] = out
-        return out
-
-    def _graded_reduction_impl(self, f: Poly) -> GradedForm:
         kap = self.kappa
         if f.is_zero():
             return GradedForm(None, 0, None, INFINITY)
@@ -450,16 +439,17 @@ class InductiveValuation:
         return self._is_key(f, None)
 
     def _is_key(self, f: Poly, gr: Optional[GradedForm]) -> bool:
-        """``is_key(f)``.  A caller that holds f's graded reduction ``gr``
-        and has already proved its residual polynomial irreducible (the
-        engine, from the factorization of its step) passes ``gr``: only
-        the minimality checks then run, with no irreducibility test."""
+        """``is_key(f)``: mu(f) = gamma for deg f = deg(mu) (see
+        ``augment``).  Above it, a caller that holds f's graded reduction
+        ``gr`` and has already proved its residual polynomial irreducible
+        (the engine, from its step's factorization) passes ``gr``: only the
+        minimality checks then run."""
         if not f.is_monic() or f.degree < 1 or f.degree % self.m:
             return False
         if is_inf(self.gamma):
             return False
-        if f.degree == self.m and self.evaluate(f - self.phi) > self.gamma:
-            return True  # f ~ phi
+        if f.degree == self.m:
+            return self.evaluate(f) == self.gamma  # see augment
         try:
             if gr is None:
                 self._certify_key(f)

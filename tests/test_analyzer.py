@@ -6,11 +6,12 @@ from mlvkit.analyzer import (NOT_APPLICABLE, NOT_STABILIZED, TE1Witness,
                              classify_kahler, drvg_check, kahler_purely_inertial,
                              kahler_purely_ramified, stable_value, tame_report,
                              te1_witness, te_conditions)
-from mlvkit.engine import mac_lane_chains, psi_m_scan
+from mlvkit.engine import induced_value, mac_lane_chains, psi_m_scan
 from mlvkit.errors import (BadBound, BadFieldOrder, GammaNotPositive, IndexOutOfRange,
                            NotPurelyInertial, NotPurelyRamified, ZeroInput)
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.parsing import parse_expression, parse_field, parse_poly
+from mlvkit.poly import Poly
 from mlvkit.values import ValueGroup
 
 
@@ -127,6 +128,63 @@ def test_kahler_purely_ramified():
     assert kr2.omega_trivial is True  # l = n = 2: v(2) + v(1) - 0 = 0
     with pytest.raises(NotPurelyRamified):
         kahler_purely_ramified(mac_lane_chains(K, parse_poly("x^2+x+1", K)))
+
+
+@pytest.mark.parametrize("desc, g", [("Qp(5)", "x^2-25*x+50"), ("Qp(2)", "x^2+2*x+4")])
+def test_kahler_purely_inertial_does_not_read_g_prime(desc, g):
+    # O_K[eta] is not O_L: v(g'(eta)) = 1, yet the unramified extension with
+    # its separable residue extension has Omega = 0
+    K = parse_field(desc)
+    rep = mac_lane_chains(K, parse_poly(g, K))
+    assert induced_value(rep, 0, rep.g.derivative()) == 1
+    kr = kahler_purely_inertial(rep)
+    assert (kr.kind, kr.omega_trivial, kr.annihilator_value) == ("PURELY_INERTIAL", True, 0)
+    assert kr.trace == ("residue extension is a finite-field tower: separable, so Omega = 0",)
+
+
+@pytest.mark.parametrize("desc, g, gamma", [
+    ("Qp(2)", "x^2-8", "3/2"), ("Qp(2)", "x^2-32", "5/2"), ("Qp(3)", "x^3-81", "4/3"),
+    ("Fq(3,t)", "x^2-t^3", "3/2")])
+def test_kahler_annihilator_is_unknown_when_eta_is_no_uniformizer(desc, g, gamma):
+    # v(g'(eta)) would overstate the annihilator (5/2 for x^2 - 8, where
+    # Q_2(sqrt 8) = Q_2(sqrt 2) has 3/2)
+    K = parse_field(desc)
+    kr = kahler_purely_ramified(mac_lane_chains(K, parse_poly(g, K)))
+    assert (kr.kind, kr.omega_trivial, kr.annihilator_value) == ("PURELY_RAMIFIED", False, None)
+    assert kr.trace[1] == f"gamma = v(eta) = {gamma}"
+    assert "is not a uniformizer" in kr.trace[-1]
+
+
+def rescaled(K, g, k):
+    """g_k(x) = pi^(kn) g(x / pi^k), the monic polynomial of pi^k eta."""
+    n = g.degree
+    return Poly(K, [K.mul(c, K.canonical_unit(k * (n - i))) for i, c in enumerate(g.coeffs)])
+
+
+@pytest.mark.parametrize("desc, g", [
+    ("Qp(2)", "x^2-2"), ("Qp(2)", "x^2+2*x+2"), ("Qp(3)", "x^3-3"), ("Qp(3)", "x^3+3*x+3"),
+    ("Qp(5)", "x^2-5"), ("Fq(2,t)", "x^3+t"), ("Fq(3,t)", "x^2+t"), ("Fq(3,t)", "x^4+t")])
+def test_kahler_of_a_rescaled_eisenstein_polynomial(desc, g):
+    K = parse_field(desc)
+    g = parse_poly(g, K)
+    ref = kahler_purely_ramified(mac_lane_chains(K, g))
+    assert ref.annihilator_value is not None
+    for k in range(1, 4):
+        kr = kahler_purely_ramified(mac_lane_chains(K, rescaled(K, g, k)))
+        assert (kr.kind, kr.omega_trivial) == ("PURELY_RAMIFIED", False)
+        # the same extension: never an annihilator other than g's own
+        assert kr.annihilator_value in (ref.annihilator_value, None)
+
+
+@pytest.mark.parametrize("desc, g", [
+    ("Qp(2)", "x^2+x+1"), ("Qp(2)", "x^3+x+1"), ("Qp(3)", "x^2+1"), ("Qp(5)", "x^2+2"),
+    ("Fq(2,t)", "x^2+x+1"), ("Fq(3,t)", "x^2+1")])
+def test_kahler_of_a_rescaled_unramified_polynomial(desc, g):
+    K = parse_field(desc)
+    g = parse_poly(g, K)
+    for k in range(4):
+        kr = classify_kahler(mac_lane_chains(K, rescaled(K, g, k)))
+        assert (kr.kind, kr.omega_trivial, kr.annihilator_value) == ("PURELY_INERTIAL", True, 0)
 
 
 def test_kahler_p_divisible_value_group_always_trivial():

@@ -115,8 +115,11 @@ GFQ_KAHLER_POLYS = ("x^2+t", "(x^2+x+1)^2+t", "x^4+x+1+t")
 GFQ_STABLE_EXPRS = ("S - (c1*T + c2*T^2)", "(S^2 - c1*S*T)/(S + c3*T^2)", "c1*S^3 + T*S + c2*T^3")
 GFQ_STABLE_ORDERS = ((2, 4), (2, 8), (3, 9), (2, 16), (3, 27))
 # kahler on (x^2+x+1)^2+t = (x-1)^4+t answers PURELY_RAMIFIED with
-# annihilator 3/4, as x^4+t does, through the depth-zero centre 1
-GFQ_SHA256 = "28677518a29e7634dd2660c7e10f8816d97bd9cac65ea61d6ba3b14320604bed"
+# annihilator 3/4, as x^4+t does, through the depth-zero centre 1; a purely
+# inertial answer no longer reads v(g'(eta)), so the trace of kahler on
+# x^4+x+1+t over Fq(8,t) drops its "v(g'(eta)) = 0" line (the only
+# command whose bytes moved with that change)
+GFQ_SHA256 = "967926e19e2eff68c2573d5d168d560ff879da22af3b19d92acc0f449fdcd0a8"
 
 
 def _gfq_commands():

@@ -65,6 +65,22 @@ def test_augment_examples():
         mu.augment(Poly.from_ints(K, [0, 0, 1]), Q(2))  # x^2 is no key
 
 
+def test_augment_refuses_a_same_degree_polynomial_that_is_no_key():
+    # mu(x - 5) = 0 < gamma = 1: w_(5,10) would give nu(x) = 0 < mu(x) = 1
+    K = QpField(2)
+    mu = IV.depth_zero(K, Q(0), Q(1))
+    f = Poly.from_ints(K, [-5, 1])
+    assert not mu.is_key(f)
+    with pytest.raises(NotAKeyPolynomial):
+        mu.augment(f, Q(10))
+    # mu1(x^2 + 2x - 2) = 3/2 < 5/2: the stage would give nu(x^2 - 2) = 3/2
+    mu1 = IV.depth_zero(K, Q(0), Q(1, 2)).augment(Poly.from_ints(K, [-2, 0, 1]), Q(5, 2))
+    f = Poly.from_ints(K, [-2, 2, 1])
+    assert not mu1.is_key(f)
+    with pytest.raises(NotAKeyPolynomial):
+        mu1.augment(f, Q(7, 2))
+
+
 def test_evaluate_examples():
     K3 = QpField(3)
     gauss = IV.depth_zero(K3, Q(0), Q(0))
