@@ -48,7 +48,7 @@ from .fields import TadicField, ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
-from .values import INFINITY, Q, Value, value_str
+from .values import INFINITY, Q, Value, vadd, value_str, vmul
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
@@ -171,15 +171,17 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
 
 
 def _new_values(node: InductiveValuation, g: Poly, key: Poly
-                ) -> Tuple[List[Value], List[Poly]]:
-    """Admissible new values for ``key``: the candidates of its Newton
-    polygon that exceed mu(key).
+                ) -> Tuple[List[Tuple[Value, Value]], List[Poly]]:
+    """Admissible new values for ``key``: the candidates gamma of its
+    Newton polygon that exceed mu(key), each paired with nu(g) at the
+    child [node; key, gamma], read off the polygon's points.
 
     Also returns the key-expansion of g so children can reuse it.  A
     degree-one key x - a' arises only at depth zero, where the node
     already holds g's expansion at its center a: the expansion at a' is
     its Taylor shift by a' - a.  ``key_from_residual`` makes a' - a a
-    single term, so every product in the shift has a one-term factor.
+    single term, so every product in the shift has a one-term factor,
+    and it seeds mu(key), so ``evaluate`` does not expand the key.
     """
     if node.prev is None and key.degree == 1:
         K = node.K
@@ -190,7 +192,16 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
         exp = phi_expansion(g, key)
     pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
     cur = node.evaluate(key)
-    return [gamma for gamma in polygon_gammas(pts) if gamma > cur], list(exp)
+    return [(gamma, _polygon_value(pts, gamma))
+            for gamma in polygon_gammas(pts) if gamma > cur], list(exp)
+
+
+def _polygon_value(pts: Dict[int, Value], gamma: Value) -> Value:
+    """min_k pts[k] + k*gamma: nu(g) at the child [mu; key, gamma], from
+    the points {k: mu(c_k)} of g's key-expansion (the child values each
+    c_k as mu does, since deg c_k < deg key), or at the depth-zero seed
+    w_(0,gamma) from the points {k: v(a_k)} of g itself."""
+    return min(vadd(v, vmul(k, gamma)) if k else v for k, v in pts.items())
 
 
 def _y_poly(kappa) -> tuple:
@@ -207,16 +218,17 @@ class _State(NamedTuple):
     parent: Optional[InductiveValuation]
 
     @classmethod
-    def at(cls, g: Poly, node: InductiveValuation,
+    def at(cls, node: InductiveValuation, g_value: Value,
            parent: Optional[InductiveValuation] = None, sep: int = 0,
            traj: Sequence[dict] = ()) -> "_State":
-        """The state at ``node``, refined from ``parent`` (None for a
-        depth-zero seed): a terminal node has no probes, a node at its
+        """The state at ``node``, where g has the value ``g_value``,
+        refined from ``parent`` (None for a depth-zero seed): a terminal
+        node has no probes (and ``g_value`` is not read), a node at its
         parent's degree extends ``traj`` and keeps ``sep``, and any other
         node starts a new trajectory."""
         if node.is_terminal():
             return cls(node, 0, [], parent)
-        entry = {"key": node.phi, "gamma": node.gamma, "g_value": node.evaluate(g)}
+        entry = {"key": node.phi, "gamma": node.gamma, "g_value": g_value}
         if parent is not None and node.degree == parent.degree:
             return cls(node, sep, [*traj, entry], parent)
         return cls(node, 0, [entry], parent)
@@ -258,17 +270,17 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
               if not fpoly.eq(kappa, u, _y_poly(kappa))]
     separated = len(factors) == 1 and factors[0][1] == 1
     if separated and node._is_key(g, gr):
-        return [_State.at(g, node.augment(g, INFINITY, _rbar=factors[0][0]), node)]
+        return [_State.at(node.augment(g, INFINITY, _rbar=factors[0][0]), INFINITY, node)]
     sep = state.sep + 1 if separated else 0
     out = []
     for rbar, _mult in proper:
         key = node.key_from_residual(rbar)
-        gammas, exp_coeffs = _new_values(node, g, key)
-        for gamma in gammas:
+        values, exp_coeffs = _new_values(node, g, key)
+        for gamma, g_value in values:
             child = node.augment(key, gamma, _rbar=rbar)
             if child.phi == key:
                 child.seed_expansion(g, exp_coeffs)
-            out.append(_State.at(g, child, node, sep, state.traj))
+            out.append(_State.at(child, g_value, node, sep, state.traj))
     return out
 
 
@@ -349,7 +361,8 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
     branches: List[Branch] = []
     factorizations: Dict[tuple, list] = {}
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work = deque(_State.at(g, InductiveValuation.depth_zero(K, K.zero(), gamma))
+    work = deque(_State.at(InductiveValuation.depth_zero(K, K.zero(), gamma),
+                           _polygon_value(pts, gamma))
                  for gamma in polygon_gammas(pts))
     while work:
         state = work.popleft()

@@ -532,10 +532,16 @@ def _equal_degree_split(F: Field, f: tuple, d: int, rng: random.Random) -> tuple
 
 
 def _random_elem(F: Field, rng: random.Random):
+    """An element of the finite field F from one randrange(p) per GF(p)
+    coordinate, lowest first, depth first through a tower; an extension
+    directly over GF(p) draws its coordinates in one list."""
     if isinstance(F, GFp):
         return rng.randrange(F.p)
-    cc = [_random_elem(F.base, rng) for _ in range(F.degree)]
-    return fpoly.norm(F.base, cc)
+    base = F.base
+    if isinstance(base, GFp):
+        randrange, p = rng.randrange, base.p
+        return fpoly.norm(base, [randrange(p) for _ in range(F.degree)])
+    return fpoly.norm(base, [_random_elem(base, rng) for _ in range(F.degree)])
 
 
 def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:

@@ -41,7 +41,7 @@ from __future__ import annotations
 import copy
 from fractions import Fraction
 from itertools import compress
-from math import gcd
+from math import comb, gcd
 from typing import Dict, NamedTuple, Optional
 
 from . import fpoly
@@ -49,7 +49,7 @@ from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
                      NotInValueGroup)
 from .ffield import Field, GFp, GFq
 from .ratfunc import RF, RatFuncField
-from .values import INFINITY, Q, Value, ValueGroup, is_inf, term_str, value_str
+from .values import INFINITY, Q, Value, ValueGroup, is_inf, split_p, term_str, value_str
 
 
 class PerfElem(NamedTuple):
@@ -337,6 +337,8 @@ class FpPerfField(ValuedField):
         """How many levels an element at level k can drop when g is the gcd
         of its exponents in u: u -> u^(1/p) applies while every exponent is
         divisible by p, so v_p(g) capped at k (all k for g = 0, a constant)."""
+        if not g:
+            return k
         drop = 0
         while drop < k and g % self.p == 0:
             g //= self.p
@@ -391,14 +393,38 @@ class FpPerfField(ValuedField):
         k = max(a.level, b.level)
         if a.rf is None and b.rf is None:
             d = combine(self._terms_at(a, k), self._terms_at(b, k))
-            p = self.p
-            terms = []
-            for e in sorted(d):
-                c = d[e] % p
-                if c:
-                    terms.append((e, c))
-            return self._sparse(k, tuple(terms))
+            return self._sparse(k, _reduced(d, self.p))
         return self._from_rf(k, dense_op(self._dense(a, k), self._dense(b, k)))
+
+    def sparse_taylor_shift(self, f, a) -> Optional[list]:
+        """The coefficients of f in powers of (x - a), as for
+        ``fpoly.taylor_shift``, when a and every coefficient of f are
+        sparse; None when one is dense.  Output i is the sum over j >= i
+        of binom(j, i) * f_j * a^(j-i): its terms are summed at one level,
+        the largest among the operands, and normalized once."""
+        if a.rf is not None or any(c.rf is not None for c in f):
+            return None
+        p = self.p
+        k = max([a.level] + [c.level for c in f])
+        fs = [self._terms_at(c, k) for c in f]
+        at = self._terms_at(a, k)
+        powers = [((0, 1),)]  # a^j at level k
+        for _ in range(len(f) - 1):
+            powers.append(_reduced(_mul_terms(powers[-1], at), p))
+        out = []
+        for i in range(len(f)):
+            d: Dict[int, int] = {}
+            for j in range(i, len(f)):
+                b = comb(j, i) % p
+                if not b or not fs[j]:
+                    continue
+                for e1, c1 in fs[j]:
+                    c1 *= b
+                    for e2, c2 in powers[j - i]:
+                        e = e1 + e2
+                        d[e] = d.get(e, 0) + c1 * c2
+            out.append(self._sparse(k, _reduced(d, p)))
+        return out
 
     def zero(self):
         return self._zero
@@ -417,9 +443,11 @@ class FpPerfField(ValuedField):
         return self._binop(a, b, _add_terms, self.rff.add)
 
     def neg(self, a):
+        p = self.p
+        if p == 2:  # -a = a in characteristic 2
+            return a
         if a.rf is not None:
             return PerfElem(a.level, rf=self.rff.neg(a.rf))
-        p = self.p
         return PerfElem(a.level, tuple([(e, p - c) for e, c in a.terms]))
 
     def mul(self, a, b):
@@ -459,11 +487,8 @@ class FpPerfField(ValuedField):
         return self.from_int(r)
 
     def _unit(self, w):
-        k, den = 0, w.denominator
-        while den > 1:
-            den //= self.p
-            k += 1
-        return PerfElem(k, ((w.numerator, 1),))
+        # w is in Z[1/p]: its denominator is p^k, k the level
+        return PerfElem(split_p(w.denominator, self.p)[0], ((w.numerator, 1),))
 
     def _pth_root(self, a):
         # t^(1/p^k) always has p-th roots: the same exponents one level up
@@ -496,8 +521,12 @@ class FpPerfField(ValuedField):
         u = self.p ** a.level
 
         def side_str(terms):
-            # exponents of u = t^(1/p^level), printed highest first in t
-            parts = [term_str(str(c), "t", Q(i, u)) for i, c in reversed(terms)]
+            # exponents of u = t^(1/p^level), printed highest first in t,
+            # each i/u reduced by gcd(i, u) (a Fraction costs more per term)
+            parts = []
+            for i, c in reversed(terms):
+                g = gcd(i, u)
+                parts.append(term_str(str(c), "t", i // g, u // g))
             return " + ".join(parts) or "0"
         ns = side_str(num)
         if den == [(0, 1)]:
@@ -524,6 +553,16 @@ def _mul_terms(s, t) -> dict:
             e = e1 + e2
             d[e] = d.get(e, 0) + c1 * c2
     return d
+
+
+def _reduced(d: dict, p: int) -> tuple:
+    """The sorted nonzero terms of {exponent: coefficient}, mod p."""
+    terms = []
+    for e in sorted(d):
+        c = d[e] % p
+        if c:
+            terms.append((e, c))
+    return tuple(terms)
 
 
 def _stretch(cc: tuple, step: int) -> tuple:

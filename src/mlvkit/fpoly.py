@@ -14,8 +14,9 @@ from itertools import compress, count
 from math import comb
 from typing import Sequence, Tuple
 
-# ffield imports this module; only ffield.GFp is read, and only at call time
-from . import ffield
+# ffield and fields import this module; only ffield.GFp and
+# fields.FpPerfField are read, and only at call time
+from . import ffield, fields
 
 Coeffs = Tuple  # tuple of field elements
 
@@ -312,9 +313,15 @@ def taylor_shift(F, f, a) -> Coeffs:
 
     Pass i divides cc[i:] by (x - a) in place by Horner's rule from the
     leading coefficient: the remainder lands in cc[i], the quotient above it.
+    Over the perfect closure, sparse operands take the field's one-pass
+    kernel instead (``FpPerfField.sparse_taylor_shift``).
     """
     if F.is_zero(a):
         return norm(F, f)
+    if type(F) is fields.FpPerfField:
+        cc = F.sparse_taylor_shift(f, a)
+        if cc is not None:
+            return norm(F, cc)
     cc = list(f)
     top = len(cc) - 1
     for i in range(top):

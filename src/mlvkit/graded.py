@@ -191,4 +191,5 @@ def element_str(K: ValuedField, x: SemigroupRingElement) -> str:
     if x.is_zero():
         return "0"
     R = K.residue_field
-    return " + ".join([term_str(R.elem_str(c), "T", exp) for exp, c in x.terms])
+    return " + ".join([term_str(R.elem_str(c), "T", exp.numerator, exp.denominator)
+                       for exp, c in x.terms])

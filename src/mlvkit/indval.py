@@ -23,6 +23,15 @@ products of units at higher stages pick up explicit correction scalars
 ("twists", powers of the residual generators); these are computed
 recursively and are what keeps reduction multiplicative, hence residual
 factorizations meaningful.
+
+A fact an exploration step already holds is seeded, not recomputed:
+``key_from_residual`` enters mu(key) = w0, the grade of its homogeneous
+lift, in the stage's evaluation memo, and ``seed_expansion`` takes the
+key-expansion of g that the engine built for the Newton polygon (the
+engine also reads nu(g) at each child off that polygon's points).  An
+input of lower degree than the key is valued without a memo entry: by
+the previous stage, or at depth zero, where it is a constant, by the
+field's ``valuate``.
 """
 
 from __future__ import annotations
@@ -217,9 +226,9 @@ class InductiveValuation:
         if f.is_zero():
             return INFINITY
         prev = self.prev
-        if prev is not None and f.degree < self.m:
-            # the phi-expansion of f is [f]
-            return prev.evaluate(f)
+        if f.degree < self.m:
+            # the phi-expansion of f is [f]; at depth zero f is a constant
+            return prev.evaluate(f) if prev is not None else self.K.valuate(f[0])
         key = f.coeffs
         hit = self._eval_cache.get(key)
         if hit is not None:
@@ -398,6 +407,8 @@ class InductiveValuation:
         if Q_.degree != fR * self.e_rel * self.m or not Q_.is_monic():
             raise InvariantViolated(
                 f"lifted key {Q_.to_str()} is not monic of degree {fR * self.e_rel * self.m}")
+        # every term of the homogeneous lift has grade w0, so mu(Q_) = w0
+        self._eval_cache[Q_.coeffs] = w0
         return Q_
 
     # -- residual data, public invariants ------------------------------------------
@@ -443,13 +454,13 @@ class InductiveValuation:
         ``augment``).  Above it, a caller that holds f's graded reduction
         ``gr`` and has already proved its residual polynomial irreducible
         (the engine, from its step's factorization) passes ``gr``: only the
-        minimality checks then run."""
+        minimality checks then run.  At deg(mu), ``gr.value`` is mu(f)."""
         if not f.is_monic() or f.degree < 1 or f.degree % self.m:
             return False
         if is_inf(self.gamma):
             return False
         if f.degree == self.m:
-            return self.evaluate(f) == self.gamma  # see augment
+            return (self.evaluate(f) if gr is None else gr.value) == self.gamma
         try:
             if gr is None:
                 self._certify_key(f)

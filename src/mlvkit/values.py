@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Tuple, Union
 
 Q = Fraction
 
@@ -103,16 +103,16 @@ def value_str(v: Value) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def term_str(cs: str, var: str, e: Fraction) -> str:
-    """The term c*var^e, given the printed coefficient cs: var, var^n or
-    var^(a/b), without the coefficient when it is 1 and without the
-    variable when e = 0."""
-    if e == 0:
+def term_str(cs: str, var: str, num: int, den: int) -> str:
+    """The term c*var^e, e = num/den in lowest terms with den > 0, given
+    the printed coefficient cs: var, var^n or var^(a/b), without the
+    coefficient when it is 1 and without the variable when e = 0."""
+    if num == 0:
         return cs
-    if e.denominator != 1:
-        vs = f"{var}^({e.numerator}/{e.denominator})"
+    if den != 1:
+        vs = f"{var}^({num}/{den})"
     else:
-        vs = var if e == 1 else f"{var}^{e.numerator}"
+        vs = var if num == 1 else f"{var}^{num}"
     return vs if cs == "1" else f"{cs}*{vs}"
 
 
@@ -123,11 +123,23 @@ def value_from_str(s: str) -> Value:
     return Q(s)
 
 
-def _strip_p(n: int, p: int) -> int:
-    n = abs(n)
+def split_p(n: int, p: int) -> Tuple[int, int]:
+    """(k, m) with n = p^k * m and m prime to p, for n != 0.  Each pass
+    divides by the largest p^(2^i) that divides n, so a power of p with
+    a large exponent k (a deep perfect-closure level) costs O(log(k)^2)
+    divisions rather than k."""
+    k = 0
     while n % p == 0:
-        n //= p
-    return n
+        q, e = p, 1
+        while n % (q * q) == 0:
+            q, e = q * q, 2 * e
+        n //= q
+        k += e
+    return k, n
+
+
+def _strip_p(n: int, p: int) -> int:
+    return split_p(abs(n), p)[1]
 
 
 @dataclass(frozen=True)

@@ -91,7 +91,7 @@ def test_the_step_key_test_agrees_with_ben_or(case):
     f = candidate(K, H, e, shape)
     gr = node.graded_reduction(f)
     assert fpoly.monic(node.kappa, gr.H) == H and (gr.i0 == 1) == (shape == "times_x")
-    children = _step(f, _State.at(f, node), {})
+    children = _step(f, _State.at(node, node.evaluate(f)), {})
     # a terminal child whose key is a proper factor of f (the key x^2 + t
     # of x^3 + t*x) is not f becoming a key
     terminal = [c.node for c in children if c.node.is_terminal() and c.node.phi == f]

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from mlvkit.values import (INFINITY, ValueGroup, is_inf, value_from_str,
+from mlvkit.values import (INFINITY, ValueGroup, is_inf, split_p, value_from_str,
                            value_str, vadd, vmul)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -182,3 +182,20 @@ def test_int_order_matches_fraction_division(v, gen, hull):
     assert G.ram_index(v) == den
     assert G.contains(v) == (den == 1)
     assert G.ram_index(INFINITY) == 1 and not G.contains(INFINITY)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 10007]), st.integers(0, 1200),
+       st.integers(-10 ** 30, 10 ** 30).filter(bool))
+def test_split_p_equals_one_division_at_a_time(p, k, m):
+    n = p ** k * m
+    k0 = 0
+    while n % p == 0:
+        n //= p
+        k0 += 1
+    assert split_p(p ** k * m, p) == (k0, n)
+
+
+def test_a_deep_hull_denominator_is_stripped():
+    # a perfect-closure level of 1000: 2^1000 strips to 1 in a few passes
+    g = ValueGroup(Q(3, 2 ** 1000), 2)
+    assert g.gen == 3 and g.contains(Q(9, 2 ** 999)) and not g.contains(Q(5, 2 ** 999))
