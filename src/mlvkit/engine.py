@@ -48,7 +48,7 @@ from .fields import TadicField, ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
-from .values import INFINITY, Q, Value, vadd, value_str, vmul
+from .values import INFINITY, Q, Value, value_str
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
@@ -143,14 +143,17 @@ def lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
-def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
+def polygon_gammas(points: Dict[int, Value]) -> List[Tuple[Value, Value]]:
     """Candidate key values from the points (k, v(a_k)) of the nonzero
-    coefficients: INFINITY first when there is no constant term (the key
-    divides g), then gamma = -(slope) for each lower-hull edge.
+    coefficients, each with min_k v(a_k) + k*gamma: (INFINITY, INFINITY)
+    first when there is no constant term (the key divides g), then
+    (gamma, nu) for each lower-hull edge, gamma = -(slope) and
+    nu = v_k1 + k1*gamma read at the edge's left end (k1, v_k1), where the
+    minimum is attained.
 
     The hull runs on ints: every value is scaled by L, the lcm of the
-    denominators (1 when all values are integral), and each slope is
-    an int when it is exact."""
+    denominators (1 when all values are integral), and gamma and nu are
+    ints when they are exact."""
     finite = [(k, v.numerator, v.denominator)
               for k, v in points.items() if v is not INFINITY]
     L = 1
@@ -158,11 +161,17 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
         if den != 1:
             L = L * den // gcd(L, den)
     hull = lower_hull([(k, num * (L // den)) for k, num, den in finite])
-    out: List[Value] = [] if 0 in points else [INFINITY]
+    out: List[Tuple[Value, Value]] = [] if 0 in points else [(INFINITY, INFINITY)]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
-        num, den = v1 - v2, (k2 - k1) * L
-        out.append(num // den if num % den == 0 else Q(num, den))
+        # gamma = (v1 - v2) / ((k2 - k1) L), nu = (v1 k2 - v2 k1) / ((k2 - k1) L)
+        den = (k2 - k1) * L
+        out.append((_ratio(v1 - v2, den), _ratio(v1 * k2 - v2 * k1, den)))
     return out
+
+
+def _ratio(num: int, den: int) -> Value:
+    """num/den as an int when exact, else a Fraction."""
+    return num // den if num % den == 0 else Q(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -172,36 +181,31 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Value]:
 
 def _new_values(node: InductiveValuation, g: Poly, key: Poly
                 ) -> Tuple[List[Tuple[Value, Value]], List[Poly]]:
-    """Admissible new values for ``key``: the candidates gamma of its
-    Newton polygon that exceed mu(key), each paired with nu(g) at the
-    child [node; key, gamma], read off the polygon's points.
+    """Admissible new values for ``key``: the pairs (gamma, nu) of
+    ``polygon_gammas`` on g's key-expansion with gamma above mu(key);
+    nu is nu(g) at the child [node; key, gamma], since the child values
+    each coefficient c_k as mu does (deg c_k < deg key).
 
     Also returns the key-expansion of g so children can reuse it.  A
     degree-one key x - a' arises only at depth zero, where the node
     already holds g's expansion at its center a: the expansion at a' is
-    its Taylor shift by a' - a.  ``key_from_residual`` makes a' - a a
-    single term, so every product in the shift has a one-term factor,
-    and it seeds mu(key), so ``evaluate`` does not expand the key.
+    its Taylor shift by a' - a, and its coefficients are field elements,
+    valued by ``K.valuate``.  ``key_from_residual`` makes a' - a a single
+    term, so every product in the shift has a one-term factor, and it
+    seeds mu(key), so ``evaluate`` does not expand the key.
     """
     if node.prev is None and key.degree == 1:
         K = node.K
         delta = K.sub(K.neg(key[0]), node.center)
         at_a = [c[0] for c in node.expansion(g)]
-        exp = [Poly.const(K, c) for c in fpoly.taylor_shift(K, at_a, delta)]
+        shifted = fpoly.taylor_shift(K, at_a, delta)
+        pts = {k: K.valuate(c) for k, c in enumerate(shifted) if not K.is_zero(c)}
+        exp = [Poly.const(K, c) for c in shifted]
     else:
-        exp = phi_expansion(g, key)
-    pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
+        exp = list(phi_expansion(g, key))
+        pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
     cur = node.evaluate(key)
-    return [(gamma, _polygon_value(pts, gamma))
-            for gamma in polygon_gammas(pts) if gamma > cur], list(exp)
-
-
-def _polygon_value(pts: Dict[int, Value], gamma: Value) -> Value:
-    """min_k pts[k] + k*gamma: nu(g) at the child [mu; key, gamma], from
-    the points {k: mu(c_k)} of g's key-expansion (the child values each
-    c_k as mu does, since deg c_k < deg key), or at the depth-zero seed
-    w_(0,gamma) from the points {k: v(a_k)} of g itself."""
-    return min(vadd(v, vmul(k, gamma)) if k else v for k, v in pts.items())
+    return [pair for pair in polygon_gammas(pts) if pair[0] > cur], exp
 
 
 def _y_poly(kappa) -> tuple:
@@ -361,9 +365,8 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
     branches: List[Branch] = []
     factorizations: Dict[tuple, list] = {}
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work = deque(_State.at(InductiveValuation.depth_zero(K, K.zero(), gamma),
-                           _polygon_value(pts, gamma))
-                 for gamma in polygon_gammas(pts))
+    work = deque(_State.at(InductiveValuation.depth_zero(K, K.zero(), gamma), g_value)
+                 for gamma, g_value in polygon_gammas(pts))
     while work:
         state = work.popleft()
         reason = _stop(state, max_limit_probes)

@@ -238,6 +238,10 @@ def monic(F, f) -> Coeffs:
 
 
 def gcd_(F, f, g) -> Coeffs:
+    """The monic gcd of f and g, by Euclid's algorithm; 1 at once when
+    either is a nonzero constant (g' of an Artin-Schreier g, say)."""
+    if len(f) == 1 or len(g) == 1:
+        return (F.one(),)
     while g:
         f, g = g, mod(F, f, g)
     return monic(F, f)

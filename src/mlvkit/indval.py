@@ -28,7 +28,7 @@ A fact an exploration step already holds is seeded, not recomputed:
 ``key_from_residual`` enters mu(key) = w0, the grade of its homogeneous
 lift, in the stage's evaluation memo, and ``seed_expansion`` takes the
 key-expansion of g that the engine built for the Newton polygon (the
-engine also reads nu(g) at each child off that polygon's points).  An
+engine also reads nu(g) at each child off that polygon's hull edges).  An
 input of lower degree than the key is valued without a memo entry: by
 the previous stage, or at depth zero, where it is a constant, by the
 field's ``valuate``.
@@ -89,7 +89,9 @@ class InductiveValuation:
             node.group = node.prev_group
         else:
             node.e_rel = node.prev_group.ram_index(gamma)
-            node.group = node.prev_group.join([gamma])
+            # gamma in the previous group (e = 1) leaves it as it is
+            node.group = (node.prev_group if node.e_rel == 1
+                          else node.prev_group.join([gamma]))
         return node
 
     @staticmethod
@@ -392,18 +394,29 @@ class InductiveValuation:
 
     def key_from_residual(self, rbar: tuple) -> Poly:
         """Monic key polynomial of degree e*deg(rbar)*m lifting the monic
-        irreducible residual polynomial rbar."""
+        irreducible residual polynomial rbar.
+
+        A linear rbar = y + r0 at a depth-zero stage with e = 1 lifts to
+        x - a + lift(r0)*U(gamma), a the center: the homogeneous lift of
+        ``_lift_homog`` with its unit coefficient U(0) = 1 at (x - a),
+        built without a Taylor shift.  Every key has its value w0, the
+        grade of its lift, entered in the evaluation memo."""
         if is_inf(self.gamma):
             raise NotAKeyPolynomial("no new keys above an infinite value")
         kap = self.kappa
         fR = fpoly.deg(rbar)
         w0 = vmul(fR * self.e_rel, self.gamma)
-        if self.prev is None:  # _ymul is 1 at depth zero
-            H = rbar
+        if self.prev is None and fR == 1 and self.e_rel == 1:
+            K = self.K
+            c0 = K.neg(self.center)
+            if not kap.is_zero(rbar[0]):
+                c0 = K.add(K.mul(K.lift(rbar[0]), K.canonical_unit(w0)), c0)
+            Q_ = Poly(K, (c0, K.one()))
+        elif self.prev is None:  # _ymul is 1 at depth zero
+            Q_ = self._lift_homog(rbar, 0, w0)
         else:
             lam = kap.inv(self._ymul(fR))
-            H = [kap.mul(lam, c) for c in rbar]
-        Q_ = self._lift_homog(H, 0, w0)
+            Q_ = self._lift_homog([kap.mul(lam, c) for c in rbar], 0, w0)
         if Q_.degree != fR * self.e_rel * self.m or not Q_.is_monic():
             raise InvariantViolated(
                 f"lifted key {Q_.to_str()} is not monic of degree {fR * self.e_rel * self.m}")

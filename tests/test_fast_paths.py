@@ -21,8 +21,10 @@ against naive sums and by rebuilding f), and depth-zero stages skip their
 trivial twists (checked by lifting graded reductions back).  Each field's
 ``initial`` reads value and residue off the lowest term (checked against
 the residue of the quotient by p^w or t^w), a depth-zero lift is one
-Taylor shift (checked against the sum of Poly powers it replaced), and an
-exploration factors each residual polynomial once.
+Taylor shift (checked against the sum of Poly powers it replaced), a
+linear key at a depth-zero stage with e = 1 is built without the shift
+(checked against the lift-and-shift route), and an exploration factors
+each residual polynomial once.
 """
 
 import random
@@ -896,6 +898,68 @@ def test_depth_zero_lift_of_a_ramified_key_with_an_inert_residual():
     assert key == poly_sum_lift(stage, (1, 1, 1), 0, Q(2))
     y = Poly(K, (-3, 1))
     assert key == y ** 4 + Poly.const(K, 2) * y ** 2 + Poly.const(K, 4)
+
+
+def lift_and_shift_key(stage, rbar):
+    """A linear key as the general depth-zero route builds it: the
+    homogeneous lift lift(h_k) * U(w0 - k*gamma) of rbar in powers of
+    (x - a), then one Taylor shift by -a into powers of x."""
+    K = stage.K
+    w0 = stage.gamma
+    cc = [K.zero() if stage.kappa.is_zero(h)
+          else K.mul(K.lift(h), K.canonical_unit(w0 - vmul(k, stage.gamma)))
+          for k, h in enumerate(rbar)]
+    return Poly(K, fpoly.taylor_shift(K, cc, K.neg(stage.center)))
+
+
+def linear_key_stages():
+    """(K, depth-zero stages with e = 1): those of the chains of every
+    corpus field, and stages at Fraction centres over Qp, over the GF(q)
+    tables of Fq(4,t) and Fq(9,t), and at dense perfect-closure centres
+    such as 1/(1+t)."""
+    out = []
+    for desc in ALL_CHAIN_INPUTS:
+        K, stages = chain_stages(desc, True)
+        out.append((K, [s for s in stages if s.e_rel == 1]))
+    extra = {"Qp(2)": (["1/3", "-5/7", "3/4"], [-1, 0, 2]),
+             "Qp(3)": (["1/5", "7/9"], [-2, 1, 3]),
+             "Fq(4,t)": (["1/(1+t)", "t+1/t"], [-1, 1, 2]),
+             "Fq(9,t)": (["0", "1/(1+t)", "t^2+2/t"], [-1, 0, 1, 3]),
+             "FpPerf(2,t)": (["1/(1+t)", "t^(1/2)/(1+t)", "t^(3/4)"], [-1, Q(1, 2), Q(3, 4), 2]),
+             "FpPerf(3,t)": (["1/(1+t)", "t^(1/3)+1/t"], [-1, Q(1, 3), 1])}
+    for desc, (centres, gammas) in extra.items():
+        K = parse_field(desc)
+        out.append((K, [InductiveValuation.depth_zero(K, parse_poly(c, K)[0], Q(gamma))
+                        for c in centres for gamma in gammas]))
+    return out
+
+
+def test_a_linear_key_is_built_directly():
+    """key_from_residual(y + r) at a depth-zero stage with e = 1 equals
+    the lift-and-shift route coefficient by coefficient, with the same
+    element types (an int or a Fraction over Qp), for every residue r of
+    a prime field and of GF(4) and for five of GF(9); its seeded value
+    is gamma, which a memo-free evaluation confirms."""
+    seen = set()
+    for K, stages in linear_key_stages():
+        R = K.residue_field
+        residues = [R.from_int(0)] + [R.from_int(n) for n in range(1, R.char)]
+        if R.order != R.char:
+            residues += [R.gen(), R.add(R.gen(), R.one())]
+        for stage in stages:
+            seen.add((K.kind, R.order,
+                      stage.center if K.kind == "Qp" else K.elem_str(stage.center)))
+            for r in residues:
+                rbar = (r, R.one())
+                key = stage.key_from_residual(rbar)
+                want = lift_and_shift_key(stage, rbar)
+                assert key == want and key.degree == 1, (stage.center, stage.gamma, r)
+                assert [type(c) for c in key.coeffs] == [type(c) for c in want.coeffs]
+                assert stage._eval_cache[key.coeffs] == stage.gamma
+                assert ref_evaluate(stage, key) == stage.gamma
+    # Qp Fraction centres, GF(4) and GF(9) residues, dense FpPerf centres
+    assert ("Qp", 2, Q(1, 3)) in seen and ("FpPerf", 2, "1/(t + 1)") in seen
+    assert {order for _, order, _ in seen} >= {2, 3, 4, 5, 9}
 
 
 def test_one_factorization_per_residual_polynomial(monkeypatch):

@@ -8,8 +8,14 @@ and their residue towers too, so this also checks the residual
 factorizations that the engine's key test trusts there.  A pair is
 compared only when sum e*f = n on both sides, so that every e and f is
 final; a stalled branch may still grow its e or f.
+
+The perfect-hull law (item 17(b), the theorem of item 15): for separable
+g over K = F_p(t), the branches over the perfect hull FpPerf(p,t)
+correspond one to one to those over Fq(p,t), with e' the prime-to-p part
+of e and f' = f, and the defect d' is the p-part of e.
 """
 
+from collections import Counter
 from math import gcd
 
 from hypothesis import event, given, settings, strategies as st
@@ -39,10 +45,10 @@ def over(K, g):
 
 
 @st.composite
-def base_polys(draw, p):
-    """A monic g of degree 2..5 whose coefficients below the top are
-    (a0 + a1 t + a2 t^2) / t^s over F_p, s in {0, 1}."""
-    n = draw(st.integers(2, 5))
+def base_polys(draw, p, max_degree=5):
+    """A monic g of degree 2..max_degree whose coefficients below the top
+    are (a0 + a1 t + a2 t^2) / t^s over F_p, s in {0, 1}."""
+    n = draw(st.integers(2, max_degree))
     return [(draw(st.integers(0, 1)), draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
             for _ in range(n)]
 
@@ -72,3 +78,56 @@ def test_unramified_base_change_splits_each_branch(case):
     event("compared")
     expected = sorted((e, f // gcd(f, m)) for e, f in small for _ in range(gcd(f, m)))
     assert big == expected
+
+
+def split_p(e: int, p: int):
+    """(the prime-to-p part of e, the p-part of e)."""
+    q = 1
+    while e % p == 0:
+        e, q = e // p, q * p
+    return e, q
+
+
+HULL_BUDGET = 10
+
+
+def hull_law(p, g) -> str:
+    """Check the perfect-hull law on g, given as for ``over``, and say
+    what was compared or why it was skipped.  Every d the FpPerf engine
+    certifies must be the p-part of e of a matching Fq(p,t) branch (same
+    e' and f'); the branch count and the (e', f') multiset are compared
+    when sum e*f = n in both reports."""
+    Kq, Kp = FIELDS[p], PERF[p]
+    gq = over(Kq, g)
+    cc = gq.coeffs
+    if fpoly.deg(fpoly.gcd_(Kq, cc, fpoly.deriv(Kq, cc))) != 0:
+        return "inseparable"
+    rq = mac_lane_chains(Kq, gq, max_limit_probes=HULL_BUDGET)
+    if rq.sum_ef != rq.n:
+        return "Fq(p,t) report not final"
+    rp = mac_lane_chains(Kp, over(Kp, g), max_limit_probes=HULL_BUDGET)
+    images = Counter((*split_p(b.e, p), b.f) for b in rq.branches)
+    for b in rp.branches:
+        if b.d is not None:
+            match = (b.e, b.d, b.f)
+            assert images[match] > 0, (gq.to_str(), match, images)
+            images[match] -= 1
+    if rp.sum_ef != rp.n:
+        return "FpPerf(p,t) report not final"
+    assert len(rp.branches) == len(rq.branches), gq.to_str()
+    assert sorted((b.e, b.f) for b in rp.branches) == \
+        sorted((split_p(b.e, p)[0], b.f) for b in rq.branches), gq.to_str()
+    return "compared"
+
+
+PERF = {p: parse_field(f"FpPerf({p},t)") for p in (2, 3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(st.just(p), base_polys(p, 4))))
+def test_the_perfect_hull_law(case):
+    """Monic g of degree 2..4 over F_2(t) and F_3(t) at a fixed budget,
+    each compared or counted as skipped with its reason (shown by
+    ``--hypothesis-show-statistics``).  No FpPerf d above 1 is met: the
+    engine certifies none before item 15."""
+    event(hull_law(*case))

@@ -9,8 +9,10 @@ constant by the field's ``valuate``, with no memo entry; and
 coefficient of sparse operands at one level.  Each fact is compared with
 an evaluation that reads no memo, over every corpus exploration and the
 Artin-Schreier ladders, and the shift with the generic Horner loop.
-``ffield._random_elem`` draws the coordinates of an extension of GF(p)
-in one list, in the order of the recursive draw it replaces.
+``fpoly.gcd_`` returns 1 at once when an argument is a nonzero constant
+(checked against Euclid's algorithm).  ``ffield._random_elem`` draws the
+coordinates of an extension of GF(p) in one list, in the order of the
+recursive draw it replaces.
 """
 
 import random
@@ -180,6 +182,65 @@ def test_probe_facts_over_every_exploration(monkeypatch):
         w0 = vmul(fpoly.deg(rbar) * node.e_rel, node.gamma)
         assert ref_evaluate(node, key) == w0
         assert node.evaluate(key) == w0
+
+
+# ---------------------------------------------------------------------------
+# Euclid against a constant
+# ---------------------------------------------------------------------------
+
+
+def euclid(F, f, g):
+    """The monic gcd by Euclid's algorithm, with no early exit."""
+    while g:
+        f, g = g, fpoly.divmod_(F, f, g)[1]
+    return fpoly.monic(F, f)
+
+
+GCD_FIELDS = [GFp(2), GFp(5), GFq(4), GFq(9)] + [parse_field(d) for d in (
+    "Qp(3)", "Fq(3,t)", "FpPerf(2,t)", "FpPerf(3,t)")]
+
+
+def gcd_element(F, n: int):
+    """An element from an int: itself over a finite field, n/(n^2+1) over
+    Qp, (n + t)/(1 + n*t) over B(t) and the perfect closure."""
+    if not hasattr(F, "valuate"):
+        return F.from_int(n)
+    if F.kind == "Qp":
+        return Q(n, n * n + 1)
+    t = F.canonical_unit(Q(1))
+    return F.div(F.add(F.from_int(n), t), F.add(F.one(), F.mul(F.from_int(n), t)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GCD_FIELDS), st.data())
+def test_gcd_with_a_nonzero_constant_is_one_at_once(F, data):
+    """gcd_(c, f) and gcd_(f, c) for a nonzero constant c equal Euclid's
+    answer, 1, without a division; a zero or nonconstant argument still
+    runs Euclid (gcd(0, f) is monic(f))."""
+    ints = st.integers(-4, 4)
+    f = fpoly.norm(F, [gcd_element(F, n) for n in data.draw(st.lists(ints, max_size=5))])
+    c = gcd_element(F, data.draw(ints))
+    if F.is_zero(c):
+        c = F.one()
+    divisions = []
+    real_divmod = fpoly.divmod_
+
+    def counting_divmod(*args):
+        divisions.append(args)
+        return real_divmod(*args)
+
+    pairs = [((c,), f), (f, (c,))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fpoly, "divmod_", counting_divmod)
+        got = [fpoly.gcd_(F, a, b) for a, b in pairs]
+    assert divisions == []
+    for (a, b), h in zip(pairs, got):
+        assert fpoly.eq(F, h, euclid(F, a, b)) and fpoly.eq(F, h, (F.one(),))
+    g = fpoly.norm(F, list(f) + [F.one()])  # monic, and nonconstant when f != ()
+    if len(g) > 1:
+        for a, b in [((), g), (g, ())]:
+            assert fpoly.eq(F, fpoly.gcd_(F, a, b), euclid(F, a, b))
+            assert fpoly.eq(F, fpoly.gcd_(F, a, b), g)
 
 
 # ---------------------------------------------------------------------------
