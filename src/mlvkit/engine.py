@@ -270,8 +270,7 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     factors = factorizations.get((kappa, gr.H))
     if factors is None:
         factors = factorizations[kappa, gr.H] = factor_monic(kappa, gr.H)
-    proper = [(u, m) for u, m in factors
-              if not fpoly.eq(kappa, u, _y_poly(kappa))]
+    proper = [(u, m) for u, m in factors if u != _y_poly(kappa)]
     separated = len(factors) == 1 and factors[0][1] == 1
     if separated and node._is_key(g, gr):
         return [_State.at(node.augment(g, INFINITY, _rbar=factors[0][0]), INFINITY, node)]

@@ -2,10 +2,11 @@
 
 Field objects implement a small uniform protocol (zero/one/add/sub/mul/
 neg/inv/div/eq/is_zero/from_int/elem_str plus char and order) over plain
-element data: integers for prime fields, coefficient tuples for
-extensions.  Extensions over extensions give the residue-field towers
-that inductive valuations build.  An extension of GF(p) of order at most
-TABLE_CAP computes on log tables keyed by its coefficient tuples.
+canonical element data (see Field): integers for prime fields,
+coefficient tuples for extensions.  Extensions over extensions give the
+residue-field towers that inductive valuations build.  An extension of
+GF(p) of order at most TABLE_CAP computes on log tables keyed by its
+coefficient tuples.
 
 Extension moduli searched here are deterministic: the monic irreducible
 of the requested degree whose coefficient vector is smallest in the
@@ -23,7 +24,16 @@ from . import fpoly
 
 
 class Field:
-    """Abstract coefficient field over hashable element data."""
+    """Abstract coefficient field over hashable element data.
+
+    Element data is canonical: each element has exactly one data value,
+    so ``eq`` is ``==`` here, once, and data can key dicts and sets.  GF(p)
+    keeps ints in [0, p), an extension the reduced coefficient tuple with
+    no trailing zeros, a rational function field the gcd-reduced RF with a
+    monic denominator (ratfunc), and the valued fields their own canonical
+    forms (fields).  Arithmetic keeps the rule; ``accepts`` on each valued
+    field checks it where outside data enters (``fields.field_arith``).
+    """
 
     char: int = 0
     order: Optional[int] = None  # None for infinite fields
@@ -53,13 +63,13 @@ class Field:
         return self.mul(a, self.inv(b))
 
     def eq(self, a, b) -> bool:
-        raise NotImplementedError
+        return a == b
 
     def is_zero(self, a) -> bool:
-        return self.eq(a, self.zero())
+        return a == self.zero()
 
     def is_one(self, a) -> bool:
-        return self.eq(a, self.one())
+        return a == self.one()
 
     def from_int(self, n: int):
         raise NotImplementedError
@@ -110,12 +120,8 @@ class GFp(Field):
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, -1, self.p)
 
-    def eq(self, a, b):
-        return (a - b) % self.p == 0
-
     def is_zero(self, a):
-        # elements are canonical representatives in [0, p)
-        return a == 0 or a % self.p == 0
+        return a == 0
 
     def is_one(self, a):
         return a == 1
@@ -157,6 +163,7 @@ class ExtField(Field):
         self.varname = varname
         self.char = base.char
         self.order = None if base.order is None else base.order ** self.degree
+        self._one = (base.one(),)
         self._log = None
         if type(base) is GFp and self.degree >= 2 and self.order <= TABLE_CAP:
             tables = _log_tables(base.p, self.modulus)
@@ -173,7 +180,7 @@ class ExtField(Field):
         return ()
 
     def one(self):
-        return (self.base.one(),)
+        return self._one
 
     def gen(self):
         return self._red(fpoly.x(self.base))
@@ -224,16 +231,8 @@ class ExtField(Field):
             raise ZeroDivisionError("inverse of zero in extension field")
         return self._exp[log[a] - log[b] + self._n] if a else ()
 
-    def eq(self, a, b):
-        if self._log is None:
-            return fpoly.eq(self.base, a, b)
-        return a == b
-
     def is_zero(self, a):
         return not a
-
-    def is_one(self, a):
-        return a == (1,) if self._log is not None else self.eq(a, self.one())
 
     def from_int(self, n):
         return fpoly.const(self.base, self.base.from_int(n))

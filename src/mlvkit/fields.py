@@ -23,13 +23,17 @@ for a coefficient field B that is also the residue field.  B = GF(q) is
 perfect and B = GF(p)(c) is not, which is exactly what the Frobenius
 criterion on gr(K) tells apart.
 
-Elements are plain data: for Qp an ``int`` when integral, else a
-``Fraction``; ``RF`` pairs for the t-adic families; and ``PerfElem`` for
-the perfect closure: the minimal level k plus, when the reduced
-denominator is a monomial, the sorted (exponent, coefficient) terms of a
-Laurent polynomial in u = t^(1/p^k), and otherwise a dense RF in u.
-Every descriptor also implements the generic Field protocol over its own
-elements, so the polynomial toolbox applies uniformly.
+Elements are plain canonical data, so equality is ``==`` (the rule of
+ffield.Field): for Qp an ``int`` when integral, else a ``Fraction``
+(equal values compare equal across the two); reduced ``RF`` records with
+a monic denominator for the t-adic families; and ``PerfElem`` for the
+perfect closure: the minimal level k plus, when the reduced denominator
+is a monomial, the sorted (exponent, coefficient) terms of a Laurent
+polynomial in u = t^(1/p^k), and otherwise a dense RF in u.  Each
+family's ``accepts`` checks this canonical form, and ``field_arith``
+calls it on every operand.  Every descriptor also implements the generic
+Field protocol over its own elements, so the polynomial toolbox applies
+uniformly.
 
 Default choice functions are the multiplicative ones (p^gamma, t^gamma);
 a descriptor may carry a finite override table, which is what produces
@@ -217,9 +221,6 @@ class QpField(ValuedField):
             num, den = -num, -den
         return den if num == 1 else Q(den, num)
 
-    def eq(self, a, b):
-        return a == b
-
     def is_zero(self, a):
         return a == 0
 
@@ -294,7 +295,7 @@ class TadicField(ValuedField, RatFuncField):
         return self.make((one,), tk)
 
     def accepts(self, a):
-        return isinstance(a, RF) and _rf_over(self.coeff_field, a)
+        return _canonical_rf(self, a)
 
 
 class FqtField(TadicField):
@@ -459,10 +460,6 @@ class FpPerfField(ValuedField):
             return PerfElem(a.level, ((-e, pow(c, -1, self.p)),))
         return self._from_rf(a.level, self.rff.inv(self._dense(a, a.level)))
 
-    def eq(self, a, b):
-        # both forms are canonical
-        return a == b
-
     def is_zero(self, a):
         return not a.terms and a.rf is None
 
@@ -502,12 +499,8 @@ class FpPerfField(ValuedField):
             return False
         if a.rf is None:
             return _terms_over(self.p, a.terms) and self._sparse(a.level, a.terms) == a
-        B, rf = self.coeff_field, a.rf
-        if a.terms != () or not isinstance(rf, RF) or not _rf_over(B, rf):
-            return False
-        if not rf.den or fpoly.norm(B, rf.num) != rf.num or fpoly.norm(B, rf.den) != rf.den:
-            return False
-        return self._from_rf(a.level, self.rff.make(rf.num, rf.den)) == a
+        return (a.terms == () and _canonical_rf(self.rff, a.rf)
+                and self._from_rf(a.level, a.rf) == a)
 
     def elem_str(self, a):
         if a.rf is not None:
@@ -603,10 +596,20 @@ class FpctField(TadicField):
         return self.make(fpoly.const(B, B.var()), (B.one(),))
 
 
-def _rf_over(B: Field, a: RF) -> bool:
+def _canonical_rf(R: RatFuncField, a) -> bool:
+    """a is the canonical data of an element of R = B(v): an RF of tuples
+    of canonical B elements with no trailing zeros, gcd-reduced, with a
+    monic denominator (``make`` returns it unchanged)."""
+    if not (isinstance(a, RF) and isinstance(a.num, tuple) and isinstance(a.den, tuple)
+            and a.den):
+        return False
+    B = R.base
     if isinstance(B, RatFuncField):
-        return all(isinstance(c, RF) for c in a.num + a.den)
-    return all(_finite_elem(B, c) for c in a.num + a.den)
+        coeffs_ok = all(_canonical_rf(B, c) for c in a.num + a.den)
+    else:
+        coeffs_ok = all(_finite_elem(B, c) for c in a.num + a.den)
+    return (coeffs_ok and fpoly.norm(B, a.num) == a.num and fpoly.norm(B, a.den) == a.den
+            and R.make(a.num, a.den) == a)
 
 
 def _finite_elem(B: Field, c) -> bool:
@@ -630,10 +633,12 @@ def field_arith(K: ValuedField, op: str, a, b=None):
     """Exact field arithmetic behind a structural element check.
 
     The MIXED_FIELDS check is structural: it rejects elements whose data
-    shape does not match the descriptor (a Qp rational fed to a t-adic
-    field, mismatched coefficient ranges, and so on).  Descriptors whose
-    elements share a literal representation (for example Qp(2) and Qp(3),
-    which both act on plain rationals) are not distinguished.
+    is not the canonical data of an element of the descriptor (a Qp
+    rational fed to a t-adic field, mismatched coefficient ranges, an
+    unreduced rational function, and so on), since ``eq`` compares data
+    with ``==``.  Descriptors whose elements share a literal
+    representation (for example Qp(2) and Qp(3), which both act on plain
+    rationals) are not distinguished.
     """
     for x in (a, b):
         if x is not None and not K.accepts(x):

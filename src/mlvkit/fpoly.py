@@ -2,9 +2,10 @@
 
 Polynomials are tuples of field elements with no trailing zeros; () is the
 zero polynomial.  Every function takes the coefficient field object ``F``
-first; ``F`` must provide zero/one/add/sub/mul/neg/inv/eq/is_zero/from_int
-(see ffield.Field).  The same toolbox serves finite fields, rational
-function fields and the valued base fields.
+first; ``F`` must provide zero/one/add/sub/mul/neg/inv/is_zero/from_int
+(see ffield.Field) over canonical element data, so two polynomials are
+equal exactly when their tuples are (``==``).  The same toolbox serves
+finite fields, rational function fields and the valued base fields.
 """
 
 from __future__ import annotations
@@ -67,12 +68,8 @@ def low_deg(F, f) -> int:
     raise ValueError("zero polynomial has no valuation")
 
 
-def eq(F, f, g) -> bool:
-    return len(f) == len(g) and all(F.eq(a, b) for a, b in zip(f, g))
-
-
 def is_monic(F, f) -> bool:
-    return bool(f) and F.eq(f[-1], F.one())
+    return bool(f) and f[-1] == F.one()
 
 
 def add(F, f, g) -> Coeffs:
@@ -155,7 +152,7 @@ def divmod_(F, f, g) -> Tuple[Coeffs, Coeffs]:
     if type(F) is ffield.GFp:
         return _divmod_gfp(F, f, g)
     # a monic divisor (nearly every key and modulus) needs no inverse
-    gl_inv = None if F.eq(g[-1], F.one()) else F.inv(g[-1])
+    gl_inv = None if g[-1] == F.one() else F.inv(g[-1])
     dg = len(g) - 1
     # the leading term is left out: it only cancels the term popped below
     gi = [(i, b) for i, b in enumerate(g[:-1]) if not F.is_zero(b)]

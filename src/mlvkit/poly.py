@@ -54,7 +54,7 @@ class Poly:
 
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.field.key == other.field.key
-                and fpoly.eq(self.field, self.coeffs, other.coeffs))
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
         return hash((self.field.key, self.coeffs))

@@ -1,25 +1,42 @@
 """Rational function fields Frac(F[var]) over an arbitrary coefficient field.
 
-Elements are frozen (num, den) pairs of fpoly tuples, gcd-reduced with a
-monic denominator.  RatFuncField implements the same Field protocol as
-the finite fields, so it can serve as a coefficient field itself (this is
-how F_p(c)(t) is built), and it is the base class of the t-adic valued
-fields.
+Elements are RF records (num, den) of fpoly tuples, in canonical form:
+gcd-reduced, with a monic denominator, so equal elements have equal data
+(the rule of ffield.Field) and a polynomial has den = (1,).  RatFuncField
+implements the same Field protocol as the finite fields, so it can serve
+as a coefficient field itself (this is how F_p(c)(t) is built), and it is
+the base class of the t-adic valued fields.  Sums and products of two
+polynomials are polynomials, and skip the reduction of ``make``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from . import fpoly
 from .ffield import Field, poly_pth_root
 
 
-@dataclass(frozen=True)
 class RF:
-    num: tuple
-    den: tuple
+    """A rational function num/den; equality and hash are those of the
+    pair.  Not a tuple, so that no RF passes the GF(q) element test."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: tuple, den: tuple):
+        self.num = num
+        self.den = den
+
+    def __eq__(self, other):
+        if other.__class__ is RF:
+            return self.num == other.num and self.den == other.den
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"RF(num={self.num!r}, den={self.den!r})"
 
 
 class RatFuncField(Field):
@@ -28,13 +45,18 @@ class RatFuncField(Field):
         self.varname = varname
         self.char = base.char
         self.order = None
+        self._den1 = (base.one(),)
+        self._zero = RF((), self._den1)
+        self._one = RF(self._den1, self._den1)
 
     def make(self, num, den) -> RF:
         B = self.base
         if fpoly.is_zero(den):
             raise ZeroDivisionError("zero denominator in rational function")
         if fpoly.is_zero(num):
-            return RF((), (B.one(),))
+            return self._zero
+        if den == self._den1:
+            return RF(tuple(num), self._den1)
         if fpoly.deg(num) > 0 and fpoly.deg(den) > 0:
             kn = fpoly.low_deg(B, num)
             kd = fpoly.low_deg(B, den)
@@ -61,13 +83,16 @@ class RatFuncField(Field):
         return self.from_poly(fpoly.x(self.base))
 
     def zero(self):
-        return RF((), (self.base.one(),))
+        return self._zero
 
     def one(self):
-        return RF((self.base.one(),), (self.base.one(),))
+        return self._one
 
     def add(self, a: RF, b: RF):
         B = self.base
+        den1 = self._den1
+        if a.den == den1 and b.den == den1:
+            return RF(fpoly.add(B, a.num, b.num), den1)
         num = fpoly.add(B, fpoly.mul(B, a.num, b.den), fpoly.mul(B, b.num, a.den))
         return self.make(num, fpoly.mul(B, a.den, b.den))
 
@@ -76,6 +101,9 @@ class RatFuncField(Field):
 
     def mul(self, a: RF, b: RF):
         B = self.base
+        den1 = self._den1
+        if a.den == den1 and b.den == den1:
+            return RF(fpoly.mul(B, a.num, b.num), den1)
         return self.make(fpoly.mul(B, a.num, b.num), fpoly.mul(B, a.den, b.den))
 
     def inv(self, a: RF):
@@ -83,19 +111,18 @@ class RatFuncField(Field):
             raise ZeroDivisionError("inverse of zero rational function")
         return self.make(a.den, a.num)
 
-    def eq(self, a: RF, b: RF):
-        return fpoly.eq(self.base, a.num, b.num) and fpoly.eq(self.base, a.den, b.den)
-
     def is_zero(self, a: RF):
         return fpoly.is_zero(a.num)
 
     def from_int(self, n: int):
-        return RF(fpoly.const(self.base, self.base.from_int(n)), (self.base.one(),))
+        return RF(fpoly.const(self.base, self.base.from_int(n)), self._den1)
 
     def ord_var(self, a: RF) -> Optional[int]:
         """Order of vanishing at var = 0 (None for the zero element)."""
         if fpoly.is_zero(a.num):
             return None
+        if a.den == self._den1:
+            return fpoly.low_deg(self.base, a.num)
         return fpoly.low_deg(self.base, a.num) - fpoly.low_deg(self.base, a.den)
 
     def lowest_term(self, a: RF):
@@ -137,7 +164,7 @@ class RatFuncField(Field):
     def elem_str(self, a: RF) -> str:
         B = self.base
         ns = fpoly.to_str(B, a.num, self.varname)
-        if fpoly.eq(B, a.den, (B.one(),)):
+        if a.den == self._den1:
             return ns
         ds = fpoly.to_str(B, a.den, self.varname)
         if any(op in ns[1:] for op in "+-") or " " in ns:

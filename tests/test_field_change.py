@@ -13,6 +13,11 @@ The perfect-hull law (item 17(b), the theorem of item 15): for separable
 g over K = F_p(t), the branches over the perfect hull FpPerf(p,t)
 correspond one to one to those over Fq(p,t), with e' the prime-to-p part
 of e and f' = f, and the defect d' is the p-part of e.
+
+Frobenius of F_q (item 17(d)): c -> c^p on the F_q coefficients of g's
+coefficients is an automorphism of Fq(q,t) that fixes t, so it keeps the
+t-adic valuation, and the branches of g and of its image have the same
+multiset of (e, f, d).
 """
 
 from collections import Counter
@@ -30,16 +35,17 @@ PAIRS = [(2, 2), (2, 3), (3, 2), (5, 2)]
 FIELDS = {q: parse_field(f"Fq({q},t)") for p, m in PAIRS for q in (p, p ** m)}
 
 
-def over(K, g):
+def over(K, g, coeff=None):
     """g, given as (t-exponent shift, [coefficient of t^i]) per power of
     x, read over K: prime-field ints are the same elements in every
-    Fq(p^m,t)."""
+    Fq(p^m,t).  ``coeff`` maps each int to K instead, when given."""
+    coeff = coeff or K.from_int
     t = K.canonical_unit(1)
     cc = []
     for shift, ts in g:
         c = K.zero()
         for i, a in enumerate(ts):
-            c = K.add(c, K.mul(K.from_int(a), K.pow(t, i)))
+            c = K.add(c, K.mul(coeff(a), K.pow(t, i)))
         cc.append(K.div(c, K.pow(t, shift)))
     return Poly(K, cc + [K.one()])
 
@@ -47,7 +53,8 @@ def over(K, g):
 @st.composite
 def base_polys(draw, p, max_degree=5):
     """A monic g of degree 2..max_degree whose coefficients below the top
-    are (a0 + a1 t + a2 t^2) / t^s over F_p, s in {0, 1}."""
+    are (a0 + a1 t + a2 t^2) / t^s, s in {0, 1}, with each a_i drawn from
+    0..p-1 (an element of F_p, or the code of an element of F_q for p = q)."""
     n = draw(st.integers(2, max_degree))
     return [(draw(st.integers(0, 1)), draw(st.lists(st.integers(0, p - 1), min_size=1, max_size=3)))
             for _ in range(n)]
@@ -131,3 +138,55 @@ def test_the_perfect_hull_law(case):
     ``--hypothesis-show-statistics``).  No FpPerf d above 1 is met: the
     engine certifies none before item 15."""
     event(hull_law(*case))
+
+
+def gfq_element(B, code: int):
+    """The element of GF(q) = GF(p)[z]/(m) whose coordinates are the
+    base-p digits of code, lowest first."""
+    digits = []
+    for _ in range(B.degree):
+        code, d = divmod(code, B.char)
+        digits.append(d)
+    return fpoly.norm(B.base, digits)
+
+
+def frobenius(K, g):
+    """g with c -> c^p applied to every F_q coefficient of its coefficients."""
+    B = K.coeff_field
+
+    def frob(cc):
+        return tuple(B.pow(c, B.char) for c in cc)
+    return Poly(K, [K.make(frob(a.num), frob(a.den)) for a in g.coeffs])
+
+
+def branch_invariants(K, g):
+    """The multiset of (e, f, d) of g's report over K, or None when g is
+    not separable or some e, f is not final (sum e*f < n)."""
+    cc = g.coeffs
+    if fpoly.deg(fpoly.gcd_(K, cc, fpoly.deriv(K, cc))) != 0:
+        return None
+    report = mac_lane_chains(K, g)
+    if report.sum_ef != report.n:
+        return None
+    return Counter((b.e, b.f, b.d) for b in report.branches)
+
+
+FROBENIUS_FIELDS = {q: parse_field(f"Fq({q},t)") for q in (4, 8, 9)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(FROBENIUS_FIELDS)).flatmap(
+    lambda q: st.tuples(st.just(q), base_polys(q, 4))))
+def test_frobenius_of_the_constants_keeps_every_branch(case):
+    """g is drawn as for the other laws, its ints read as codes of F_q."""
+    q, g = case
+    K = FROBENIUS_FIELDS[q]
+    g = over(K, g, lambda code: K.lift(gfq_element(K.coeff_field, code)))
+    image = frobenius(K, g)
+    before = branch_invariants(K, g)
+    after = branch_invariants(K, image) if before is not None else None
+    if after is None:
+        event("skipped: inseparable, or some e*f not final")
+        return
+    event("compared" if image != g else "compared: g fixed by Frobenius")
+    assert after == before, (g.to_str(), image.to_str())

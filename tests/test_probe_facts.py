@@ -235,12 +235,11 @@ def test_gcd_with_a_nonzero_constant_is_one_at_once(F, data):
         got = [fpoly.gcd_(F, a, b) for a, b in pairs]
     assert divisions == []
     for (a, b), h in zip(pairs, got):
-        assert fpoly.eq(F, h, euclid(F, a, b)) and fpoly.eq(F, h, (F.one(),))
+        assert h == euclid(F, a, b) == (F.one(),)
     g = fpoly.norm(F, list(f) + [F.one()])  # monic, and nonconstant when f != ()
     if len(g) > 1:
         for a, b in [((), g), (g, ())]:
-            assert fpoly.eq(F, fpoly.gcd_(F, a, b), euclid(F, a, b))
-            assert fpoly.eq(F, fpoly.gcd_(F, a, b), g)
+            assert fpoly.gcd_(F, a, b) == euclid(F, a, b) == g
 
 
 # ---------------------------------------------------------------------------
