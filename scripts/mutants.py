@@ -13,34 +13,35 @@ against it with pytest, and restores the file.
 * survived: every named test passes with the fault planted;
 * stale: the old text is missing or not unique, or pytest cannot run the
   named tests (a test id that no longer exists);
-* timed out: the tests ran longer than TIMEOUT_S.  A stale entry is
-  reported, never skipped: a refactor that moves the code moves its
-  entries too.
+* timed out: the tests were still running at the deadline, DEADLINE_S
+  after the start of the script; an entry reached after the deadline is
+  reported timed out without a run.  A stale entry is reported, never
+  skipped: a refactor that moves the code moves its entries too.
 
 Run from the root of a checkout:
 
-    python3 scripts/mutants.py             # every entry
-    python3 scripts/mutants.py --list      # the entry names
-    python3 scripts/mutants.py NAME ...    # the named entries
+    python3 scripts/mutants.py
 
-The exit code is 0 when every selected fault is caught, 1 otherwise.
+The exit code is 0 when every fault is caught, 1 otherwise.
 Stdlib only; the tests need pytest and hypothesis.  Hypothesis runs with
 a fixed seed, so a result does not change between runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 from typing import List, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-TIMEOUT_S = 600  # per pytest run
+# one deadline for every run, under the 10-minute timeout of the CI step,
+# so that a hung entry is reported by name
+DEADLINE_S = 480
 
 
 class Fault(NamedTuple):
@@ -81,8 +82,12 @@ FAULTS = [
 ]
 
 
-def run_tests(copy: Path, tests: List[str]) -> int:
-    """pytest's exit code for the tests in the copy (1: a test failed)."""
+def run_tests(copy: Path, tests: List[str], deadline: float) -> int:
+    """pytest's exit code for the tests in the copy (1: a test failed), or
+    -1 when the run does not end by the deadline (a time.monotonic())."""
+    left = deadline - time.monotonic()
+    if left <= 0:
+        return -1
     # no bytecode cache: a planted file can keep the size and mtime second
     # of the original, and a cached .pyc would then hide the fault
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -90,19 +95,19 @@ def run_tests(copy: Path, tests: List[str]) -> int:
            "--hypothesis-seed=0", *tests]
     try:
         return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL,
-                              stderr=subprocess.DEVNULL, timeout=TIMEOUT_S).returncode
+                              stderr=subprocess.DEVNULL, timeout=left).returncode
     except subprocess.TimeoutExpired:
         return -1
 
 
-def judge(copy: Path, fault: Fault) -> str:
+def judge(copy: Path, fault: Fault, deadline: float) -> str:
     path = copy / fault.file
     text = path.read_text()
     if text.count(fault.old) != 1:
         return f"stale: old text occurs {text.count(fault.old)} times in {fault.file}"
     path.write_text(text.replace(fault.old, fault.new))
     try:
-        code = run_tests(copy, fault.tests)
+        code = run_tests(copy, fault.tests, deadline)
     finally:
         path.write_text(text)
     if code == 1:
@@ -110,23 +115,12 @@ def judge(copy: Path, fault: Fault) -> str:
     if code == 0:
         return "survived"
     if code == -1:
-        return f"timed out after {TIMEOUT_S} s"
+        return f"timed out ({DEADLINE_S} s deadline)"
     return f"stale: pytest exit code {code}"
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description="Plant each registered fault and run its tests.")
-    ap.add_argument("names", nargs="*", help="entries to run (default: all)")
-    ap.add_argument("--list", action="store_true", help="print the entry names and exit")
-    args = ap.parse_args(argv)
-    if args.list:
-        for f in FAULTS:
-            print(f.name)
-        return 0
-    unknown = set(args.names) - {f.name for f in FAULTS}
-    if unknown:
-        ap.error(f"unknown entries: {', '.join(sorted(unknown))}")
-    faults = [f for f in FAULTS if not args.names or f.name in args.names]
+def main() -> int:
+    deadline = time.monotonic() + DEADLINE_S
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         copy = Path(tmp)
         shutil.copytree(ROOT / "src", copy / "src",
@@ -134,19 +128,19 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / "tests", copy / "tests",
                         ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy(ROOT / "pyproject.toml", copy)
-        tests = sorted({t for f in faults for t in f.tests})
-        code = run_tests(copy, tests)
+        tests = sorted({t for f in FAULTS for t in f.tests})
+        code = run_tests(copy, tests, deadline)
         if code != 0:
             # 1: a named test fails; 4 or 5: a named test id is stale
             print(f"the named tests do not pass without a fault (pytest exit code {code})")
             return 1
         bad = 0
-        for fault in faults:
-            verdict = judge(copy, fault)
+        for fault in FAULTS:
+            verdict = judge(copy, fault, deadline)
             bad += verdict != "caught"
             print(f"{verdict:9s} {fault.name}" if verdict in ("caught", "survived")
                   else f"{fault.name}: {verdict}")
-    print(f"{len(faults) - bad} of {len(faults)} faults caught")
+    print(f"{len(FAULTS) - bad} of {len(FAULTS)} faults caught")
     return 1 if bad else 0
 
 

@@ -19,13 +19,23 @@ from .ffield import Field, poly_pth_root
 
 class RF:
     """A rational function num/den; equality and hash are those of the
-    pair.  Not a tuple, so that no RF passes the GF(q) element test."""
+    pair.  Not a tuple, so that no RF passes the GF(q) element test.
+    Immutable: zero() and one() are shared, and RFs are dict keys."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: tuple, den: tuple):
-        self.num = num
-        self.den = den
+        _set_num(self, num)
+        _set_den(self, den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RF is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"RF is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        return RF, (self.num, self.den)
 
     def __eq__(self, other):
         if other.__class__ is RF:
@@ -37,6 +47,10 @@ class RF:
 
     def __repr__(self):
         return f"RF(num={self.num!r}, den={self.den!r})"
+
+
+# the slot setters, bound once: __init__ stores past the refusing __setattr__
+_set_num, _set_den = RF.num.__set__, RF.den.__set__
 
 
 class RatFuncField(Field):
@@ -55,8 +69,6 @@ class RatFuncField(Field):
             raise ZeroDivisionError("zero denominator in rational function")
         if fpoly.is_zero(num):
             return self._zero
-        if den == self._den1:
-            return RF(tuple(num), self._den1)
         if fpoly.deg(num) > 0 and fpoly.deg(den) > 0:
             kn = fpoly.low_deg(B, num)
             kd = fpoly.low_deg(B, den)
@@ -121,8 +133,6 @@ class RatFuncField(Field):
         """Order of vanishing at var = 0 (None for the zero element)."""
         if fpoly.is_zero(a.num):
             return None
-        if a.den == self._den1:
-            return fpoly.low_deg(self.base, a.num)
         return fpoly.low_deg(self.base, a.num) - fpoly.low_deg(self.base, a.den)
 
     def lowest_term(self, a: RF):

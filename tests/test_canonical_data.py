@@ -9,6 +9,8 @@ independent reference: cross-multiplication for rational functions and
 fields refuse data that is not canonical.
 """
 
+import copy
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -171,3 +173,22 @@ def test_tadic_fields_refuse_data_that_is_not_canonical():
         assert not C.accepts(bad)
         with pytest.raises(MixedFields):
             field_arith(C, MUL, bad, C.one())
+
+
+def test_shared_zero_and_one_cannot_be_changed():
+    K = FqtField(3)
+    zero, one = K.zero(), K.one()
+    t = K.t()
+    for op, a, b in ((ADD, t, zero), (MUL, t, one), (ADD, one, K.neg(one)), (MUL, t, K.inv(t))):
+        field_arith(K, op, a, b)
+    assert zero == RF((), (1,)) and one == RF((1,), (1,))
+    for attr in ("num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(one, attr, (2,))
+        with pytest.raises(AttributeError):
+            delattr(zero, attr)
+    assert zero == RF((), (1,)) and one == RF((1,), (1,))
+    # copies and pickles rebuild the record through its constructor
+    u = K.div(t, K.add(one, t))
+    for clone in (copy.copy(u), copy.deepcopy(u), pickle.loads(pickle.dumps(u))):
+        assert clone == u and hash(clone) == hash(u)
