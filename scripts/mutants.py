@@ -53,6 +53,7 @@ class Fault(NamedTuple):
 
 
 CANONICAL = "tests/test_canonical_data.py::"
+PROBE_FACTS = "tests/test_probe_facts.py::test_probe_facts_over_every_exploration"
 
 FAULTS = [
     Fault("rf-eq-compares-num-only", "src/mlvkit/ratfunc.py",
@@ -79,6 +80,18 @@ FAULTS = [
           "    if len(f) == 1 or len(g) == 1:\n",
           "    if len(f) <= 1 or len(g) <= 1:\n",
           ["tests/test_probe_facts.py::test_gcd_with_a_nonzero_constant_is_one_at_once"]),
+    Fault("linear-key-lifted-with-unit-one", "src/mlvkit/indval.py",
+          "K.canonical_unit(w0)), c0)",
+          "K.one()), c0)",
+          [PROBE_FACTS]),
+    Fault("shifted-values-read-from-the-unshifted-expansion", "src/mlvkit/engine.py",
+          "enumerate(shifted) if not K.is_zero(c)}",
+          "enumerate(at_a) if not K.is_zero(c)}",
+          [PROBE_FACTS]),
+    Fault("scan-evidence-includes-the-entry-node", "src/mlvkit/engine.py",
+          "b.trajectory[1:probe_budget + 1]",
+          "b.trajectory[:probe_budget]",
+          ["tests/test_acceptance.py::test_criterion_2_defect_trajectory"]),
 ]
 
 

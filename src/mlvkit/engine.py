@@ -19,7 +19,8 @@ refinements at a stagnant key degree).  The reason is kept as
 LIMIT_SUSPECTED: it may be a genuine limit (defect, or branch separation
 over the henselization) or a budget that ran out, so its invariants are
 reported as bounds.  One step function, ``_step``, builds the children
-of a node for both the exploration and the scans that re-probe a stall.
+of a node; a scan (``psi_m_scan``) reads a stalled branch's recorded
+probes and never steps.
 
 Defects are resolved as follows: terminated branches have
 d = deg(factor)/(e*f); when the sum of e*f over all branches reaches
@@ -256,13 +257,13 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
 
     A refinement is separated when the residual polynomial of g is one
     multiplicity-one factor and g is not yet a key: e and f are final.
-    ``factorizations`` maps (kappa, H) to the factors of H over kappa; the
-    caller keeps it for one exploration, whose probes often meet the same
-    residual polynomial again.  A separated node's factorization is
-    [(monic(H), 1)], so factor_monic's distinct-degree pass has already
-    proved monic(H) irreducible: the key test of g makes only the
-    minimality checks, and the terminal augmentation takes monic(H) as
-    its residual.
+    ``factorizations`` maps (kappa, H) to the factors of H over kappa;
+    ``mac_lane_chains`` keeps it for one exploration, whose probes often
+    meet the same residual polynomial again.  A separated node's
+    factorization is [(monic(H), 1)], so factor_monic's distinct-degree
+    pass has already proved monic(H) irreducible: ``is_key`` gets g's
+    graded reduction and makes only the minimality checks, and the
+    terminal augmentation takes monic(H) as its residual.
     """
     node = state.node
     gr = node.graded_reduction(g)
@@ -272,7 +273,7 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
         factors = factorizations[kappa, gr.H] = factor_monic(kappa, gr.H)
     proper = [(u, m) for u, m in factors if u != _y_poly(kappa)]
     separated = len(factors) == 1 and factors[0][1] == 1
-    if separated and node._is_key(g, gr):
+    if separated and node.is_key(g, _gr=gr):
         return [_State.at(node.augment(g, INFINITY, _rbar=factors[0][0]), INFINITY, node)]
     sep = state.sep + 1 if separated else 0
     out = []
@@ -452,7 +453,7 @@ def _check_squarefree(K: ValuedField, g: Poly) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Branch refinement (used by scans and stability queries)
+# Reading a branch (scans and stability queries)
 # ---------------------------------------------------------------------------
 
 
@@ -481,13 +482,12 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     """Scan the key polynomials of degree m along a branch.
 
     Returns the chain's maximal-value degree-m key when the chain moved
-    past degree m (or terminated there), the strictly increasing
-    approximant values when the branch stalls at degree m, and EMPTY when
-    no degree-m key arises.  The stalled trajectory is probed further up
-    to ``probe_budget`` values; the evidence is shorter when the
-    continuation splits, terminates or leaves degree m.  This walk keeps
-    its own rule rather than ``_stop`` (it ignores separation); it goes
-    once the exploration certifies the trajectory itself.
+    past degree m (or terminated there), and EMPTY when no degree-m key
+    arises.  When the branch stalled at degree m, the evidence is the
+    first ``probe_budget`` probes that the exploration recorded past the
+    entry node: their keys and strictly increasing values.  Why the stall
+    stopped is the branch's ``stop``; more evidence takes an exploration
+    with a larger ``max_limit_probes``.
     """
     if m < 1:
         raise ZeroInput("degree must be >= 1")
@@ -498,20 +498,9 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     if not match:
         return ScanResult(m, "EMPTY")
     st = match[-1]
-    stalled_here = (b.status == LIMIT_SUSPECTED and st is stages[-1])
-    if stalled_here:
-        state = _State(b.chain, 0, b.trajectory, b.prev_chain)
-        factorizations: Dict[tuple, list] = {}
-        while len(state.traj) <= probe_budget:
-            children = _step(report.g, state, factorizations)
-            if len(children) != 1:
-                break
-            child = children[0]
-            if child.node.is_terminal() or child.node.degree != state.node.degree:
-                break
-            state = child
+    if b.status == LIMIT_SUSPECTED and st is stages[-1]:
         evidence = tuple((entry["key"], entry["gamma"])
-                         for entry in state.traj[1:probe_budget + 1])
+                         for entry in b.trajectory[1:probe_budget + 1])
         return ScanResult(m, "UNBOUNDED_EVIDENCE", evidence=evidence)
     return ScanResult(m, "MAX_ATTAINED", max_poly=st.phi,
                       max_value=induced_value(report, branch_index, st.phi))

@@ -458,27 +458,24 @@ class InductiveValuation:
 
     # -- key polynomial tests ----------------------------------------------------
 
-    def is_key(self, f: Poly) -> bool:
-        """MacLane's effective key test for this valuation."""
-        return self._is_key(f, None)
-
-    def _is_key(self, f: Poly, gr: Optional[GradedForm]) -> bool:
-        """``is_key(f)``: mu(f) = gamma for deg f = deg(mu) (see
-        ``augment``).  Above it, a caller that holds f's graded reduction
-        ``gr`` and has already proved its residual polynomial irreducible
-        (the engine, from its step's factorization) passes ``gr``: only the
-        minimality checks then run.  At deg(mu), ``gr.value`` is mu(f)."""
+    def is_key(self, f: Poly, *, _gr: Optional[GradedForm] = None) -> bool:
+        """MacLane's effective key test for this valuation: mu(f) = gamma
+        for deg f = deg(mu) (see ``augment``).  Above it, a caller that
+        holds f's graded reduction and has already proved its residual
+        polynomial irreducible (the engine, from its step's factorization)
+        passes it as ``_gr``: only the minimality checks then run.  At
+        deg(mu), ``_gr.value`` is mu(f)."""
         if not f.is_monic() or f.degree < 1 or f.degree % self.m:
             return False
         if is_inf(self.gamma):
             return False
         if f.degree == self.m:
-            return (self.evaluate(f) if gr is None else gr.value) == self.gamma
+            return (self.evaluate(f) if _gr is None else _gr.value) == self.gamma
         try:
-            if gr is None:
+            if _gr is None:
                 self._certify_key(f)
             else:
-                self._minimal_residual(f, gr)
+                self._minimal_residual(f, _gr)
         except NotAKeyPolynomial:
             return False
         return True

@@ -86,12 +86,14 @@ def test_tame_report_fp_perf_suite():
 
 def test_alg_max_evidence():
     """Evidence for max v(eta - K) is the degree-one psi_m_scan of a report
-    explored at the same probe budget: closed-form value trajectories."""
+    explored at the same probe budget: closed-form value trajectories, as
+    far as the exploration went (over Qp(5) it stops after two separated
+    refinements)."""
     K5 = QpField(5)
     rep = mac_lane_chains(K5, parse_poly("x^2+1", K5), max_limit_probes=6)
     scan = psi_m_scan(rep, 0, 1, probe_budget=6)
     assert scan.outcome == "UNBOUNDED_EVIDENCE"
-    assert [v for _, v in scan.evidence] == [Q(k) for k in range(1, 7)]
+    assert [v for _, v in scan.evidence] == [Q(k) for k in range(1, 4)]
     P = FpPerfField(2)
     rep = mac_lane_chains(P, parse_poly("x^2+x+1/t", P), max_limit_probes=5)
     scan = psi_m_scan(rep, 0, 1, probe_budget=5)

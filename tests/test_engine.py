@@ -112,12 +112,13 @@ def test_psi_scans():
     F = FqtField(2)
     r3 = mac_lane_chains(F, parse_poly("x^3+t", F))
     assert psi_m_scan(r3, 0, 2).outcome == "EMPTY"
-    # Hensel trajectory over Q5
+    # Hensel trajectory over Q5: the exploration stops it after two
+    # separated refinements, and the scan reads the probes it recorded
     K5 = QpField(5)
     r5 = mac_lane_chains(K5, parse_poly("x^2+1", K5))
     s = psi_m_scan(r5, 0, 1, probe_budget=6)
     assert s.outcome == "UNBOUNDED_EVIDENCE"
-    assert [v for _, v in s.evidence] == [Q(k) for k in range(1, 7)]
+    assert [v for _, v in s.evidence] == [Q(k) for k in range(1, 4)]
     vals = [v for _, v in s.evidence]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -580,28 +581,34 @@ SCAN_EXTENSION_CASES = [("x^2+x+1/t", 2, 2, 8), ("x^4+x+1/t", 2, 2, 6),
 
 @pytest.mark.parametrize("text,p,b0,b", SCAN_EXTENSION_CASES,
                          ids=[f"{text}-{b0}-{b}" for text, _, b0, b in SCAN_EXTENSION_CASES])
-def test_scan_extends_a_stall_as_the_exploration_does(text, p, b0, b):
-    """psi_m_scan re-probing a short stall finds the probes that the
-    exploration itself records at the larger budget."""
+def test_scan_evidence_is_the_explorations_trajectory(text, p, b0, b):
+    """A scan does not probe past the exploration: at a budget above the
+    report's, its evidence is the report's own trajectory past the entry
+    node, and more evidence takes a larger exploration."""
     P = FpPerfField(p)
     g = parse_poly(text, P)
-    scan = psi_m_scan(mac_lane_chains(P, g, max_limit_probes=b0), 0, 1, probe_budget=b)
-    full = mac_lane_chains(P, g, max_limit_probes=b).branches[0].trajectory
+    report = mac_lane_chains(P, g, max_limit_probes=b0)
+    scan = psi_m_scan(report, 0, 1, probe_budget=b)
+    traj = report.branches[0].trajectory
     assert scan.outcome == "UNBOUNDED_EVIDENCE"
-    assert list(scan.evidence) == [(e["key"], e["gamma"]) for e in full[1:]]
-    assert len(scan.evidence) == b
+    assert list(scan.evidence) == [(e["key"], e["gamma"]) for e in traj[1:]]
+    assert len(scan.evidence) == b0
 
 
 def test_scan_stops_early_at_a_split():
-    """A stall whose continuation splits gives evidence shorter than the
-    probe budget.  Pins today's behaviour, where the outcome is still
-    UNBOUNDED_EVIDENCE; certified probing up to the separation bound
-    (ROADMAP item 2) will revisit it."""
+    """A stall whose continuation splits gives the evidence that the
+    exploration recorded before its budget ran out: 8 probes against a
+    scan budget of 12, with the branch stopped on PROBE_BUDGET (the split
+    shows at a budget of 10).  The outcome is still UNBOUNDED_EVIDENCE;
+    certified probing up to the separation bound (ROADMAP item 2) will
+    revisit it."""
     K = QpField(2)
     g = parse_poly("x^2 - 2/3*x + 1/9 - 17*2^40", K)
-    scan = psi_m_scan(mac_lane_chains(K, g), 0, 1, probe_budget=12)
+    report = mac_lane_chains(K, g)
+    scan = psi_m_scan(report, 0, 1, probe_budget=12)
     assert scan.outcome == "UNBOUNDED_EVIDENCE"
-    assert [v for _, v in scan.evidence] == [Q(2 * k) for k in range(1, 10)]
+    assert [v for _, v in scan.evidence] == [Q(2 * k) for k in range(1, 9)]
+    assert report.branches[0].stop == PROBE_BUDGET
     assert len(mac_lane_chains(K, g, max_limit_probes=10).branches) == 2
 
 

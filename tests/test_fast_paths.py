@@ -988,8 +988,8 @@ def test_one_factorization_per_residual_polynomial(monkeypatch):
     calls.clear()
     mac_lane_chains(K, g, max_limit_probes=10)
     assert calls == first  # nothing is kept from the earlier exploration
-    # a scan keeps its own table, for its own probes only
+    # a scan reads the report's probes: it neither steps nor factors
     calls.clear()
     steps.clear()
-    engine.psi_m_scan(report, 0, 1, probe_budget=12)
-    assert calls and len(calls) == len(set(steps)) < len(steps)
+    scan = engine.psi_m_scan(report, 0, 1, probe_budget=12)
+    assert len(scan.evidence) == 10 and calls == [] and steps == []

@@ -56,7 +56,8 @@ def test_readme_library_example():
             results.append(eval(compile(ast.Expression(node.value), "README.md", "eval"), ns))
         else:
             exec(compile(ast.Module([node], []), "README.md", "exec"), ns)
-    ef, fcs, augmented = results
+    ef, fcs, (outcome, max_poly, max_value), augmented = results
     assert ef == (2, 1)
     assert [p.to_str() for p in fcs] == ["x", "x^2 - 2"]
+    assert (outcome, max_poly.to_str(), max_value) == ("MAX_ATTAINED", "x", Q(1, 2))
     assert augmented.gamma == Q(3, 2)

@@ -4,8 +4,9 @@ general algorithms they stand in for.
 At a separated node the engine's step has already factored the residual
 polynomial H of g as [(monic(H), 1)], so its key test of g makes only
 the minimality checks and the terminal augmentation takes monic(H) as
-its residual; here that test is compared with ``is_key``, whose Ben-Or
-test is the reference.  ``squarefree_decomposition`` returns a
+its residual; it is the public ``is_key`` handed the step's graded
+reduction, and here it is compared with ``is_key`` on its own, whose
+Ben-Or test is the reference.  ``squarefree_decomposition`` returns a
 squarefree input at once, and ``PerfElem``, a NamedTuple, compares and
 hashes by its canonical form.
 """
@@ -130,6 +131,24 @@ def test_separated_keys_make_no_irreducibility_test(monkeypatch):
     K = parse_field("Qp(3)")
     node = InductiveValuation.depth_zero(K, K.zero(), 0)
     assert node.is_key(parse_poly("x^2+1", K)) and len(calls) == 1
+
+
+def test_the_engine_key_test_is_the_public_is_key(monkeypatch):
+    """mac_lane_chains tests g through InductiveValuation.is_key, handing
+    it the step's graded reduction, so a wrapper of the public method
+    sees every key test of an exploration."""
+    calls = []
+    is_key = InductiveValuation.is_key
+
+    def counted(self, f, **kwargs):
+        calls.append(kwargs)
+        return is_key(self, f, **kwargs)
+
+    monkeypatch.setattr(InductiveValuation, "is_key", counted)
+    K = parse_field("Qp(2)")
+    report = mac_lane_chains(K, parse_poly("x^2-2", K))
+    assert report.settled and len(calls) >= 1
+    assert all("_gr" in kwargs for kwargs in calls)
 
 
 @st.composite
