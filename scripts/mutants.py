@@ -54,6 +54,7 @@ class Fault(NamedTuple):
 
 CANONICAL = "tests/test_canonical_data.py::"
 PROBE_FACTS = "tests/test_probe_facts.py::test_probe_facts_over_every_exploration"
+FACTOR_BY_TRIAL = "tests/test_ffield.py::test_factor_monic_equals_trial_division"
 
 FAULTS = [
     Fault("rf-eq-compares-num-only", "src/mlvkit/ratfunc.py",
@@ -92,6 +93,19 @@ FAULTS = [
           "b.trajectory[1:probe_budget + 1]",
           "b.trajectory[:probe_budget]",
           ["tests/test_acceptance.py::test_criterion_2_defect_trajectory"]),
+    # (y^2 + y + 1)^2 over GF(2) has no root and would pass as irreducible
+    Fault("rootless-quartic-taken-as-irreducible", "src/mlvkit/ffield.py",
+          "    if scanned and fpoly.deg(f) <= 3:\n",
+          "    if scanned and fpoly.deg(f) <= 4:\n",
+          [FACTOR_BY_TRIAL + "[GF(2)-6]"]),
+    Fault("root-sign-flipped-in-its-linear-factor", "src/mlvkit/ffield.py",
+          "result.append(((F.neg(r), one), mult))",
+          "result.append(((r, one), mult))",
+          [FACTOR_BY_TRIAL + "[GF(3)-5]"]),
+    Fault("root-multiplicity-counted-once", "src/mlvkit/ffield.py",
+          "            while rem == zero:\n",
+          "            if rem == zero:\n",
+          [FACTOR_BY_TRIAL + "[GF(2)-6]"]),
 ]
 
 

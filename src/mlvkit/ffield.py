@@ -140,6 +140,9 @@ class GFp(Field):
 
 
 TABLE_CAP = 256  # the largest order q = p^m, m >= 2, of an ExtField on log tables
+# the largest order of a field over which factor_monic and is_irreducible
+# find roots by evaluation at every element (see factor_monic)
+SCAN_CAP = 31
 
 
 class ExtField(Field):
@@ -329,11 +332,15 @@ def is_irreducible(F: Field, f: tuple) -> bool:
     k <= n/2, and that factor divides both f and x^(q^k) - x.  So f is
     irreducible iff gcd(x^(q^k) - x, f) = 1 for k = 1..n/2; the loop stops
     at the first k with a common factor, which for most reducible inputs
-    comes early.  Exact for any f, squarefree or not.
+    comes early.  Exact for any f, squarefree or not.  Over a field on which
+    ``_scans_roots`` holds, an f of degree 2 or 3 is irreducible iff it has
+    no root, which evaluation at each element decides first.
     """
     n = fpoly.deg(f)
     if n <= 0:
         return False
+    if 2 <= n <= 3 and _scans_roots(F):
+        return next(_roots(F, f), None) is None
     # the first piece has degree n only when no k <= n/2 found a factor;
     # its factor g may be all of f (all factors of one degree) even then
     return next(_distinct_degree(F, f))[1] == n
@@ -426,8 +433,9 @@ def _iroot(n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over finite fields (squarefree / distinct-degree / Cantor-
-# Zassenhaus), deterministic via a seed derived from the input.
+# Factorization over finite fields: roots by evaluation over fields of order
+# up to SCAN_CAP, then squarefree / distinct-degree / Cantor-Zassenhaus,
+# deterministic via a seed derived from the input.
 # ---------------------------------------------------------------------------
 
 
@@ -543,34 +551,98 @@ def _random_elem(F: Field, rng: random.Random):
     return fpoly.norm(base, [_random_elem(base, rng) for _ in range(F.degree)])
 
 
+def _scans_roots(F: Field) -> bool:
+    """Whether the roots of a polynomial over F are found by evaluation:
+    F is GF(p) or an extension on log tables, of order at most SCAN_CAP."""
+    return F.order <= SCAN_CAP and (type(F) is GFp or type(F) is ExtField
+                                    and F._log is not None)
+
+
+def _roots(F: Field, f: tuple):
+    """The roots of f in F (``_scans_roots``), each once: every element r,
+    zero first, at which the division by x - r leaves f(r) = 0."""
+    elements = range(F.p) if type(F) is GFp else [()] + F._exp[:F._n]
+    zero = F.zero()
+    return (r for r in elements if _divide_linear(F, f, r)[1] == zero)
+
+
+def _divide_linear(F: Field, f: tuple, r) -> tuple:
+    """(q, f(r)) with f = (x - r) * q + f(r), for f != 0: synthetic
+    division, Horner's rule from the leading coefficient."""
+    acc, out = F.zero(), []
+    if type(F) is GFp:
+        p = F.p
+        for c in reversed(f):
+            acc = (acc * r + c) % p
+            out.append(acc)
+    else:
+        add, mul = F.add, F.mul
+        for c in reversed(f):
+            acc = add(mul(acc, r), c)
+            out.append(acc)
+    rem = out.pop()
+    return tuple(reversed(out)), rem
+
+
 def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
     """Irreducible factorization over a finite field, sorted deterministically.
 
     Returns [(g, multiplicity)] with monic irreducible g.  A linear f is
-    its own factorization.  Equal-degree splits draw from one stream seeded
-    by f, built at the first split.
+    its own factorization, and a constant has none.  Over a field on which ``_scans_roots`` holds,
+    each root r of f is found by evaluation and x - r divided out as often
+    as it divides; the cofactor then has no linear factor, so of degree 2
+    or 3 it is irreducible (Lidl-Niederreiter, Finite Fields) and no random
+    stream is drawn.  A rootless cofactor of degree >= 4, and any f over a
+    larger field, goes through squarefree decomposition, distinct-degree
+    pieces and Cantor-Zassenhaus equal-degree splits, which draw from one
+    stream seeded by the polynomial they factor, built at the first split.
+
+    SCAN_CAP = 31 is a measured crossover (CHANGES.md).  On seeded inputs
+    of degree 2 to 5, the scan beat the general path at every degree, here
+    and in is_irreducible, over GF(p) for p <= 37 and over the tables of
+    GF(4) to GF(27).  Over GF(32) it lost at degree 2 in is_irreducible
+    and at degree 5 here: a table sum or product costs a few times a GF(p)
+    one, so extensions cross first.
     """
     if F.order is None:
         raise ValueError("factorization requires a finite coefficient field")
     f = fpoly.monic(F, f)
-    if fpoly.deg(f) == 1:
-        return [(f, 1)]
-    rng = None
+    if fpoly.deg(f) <= 1:
+        return [(f, 1)] if fpoly.deg(f) == 1 else []
     result: List[Tuple[tuple, int]] = []
-    for sf, mult in squarefree_decomposition(F, f):
-        for g, d in _distinct_degree(F, sf):
-            # split the degree-d part completely
-            stack = [g]
-            while stack:
-                cur = stack.pop()
-                if fpoly.deg(cur) == d:
-                    result.append((cur, mult))
-                    continue
-                if rng is None:
-                    rng = random.Random(_encode(F, f) ^ 0x5EED)
-                piece = _equal_degree_split(F, cur, d, rng)
-                stack.append(piece)
-                stack.append(fpoly.divmod_(F, cur, piece)[0])
-    # squarefree parts are pairwise coprime, so no factor appears twice
+    scanned = _scans_roots(F)
+    if scanned:
+        zero, one = F.zero(), F.one()
+        for r in _roots(F, f):
+            mult = 0
+            q, rem = _divide_linear(F, f, r)
+            while rem == zero:
+                f, mult = q, mult + 1
+                q, rem = _divide_linear(F, f, r)
+            result.append(((F.neg(r), one), mult))
+            if fpoly.deg(f) <= 1:
+                break
+    if scanned and fpoly.deg(f) <= 3:
+        # linear (the scan stopped early) or with no root: irreducible
+        if fpoly.deg(f) > 0:
+            result.append((f, 1))
+    else:
+        rng = None
+        for sf, mult in squarefree_decomposition(F, f):
+            for g, d in _distinct_degree(F, sf):
+                # split the degree-d part completely
+                stack = [g]
+                while stack:
+                    cur = stack.pop()
+                    if fpoly.deg(cur) == d:
+                        result.append((cur, mult))
+                        continue
+                    if rng is None:
+                        rng = random.Random(_encode(F, f) ^ 0x5EED)
+                    piece = _equal_degree_split(F, cur, d, rng)
+                    stack.append(piece)
+                    stack.append(fpoly.divmod_(F, cur, piece)[0])
+    # the roots and the squarefree parts are pairwise coprime, so no
+    # factor appears twice
     result.sort(key=lambda t: _encode(F, t[0]))
     return result

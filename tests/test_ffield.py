@@ -4,9 +4,9 @@ import random
 import pytest
 
 from mlvkit import analyzer, fpoly
-from mlvkit.ffield import (ExtField, GFp, GFq, _split_prime_power, factor_monic,
-                           find_irreducible, is_irreducible, poly_pth_root,
-                           squarefree_decomposition)
+from mlvkit.ffield import (ExtField, GFp, GFq, _encode, _random_elem, _scans_roots,
+                           _split_prime_power, factor_monic, find_irreducible,
+                           is_irreducible, poly_pth_root, squarefree_decomposition)
 
 
 def from_digits(F, digits):
@@ -195,6 +195,68 @@ def test_is_irreducible_equals_trial_division(F, max_deg):
             assert is_irreducible(F, f) == irreducible, f
             if n >= 1:
                 assert (factor_monic(F, f) == [(f, 1)]) == irreducible, f
+
+
+def _check_factorization(F, f):
+    """factor_monic(F, f) against trial division: the factors multiply back
+    to f, are monic, irreducible and distinct, and are sorted by _encode;
+    is_irreducible(F, f) agrees."""
+    factors = factor_monic(F, f)
+    acc = (F.one(),)
+    for g, mult in factors:
+        assert fpoly.is_monic(F, g) and _irreducible_by_trial_division(F, g), (f, g)
+        acc = fpoly.mul(F, acc, fpoly.pow_(F, g, mult))
+    assert acc == f
+    assert len({g for g, _ in factors}) == len(factors), f
+    keys = [_encode(F, g) for g, _ in factors]
+    assert keys == sorted(keys), f
+    assert is_irreducible(F, f) == _irreducible_by_trial_division(F, f), f
+
+
+def _refuse_random(*args, **kwargs):
+    raise AssertionError("a random stream for an input of degree <= 3 over a small field")
+
+
+@pytest.mark.parametrize("F, max_deg", [(GFp(2), 6), (GFp(3), 5), (GFp(5), 4), (GFq(4), 4),
+                                        (GFp(7), 3), (GFq(8), 3), (GFq(9), 3), (GFp(13), 3)],
+                         ids=repr)
+def test_factor_monic_equals_trial_division(monkeypatch, F, max_deg):
+    # every monic input; these fields are scanned for roots, so an input of
+    # degree <= 3 factors by its roots alone and draws no random stream
+    assert _scans_roots(F)
+    for n in range(1, max_deg + 1):
+        with monkeypatch.context() as m:
+            if n <= 3:
+                m.setattr(random, "Random", _refuse_random)
+            for f in _monics(F, n):
+                _check_factorization(F, f)
+
+
+def _random_monic(F, rng, n):
+    return tuple(_random_elem(F, rng) for _ in range(n)) + (F.one(),)
+
+
+# the largest prime field and extension field at SCAN_CAP, and the first field above it
+@pytest.mark.parametrize("F, scanned", [(GFp(31), True), (GFq(27), True), (GFq(32), False)],
+                         ids=repr)
+def test_factor_monic_at_the_scan_bound(monkeypatch, F, scanned):
+    assert _scans_roots(F) == scanned
+    rng = random.Random(53 + F.order)
+    for _ in range(40):
+        # a product of random monic pieces of degree 1 to 3, of degree at
+        # most 5; below degree 4, half the time times a linear piece squared
+        f = (F.one(),)
+        for _ in range(rng.randrange(1, 4)):
+            piece = _random_monic(F, rng, rng.randrange(1, 4))
+            if fpoly.deg(f) + fpoly.deg(piece) <= 5:
+                f = fpoly.mul(F, f, piece)
+        if fpoly.deg(f) <= 3 and rng.random() < 0.5:
+            root = _random_monic(F, rng, 1)
+            f = fpoly.mul(F, f, fpoly.mul(F, root, root))
+        with monkeypatch.context() as m:
+            if scanned and fpoly.deg(f) <= 3:
+                m.setattr(random, "Random", _refuse_random)
+            _check_factorization(F, f)
 
 
 @pytest.mark.parametrize("F", [GFp(2), GFp(3), GFq(4)], ids=repr)
