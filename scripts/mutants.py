@@ -54,7 +54,7 @@ class Fault(NamedTuple):
 
 CANONICAL = "tests/test_canonical_data.py::"
 PROBE_FACTS = "tests/test_probe_facts.py::test_probe_facts_over_every_exploration"
-FACTOR_BY_TRIAL = "tests/test_ffield.py::test_factor_monic_equals_trial_division"
+FACTOR_BY_TRIAL = "tests/test_ffield.py::test_is_irreducible_equals_trial_division"
 
 FAULTS = [
     Fault("rf-eq-compares-num-only", "src/mlvkit/ratfunc.py",
@@ -97,15 +97,15 @@ FAULTS = [
     Fault("rootless-quartic-taken-as-irreducible", "src/mlvkit/ffield.py",
           "    if scanned and fpoly.deg(f) <= 3:\n",
           "    if scanned and fpoly.deg(f) <= 4:\n",
-          [FACTOR_BY_TRIAL + "[GF(2)-6]"]),
+          [FACTOR_BY_TRIAL + "[GF(2)-8]"]),
     Fault("root-sign-flipped-in-its-linear-factor", "src/mlvkit/ffield.py",
-          "result.append(((F.neg(r), one), mult))",
-          "result.append(((r, one), mult))",
+          "result.append((((-r) % p, 1), mult))",
+          "result.append(((r, 1), mult))",
           [FACTOR_BY_TRIAL + "[GF(3)-5]"]),
     Fault("root-multiplicity-counted-once", "src/mlvkit/ffield.py",
-          "            while rem == zero:\n",
-          "            if rem == zero:\n",
-          [FACTOR_BY_TRIAL + "[GF(2)-6]"]),
+          "            while rem == 0:\n",
+          "            if rem == 0:\n",
+          [FACTOR_BY_TRIAL + "[GF(2)-8]"]),
 ]
 
 

@@ -140,9 +140,9 @@ class GFp(Field):
 
 
 TABLE_CAP = 256  # the largest order q = p^m, m >= 2, of an ExtField on log tables
-# the largest order of a field over which factor_monic and is_irreducible
-# find roots by evaluation at every element (see factor_monic)
-SCAN_CAP = 31
+# the largest p such that factor_monic finds roots over GF(p) by
+# evaluation at every element (see factor_monic)
+SCAN_CAP = 61
 
 
 class ExtField(Field):
@@ -332,15 +332,11 @@ def is_irreducible(F: Field, f: tuple) -> bool:
     k <= n/2, and that factor divides both f and x^(q^k) - x.  So f is
     irreducible iff gcd(x^(q^k) - x, f) = 1 for k = 1..n/2; the loop stops
     at the first k with a common factor, which for most reducible inputs
-    comes early.  Exact for any f, squarefree or not.  Over a field on which
-    ``_scans_roots`` holds, an f of degree 2 or 3 is irreducible iff it has
-    no root, which evaluation at each element decides first.
+    comes early.  Exact for any f, squarefree or not.
     """
     n = fpoly.deg(f)
     if n <= 0:
         return False
-    if 2 <= n <= 3 and _scans_roots(F):
-        return next(_roots(F, f), None) is None
     # the first piece has degree n only when no k <= n/2 found a factor;
     # its factor g may be all of f (all factors of one degree) even then
     return next(_distinct_degree(F, f))[1] == n
@@ -433,8 +429,8 @@ def _iroot(n: int, m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Factorization over finite fields: roots by evaluation over fields of order
-# up to SCAN_CAP, then squarefree / distinct-degree / Cantor-Zassenhaus,
+# Factorization over finite fields: roots by evaluation over GF(p) for
+# p <= SCAN_CAP, then squarefree / distinct-degree / Cantor-Zassenhaus,
 # deterministic via a seed derived from the input.
 # ---------------------------------------------------------------------------
 
@@ -551,35 +547,13 @@ def _random_elem(F: Field, rng: random.Random):
     return fpoly.norm(base, [_random_elem(base, rng) for _ in range(F.degree)])
 
 
-def _scans_roots(F: Field) -> bool:
-    """Whether the roots of a polynomial over F are found by evaluation:
-    F is GF(p) or an extension on log tables, of order at most SCAN_CAP."""
-    return F.order <= SCAN_CAP and (type(F) is GFp or type(F) is ExtField
-                                    and F._log is not None)
-
-
-def _roots(F: Field, f: tuple):
-    """The roots of f in F (``_scans_roots``), each once: every element r,
-    zero first, at which the division by x - r leaves f(r) = 0."""
-    elements = range(F.p) if type(F) is GFp else [()] + F._exp[:F._n]
-    zero = F.zero()
-    return (r for r in elements if _divide_linear(F, f, r)[1] == zero)
-
-
-def _divide_linear(F: Field, f: tuple, r) -> tuple:
-    """(q, f(r)) with f = (x - r) * q + f(r), for f != 0: synthetic
-    division, Horner's rule from the leading coefficient."""
-    acc, out = F.zero(), []
-    if type(F) is GFp:
-        p = F.p
-        for c in reversed(f):
-            acc = (acc * r + c) % p
-            out.append(acc)
-    else:
-        add, mul = F.add, F.mul
-        for c in reversed(f):
-            acc = add(mul(acc, r), c)
-            out.append(acc)
+def _divide_linear(p: int, f: tuple, r: int) -> tuple:
+    """(q, f(r)) with f = (x - r) * q + f(r) over GF(p), for f != 0:
+    synthetic division, Horner's rule from the leading coefficient."""
+    acc, out = 0, []
+    for c in reversed(f):
+        acc = (acc * r + c) % p
+        out.append(acc)
     rem = out.pop()
     return tuple(reversed(out)), rem
 
@@ -588,21 +562,23 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
     """Irreducible factorization over a finite field, sorted deterministically.
 
     Returns [(g, multiplicity)] with monic irreducible g.  A linear f is
-    its own factorization, and a constant has none.  Over a field on which ``_scans_roots`` holds,
-    each root r of f is found by evaluation and x - r divided out as often
-    as it divides; the cofactor then has no linear factor, so of degree 2
-    or 3 it is irreducible (Lidl-Niederreiter, Finite Fields) and no random
-    stream is drawn.  A rootless cofactor of degree >= 4, and any f over a
-    larger field, goes through squarefree decomposition, distinct-degree
-    pieces and Cantor-Zassenhaus equal-degree splits, which draw from one
-    stream seeded by the polynomial they factor, built at the first split.
+    its own factorization, and a constant has none.  Over GF(p) with
+    p <= SCAN_CAP, each root r of f is found by evaluation and x - r
+    divided out as often as it divides; the cofactor then has no linear
+    factor, so of degree 2 or 3 it is irreducible (Lidl-Niederreiter,
+    Finite Fields) and no random stream is drawn.  A rootless cofactor of
+    degree >= 4, and any f over another field, goes through squarefree
+    decomposition, distinct-degree pieces and Cantor-Zassenhaus
+    equal-degree splits, which draw from one stream seeded by the
+    polynomial they factor, built at the first split.
 
-    SCAN_CAP = 31 is a measured crossover (CHANGES.md).  On seeded inputs
-    of degree 2 to 5, the scan beat the general path at every degree, here
-    and in is_irreducible, over GF(p) for p <= 37 and over the tables of
-    GF(4) to GF(27).  Over GF(32) it lost at degree 2 in is_irreducible
-    and at degree 5 here: a table sum or product costs a few times a GF(p)
-    one, so extensions cross first.
+    SCAN_CAP = 61 is a measured crossover (CHANGES.md): on seeded random
+    monic inputs of degree 2 to 5, in each of three runs, the scan beat
+    the general path by at least 5 % at every degree up to GF(61); over
+    GF(67) its margin at degree 5 fell to 1 % in one run, and over GF(73)
+    it lost there.  On a rootless input of degree 4 or 5 the scan is work
+    the general path repeats, about 5 % of the call over GF(5) and 15-25 %
+    over GF(61).
     """
     if F.order is None:
         raise ValueError("factorization requires a finite coefficient field")
@@ -610,18 +586,19 @@ def factor_monic(F: Field, f: tuple) -> List[Tuple[tuple, int]]:
     if fpoly.deg(f) <= 1:
         return [(f, 1)] if fpoly.deg(f) == 1 else []
     result: List[Tuple[tuple, int]] = []
-    scanned = _scans_roots(F)
+    scanned = type(F) is GFp and F.p <= SCAN_CAP
     if scanned:
-        zero, one = F.zero(), F.one()
-        for r in _roots(F, f):
+        p = F.p
+        for r in range(p):
+            q, rem = _divide_linear(p, f, r)
             mult = 0
-            q, rem = _divide_linear(F, f, r)
-            while rem == zero:
+            while rem == 0:
                 f, mult = q, mult + 1
-                q, rem = _divide_linear(F, f, r)
-            result.append(((F.neg(r), one), mult))
-            if fpoly.deg(f) <= 1:
-                break
+                q, rem = _divide_linear(p, f, r)
+            if mult:
+                result.append((((-r) % p, 1), mult))
+                if fpoly.deg(f) <= 1:
+                    break
     if scanned and fpoly.deg(f) <= 3:
         # linear (the scan stopped early) or with no root: irreducible
         if fpoly.deg(f) > 0:

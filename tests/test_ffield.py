@@ -4,7 +4,7 @@ import random
 import pytest
 
 from mlvkit import analyzer, fpoly
-from mlvkit.ffield import (ExtField, GFp, GFq, _encode, _random_elem, _scans_roots,
+from mlvkit.ffield import (SCAN_CAP, ExtField, GFp, GFq, _encode, _random_elem,
                            _split_prime_power, factor_monic, find_irreducible,
                            is_irreducible, poly_pth_root, squarefree_decomposition)
 
@@ -184,19 +184,6 @@ def _irreducible_by_trial_division(F, f):
                           for k in range(1, n // 2 + 1) for g in _monics(F, k))
 
 
-@pytest.mark.parametrize("F, max_deg", [(GFp(2), 8), (GFp(3), 5), (GFq(4), 4)],
-                         ids=repr)
-def test_is_irreducible_equals_trial_division(F, max_deg):
-    # every monic input: squares, and products of factors of one degree, included;
-    # factor_monic runs the same distinct-degree loop and must agree
-    for n in range(max_deg + 1):
-        for f in _monics(F, n):
-            irreducible = _irreducible_by_trial_division(F, f)
-            assert is_irreducible(F, f) == irreducible, f
-            if n >= 1:
-                assert (factor_monic(F, f) == [(f, 1)]) == irreducible, f
-
-
 def _check_factorization(F, f):
     """factor_monic(F, f) against trial division: the factors multiply back
     to f, are monic, irreducible and distinct, and are sorted by _encode;
@@ -214,19 +201,21 @@ def _check_factorization(F, f):
 
 
 def _refuse_random(*args, **kwargs):
-    raise AssertionError("a random stream for an input of degree <= 3 over a small field")
+    raise AssertionError("a random stream for an input of degree <= 3 over a scanned GF(p)")
 
 
-@pytest.mark.parametrize("F, max_deg", [(GFp(2), 6), (GFp(3), 5), (GFp(5), 4), (GFq(4), 4),
+@pytest.mark.parametrize("F, max_deg", [(GFp(2), 8), (GFp(3), 5), (GFp(5), 4), (GFq(4), 4),
                                         (GFp(7), 3), (GFq(8), 3), (GFq(9), 3), (GFp(13), 3)],
                          ids=repr)
-def test_factor_monic_equals_trial_division(monkeypatch, F, max_deg):
-    # every monic input; these fields are scanned for roots, so an input of
-    # degree <= 3 factors by its roots alone and draws no random stream
-    assert _scans_roots(F)
+def test_is_irreducible_equals_trial_division(monkeypatch, F, max_deg):
+    # every monic input: squares, and products of factors of one degree, included;
+    # over GF(p), p <= SCAN_CAP, an input of degree <= 3 factors by its roots
+    # alone and draws no random stream
+    assert not isinstance(F, GFp) or F.p <= SCAN_CAP
+    assert not is_irreducible(F, (F.one(),))
     for n in range(1, max_deg + 1):
         with monkeypatch.context() as m:
-            if n <= 3:
+            if isinstance(F, GFp) and n <= 3:
                 m.setattr(random, "Random", _refuse_random)
             for f in _monics(F, n):
                 _check_factorization(F, f)
@@ -236,11 +225,10 @@ def _random_monic(F, rng, n):
     return tuple(_random_elem(F, rng) for _ in range(n)) + (F.one(),)
 
 
-# the largest prime field and extension field at SCAN_CAP, and the first field above it
-@pytest.mark.parametrize("F, scanned", [(GFp(31), True), (GFq(27), True), (GFq(32), False)],
-                         ids=repr)
+# the largest prime at SCAN_CAP, and the first prime above it
+@pytest.mark.parametrize("F, scanned", [(GFp(61), True), (GFp(67), False)], ids=repr)
 def test_factor_monic_at_the_scan_bound(monkeypatch, F, scanned):
-    assert _scans_roots(F) == scanned
+    assert (F.p <= SCAN_CAP) == scanned
     rng = random.Random(53 + F.order)
     for _ in range(40):
         # a product of random monic pieces of degree 1 to 3, of degree at
