@@ -74,8 +74,8 @@ FAULTS = [
           "    return coeffs_ok\n",
           [CANONICAL + "test_tadic_fields_refuse_data_that_is_not_canonical"]),
     Fault("polygon-nu-without-k1-gamma", "src/mlvkit/engine.py",
-          "_ratio(v1 * k2 - v2 * k1, den)",
-          "_ratio(v1 * (k2 - k1), den)",
+          "ratio(v1 * k2 - v2 * k1, den)",
+          "ratio(v1 * (k2 - k1), den)",
           ["tests/test_engine.py::test_polygon_gammas_match_the_fraction_hull"]),
     Fault("gcd-early-exit-on-a-zero-argument", "src/mlvkit/fpoly.py",
           "    if len(f) == 1 or len(g) == 1:\n",
@@ -106,6 +106,26 @@ FAULTS = [
           "            while rem == 0:\n",
           "            if rem == 0:\n",
           [FACTOR_BY_TRIAL + "[GF(2)-8]"]),
+    Fault("p-adic-order-counts-each-pass-as-one", "src/mlvkit/values.py",
+          "        k += e\n",
+          "        k += 1\n",
+          ["tests/test_values.py::test_split_p_equals_one_division_at_a_time"]),
+    Fault("exact-ratio-left-a-fraction", "src/mlvkit/values.py",
+          "    return num // den if num % den == 0 else Q(num, den)\n",
+          "    return Q(num, den)\n",
+          ["tests/test_values.py::test_ratio_is_an_int_exactly_when_den_divides_num"]),
+    Fault("valuate-reads-the-residue", "src/mlvkit/fields.py",
+          "else self.initial(a)[1]\n",
+          "else self.initial(a)[0]\n",
+          ["tests/test_fields.py::test_valuate_examples"]),
+    Fault("monic-skips-any-unit-leading-coefficient", "src/mlvkit/fpoly.py",
+          "    if not f or F.is_one(f[-1]):\n",
+          "    if not f or not F.is_zero(f[-1]):\n",
+          ["tests/test_fast_paths.py::test_a_monic_input_is_not_rescaled"]),
+    Fault("scan-without-probes-claims-evidence", "src/mlvkit/engine.py",
+          '"UNBOUNDED_EVIDENCE" if evidence else "NO_PROBES"',
+          '"UNBOUNDED_EVIDENCE"',
+          ["tests/test_engine.py::test_a_scan_with_no_probe_claims_no_evidence"]),
 ]
 
 

@@ -20,12 +20,12 @@ from .engine import (ExtensionReport, NoSequence, finite_complete_sequence,
 from .errors import (BadBound, BadFieldOrder, DenominatorVanishes,
                      GammaNotPositive, NotPurelyInertial, NotPurelyRamified,
                      ResidueUnsupported, ZeroInput)
-from .ffield import GFq, _is_prime, _p_power_exponent, _random_elem
+from .ffield import GFq, _is_prime, _random_elem
 from .fields import ValuedField
 from .graded import frobenius_surjective
 from .parsing import MAX_EXPONENT, _total_degree, eval_bivariate
 from .poly import Poly
-from .values import Q, Value, ValueGroup, is_inf, value_str
+from .values import Q, Value, ValueGroup, is_inf, split_p, value_str
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +410,8 @@ def _pow_mod(F, u, k: int, R: int):
 def _sample_field(p: int, q: int):
     if not _is_prime(p):
         raise BadFieldOrder(f"p = {p} is not prime")
-    try:
-        m = _p_power_exponent(q, p)
-    except ValueError:
-        m = 0
-    if m == 0:
+    # q = 1 = p^0 is no field order, and split_p(0, p) would never return
+    if q <= 1 or split_p(q, p)[1] != 1:
         raise BadFieldOrder(f"q = {q} is not a power of p = {p}")
     # q = p^m with the deterministic modulus
     return GFq(q, "w")

@@ -49,7 +49,7 @@ from .fields import TadicField, ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
-from .values import INFINITY, Q, Value, value_str
+from .values import INFINITY, Value, ratio, value_str
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
@@ -119,7 +119,9 @@ class ExtensionReport:
 @dataclass(frozen=True)
 class ScanResult:
     degree: int
-    outcome: str  # "EMPTY" | "MAX_ATTAINED" | "UNBOUNDED_EVIDENCE"
+    # "EMPTY" | "MAX_ATTAINED" | "UNBOUNDED_EVIDENCE" | "NO_PROBES": a stalled
+    # branch with no recorded probe (or a budget of 0) has no evidence
+    outcome: str
     max_poly: Optional[Poly] = None
     max_value: Optional[Value] = None
     evidence: Tuple[Tuple[Poly, Value], ...] = ()
@@ -166,13 +168,8 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Tuple[Value, Value]]:
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         # gamma = (v1 - v2) / ((k2 - k1) L), nu = (v1 k2 - v2 k1) / ((k2 - k1) L)
         den = (k2 - k1) * L
-        out.append((_ratio(v1 - v2, den), _ratio(v1 * k2 - v2 * k1, den)))
+        out.append((ratio(v1 - v2, den), ratio(v1 * k2 - v2 * k1, den)))
     return out
-
-
-def _ratio(num: int, den: int) -> Value:
-    """num/den as an int when exact, else a Fraction."""
-    return num // den if num % den == 0 else Q(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -485,9 +482,10 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     past degree m (or terminated there), and EMPTY when no degree-m key
     arises.  When the branch stalled at degree m, the evidence is the
     first ``probe_budget`` probes that the exploration recorded past the
-    entry node: their keys and strictly increasing values.  Why the stall
-    stopped is the branch's ``stop``; more evidence takes an exploration
-    with a larger ``max_limit_probes``.
+    entry node: their keys and strictly increasing values, and NO_PROBES
+    when there is none to give.  Why the stall stopped is the branch's
+    ``stop``; more evidence takes an exploration with a larger
+    ``max_limit_probes``.
     """
     if m < 1:
         raise ZeroInput("degree must be >= 1")
@@ -501,7 +499,8 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
     if b.status == LIMIT_SUSPECTED and st is stages[-1]:
         evidence = tuple((entry["key"], entry["gamma"])
                          for entry in b.trajectory[1:probe_budget + 1])
-        return ScanResult(m, "UNBOUNDED_EVIDENCE", evidence=evidence)
+        return ScanResult(m, "UNBOUNDED_EVIDENCE" if evidence else "NO_PROBES",
+                          evidence=evidence)
     return ScanResult(m, "MAX_ATTAINED", max_poly=st.phi,
                       max_value=induced_value(report, branch_index, st.phi))
 

@@ -21,6 +21,7 @@ from itertools import product
 from typing import List, Optional, Tuple
 
 from . import fpoly
+from .values import split_p
 
 
 class Field:
@@ -241,12 +242,10 @@ class ExtField(Field):
         return fpoly.const(self.base, self.base.from_int(n))
 
     def pth_root(self, a):
+        # a^q = a, so the inverse of Frobenius is a -> a^(q/p)
         if self._log is not None:
-            # the inverse of Frobenius is a -> a^(q/p)
             return self._exp[self._log[a] * (self.order // self.char) % self._n] if a else ()
-        # |F| = p^s, so the inverse of Frobenius is x -> x^(p^(s-1)).
-        s = _p_power_exponent(self.order, self.char)
-        return self.pow(a, self.char ** (s - 1))
+        return self.pow(a, self.order // self.char)
 
     def elem_str(self, a):
         return fpoly.to_str(self.base, a, self.varname)
@@ -298,10 +297,7 @@ def _is_prime(n: int) -> bool:
     for d in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         if n % d == 0:
             return n == d
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    s, d = split_p(n - 1, 2)
     for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
         x = pow(a, d, n)
         if x in (1, n - 1):
@@ -313,16 +309,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _p_power_exponent(q: int, p: int) -> int:
-    s = 0
-    while q > 1:
-        if q % p:
-            raise ValueError("field order is not a power of the characteristic")
-        q //= p
-        s += 1
-    return s
 
 
 def is_irreducible(F: Field, f: tuple) -> bool:
@@ -511,7 +497,7 @@ def _equal_degree_split(F: Field, f: tuple, d: int, rng: random.Random) -> tuple
     q = F.order
     n = fpoly.deg(f)
     p = F.char
-    s = _p_power_exponent(q, p)
+    s = split_p(q, p)[0]
     while True:
         r = fpoly.norm(F, [_random_elem(F, rng) for _ in range(n)])
         if fpoly.deg(r) < 1:

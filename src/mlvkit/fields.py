@@ -12,10 +12,10 @@ of the valuation on the nonnegative value group):
 
 The rules every family shares -- residues, canonical units, inverses,
 p-th-root refusals and descriptors -- are written once, in
-``ValuedField``; a family supplies its valuation, its arithmetic and four
-small hooks: ``initial`` (the value of a nonzero element and the residue
-of its quotient by p^w or t^w, read off its lowest term), ``_unit``,
-``_inv`` and ``_pth_root``.
+``ValuedField``; a family supplies its arithmetic and four small hooks:
+``initial`` (the value of a nonzero element and the residue of its
+quotient by p^w or t^w, read off its lowest term), ``_unit``, ``_inv``
+and ``_pth_root``.  The valuation is read off ``initial``.
 
 ``Fqt`` and ``Fpct`` are one construction, ``TadicField``: the rational
 function field B(t) (a RatFuncField) with the t-adic valuation on top,
@@ -53,7 +53,8 @@ from .errors import (InvertZero, MixedFields, NegativeExponent, NegativeValue,
                      NotInValueGroup)
 from .ffield import Field, GFp, GFq
 from .ratfunc import RF, RatFuncField
-from .values import INFINITY, Q, Value, ValueGroup, is_inf, split_p, term_str, value_str
+from .values import (INFINITY, Q, Value, ValueGroup, is_inf, ratio, split_p, term_str,
+                     value_str)
 
 
 class PerfElem(NamedTuple):
@@ -77,8 +78,8 @@ class PerfElem(NamedTuple):
 class ValuedField(Field):
     """The contract every family keeps.
 
-    A family supplies ``valuate``, its element arithmetic, ``lift``,
-    ``accepts`` and four hooks:
+    A family supplies its element arithmetic, ``lift``, ``accepts`` and
+    four hooks:
 
     * ``initial(a)``: (b, w) with w = v(a) and b the residue of a / p^w
       (or a / t^w), for a != 0, read off the lowest term of a without
@@ -106,6 +107,9 @@ class ValuedField(Field):
         self.choice_overrides: Dict[Fraction, object] = {}
 
     # -- valuation interface -------------------------------------------------
+
+    def valuate(self, a) -> Value:
+        return INFINITY if self.is_zero(a) else self.initial(a)[1]
 
     def residue(self, a):
         if self.is_zero(a):
@@ -227,23 +231,15 @@ class QpField(ValuedField):
     def from_int(self, n):
         return n
 
-    def valuate(self, a) -> Value:
-        return INFINITY if a == 0 else self.initial(a)[1]
-
     def initial(self, a):
-        # p stripped from numerator and denominator once
-        num, den = a.numerator, a.denominator
+        # p stripped from numerator and denominator once; an integral
+        # element, as in every corpus call, has no denominator to strip
         p = self.p
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        if den == 1:
+        v, num = split_p(a.numerator, p)
+        if a.denominator == 1:
             return num % p, v
-        return num * pow(den, -1, p) % p, v
+        w, den = split_p(a.denominator, p)
+        return num * pow(den, -1, p) % p, v - w
 
     def lift(self, r):
         return r % self.p
@@ -279,6 +275,8 @@ class TadicField(ValuedField, RatFuncField):
     initial = RatFuncField.lowest_term
 
     def valuate(self, a) -> Value:
+        # the orders of numerator and denominator, without the division of
+        # their lowest coefficients that initial makes
         k = self.ord_var(a)
         return INFINITY if k is None else k
 
@@ -337,14 +335,13 @@ class FpPerfField(ValuedField):
     def _drop(self, k: int, g: int) -> int:
         """How many levels an element at level k can drop when g is the gcd
         of its exponents in u: u -> u^(1/p) applies while every exponent is
-        divisible by p, so v_p(g) capped at k (all k for g = 0, a constant)."""
+        divisible by p, so v_p(g) capped at k (all k for g = 0, a constant).
+        A g prime to p is told apart first: every call of a perfect_closure
+        benchmark round has one, and calling split_p for it made the call
+        2.5 times as slow."""
         if not g:
             return k
-        drop = 0
-        while drop < k and g % self.p == 0:
-            g //= self.p
-            drop += 1
-        return drop
+        return min(split_p(g, self.p)[0], k) if g % self.p == 0 else 0
 
     def _sparse(self, k: int, terms: tuple) -> PerfElem:
         """The element with these sorted nonzero terms in u = t^(1/p^k)."""
@@ -467,9 +464,6 @@ class FpPerfField(ValuedField):
         n %= self.p
         return PerfElem(0, ((0, n),)) if n else self._zero
 
-    def valuate(self, a) -> Value:
-        return INFINITY if self.is_zero(a) else self.initial(a)[1]
-
     def initial(self, a):
         # the value e / p^level of the lowest exponent e in u, and its
         # coefficient: the first sparse term, or the lowest terms of the rf
@@ -477,8 +471,7 @@ class FpPerfField(ValuedField):
             b, e = self.rff.lowest_term(a.rf)
         else:
             e, b = a.terms[0]
-        den = self.p ** a.level
-        return b, (e // den if e % den == 0 else Q(e, den))
+        return b, ratio(e, self.p ** a.level)
 
     def lift(self, r):
         return self.from_int(r)

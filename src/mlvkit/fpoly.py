@@ -229,8 +229,10 @@ def mod(F, f, g) -> Coeffs:
 
 
 def monic(F, f) -> Coeffs:
-    if not f:
-        return ()
+    """f divided by its leading coefficient; a monic f is returned as it
+    is, since the inverse over a tower without tables is an xgcd."""
+    if not f or F.is_one(f[-1]):
+        return f
     return smul(F, F.inv(f[-1]), f)
 
 

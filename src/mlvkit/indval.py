@@ -235,12 +235,7 @@ class InductiveValuation:
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        if prev is not None and is_inf(self.gamma):
-            # every term f_k phi^k with k >= 1 has value oo
-            r = f.mod(self.phi)
-            out = INFINITY if r.is_zero() else prev.evaluate(r)
-        else:
-            out = _expansion_min(self.expansion(f), self._coeff_value, self.gamma)
+        out = _expansion_min(self.expansion(f), self._coeff_value, self.gamma)
         self._eval_cache[key] = out
         return out
 
@@ -504,12 +499,7 @@ def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:
         raise NonMonicBase("truncation base must be monic")
     if f.is_zero():
         return INFINITY
-    vq = nu(q)
-    if is_inf(vq):
-        # every term f_k q^k with k >= 1 has value oo
-        r = f.mod(q)
-        return INFINITY if r.is_zero() else nu(r)
-    return _expansion_min(phi_expansion(f, q), nu, vq)
+    return _expansion_min(phi_expansion(f, q), nu, nu(q))
 
 
 def _expansion_min(cc: Sequence[Poly], value_of: Callable[[Poly], Value],

@@ -70,19 +70,10 @@ class RatFuncField(Field):
         if fpoly.is_zero(num):
             return self._zero
         if fpoly.deg(num) > 0 and fpoly.deg(den) > 0:
-            kn = fpoly.low_deg(B, num)
-            kd = fpoly.low_deg(B, den)
-            if kn == fpoly.deg(num) or kd == fpoly.deg(den):
-                # a monomial c*v^k shares only the factor v^min with the
-                # other side: no gcd for the units t^k, nor for the
-                # stretched tuples of dense perfect-closure elements
-                m = min(kn, kd)
-                num, den = num[m:], den[m:]
-            else:
-                g = fpoly.gcd_(B, num, den)
-                if fpoly.deg(g) > 0:
-                    num = fpoly.divmod_(B, num, g)[0]
-                    den = fpoly.divmod_(B, den, g)[0]
+            g = fpoly.gcd_(B, num, den)
+            if fpoly.deg(g) > 0:
+                num = fpoly.divmod_(B, num, g)[0]
+                den = fpoly.divmod_(B, den, g)[0]
         if B.is_one(den[-1]):
             return RF(tuple(num), tuple(den))
         c = B.inv(den[-1])

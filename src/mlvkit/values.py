@@ -87,12 +87,14 @@ def vmul(n: int, g: Value) -> Value:
         return INFINITY
     if type(g) is int:
         return n * g
-    # built from ints, not by the reflected int * Fraction operator; g is
-    # reduced, so n*g is integral exactly when its denominator divides n
-    den = g.denominator
-    if n % den == 0:
-        return n // den * g.numerator
-    return Q(n * g.numerator, den)
+    # built from ints, not by the reflected int * Fraction operator
+    return ratio(n * g.numerator, g.denominator)
+
+
+def ratio(num: int, den: int) -> Value:
+    """num/den for den != 0: an int when den divides num, else a Fraction.
+    The one place where a quotient of ints becomes a value."""
+    return num // den if num % den == 0 else Q(num, den)
 
 
 def value_str(v: Value) -> str:
@@ -124,10 +126,11 @@ def value_from_str(s: str) -> Value:
 
 
 def split_p(n: int, p: int) -> Tuple[int, int]:
-    """(k, m) with n = p^k * m and m prime to p, for n != 0.  Each pass
-    divides by the largest p^(2^i) that divides n, so a power of p with
-    a large exponent k (a deep perfect-closure level) costs O(log(k)^2)
-    divisions rather than k."""
+    """(k, m) with n = p^k * m and m prime to p, for n != 0 (the loop never
+    ends at n = 0).  Every p-adic order of an int in the package is taken
+    here.  Each pass divides by the largest p^(2^i) that divides n, so a
+    power of p with a large exponent k (a deep perfect-closure level)
+    costs O(log(k)^2) divisions rather than k."""
     k = 0
     while n % p == 0:
         q, e = p, 1

@@ -297,6 +297,8 @@ def test_stable_value_rational_and_taylor_consistency():
     ({"expr": "2"}, ZeroInput),  # 2 = 0 in characteristic 2
     ({"l_max": 1001}, BadBound),
     ({"l_max": 1001, "p": 4}, BadBound),  # checked before the field
+    ({"q": 0}, BadFieldOrder),
+    ({"q": -8}, BadFieldOrder),
 ])
 def test_stable_value_bad_input_is_typed(kwargs, error):
     args = {"p": 2, "expr": "S", **kwargs}

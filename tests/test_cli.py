@@ -218,6 +218,8 @@ def test_limit_probes_above_the_cap_is_refused_before_exploring(capsys):
     (["--expr", "((S+T)^1000)^1000"], 2, "degree 1000000 of a power exceeds 1000"),
     (["--expr", "(S*T)^501"], 2, "degree 1002 of a power exceeds 1000"),
     (["--expr", "(T/(S*T))^-501"], 2, "degree 1002 of a power exceeds 1000"),
+    (["--q", "0"], 2, "0 is not a power of p = 2"),
+    (["--q", "-8"], 2, "-8 is not a power of p = 2"),
 ])
 def test_stable_value_bad_input_exit_codes(capsys, argv, code, token):
     base = {"--p": "2", "--expr": "S"}

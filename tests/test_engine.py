@@ -612,6 +612,18 @@ def test_scan_stops_early_at_a_split():
     assert len(mac_lane_chains(K, g, max_limit_probes=10).branches) == 2
 
 
+@pytest.mark.parametrize("p, text, limit, budget", [(5, "x^2 + 1", 8, 0), (2, "x^2 - 2", 0, 8)])
+def test_a_scan_with_no_probe_claims_no_evidence(p, text, limit, budget):
+    """A stalled branch scanned at a budget of 0, or explored with no
+    probe, has no evidence: its outcome is NO_PROBES, not
+    UNBOUNDED_EVIDENCE."""
+    K = QpField(p)
+    report = mac_lane_chains(K, parse_poly(text, K), max_limit_probes=limit)
+    assert report.branches[0].status == LIMIT_SUSPECTED
+    scan = psi_m_scan(report, 0, 1, probe_budget=budget)
+    assert (scan.outcome, scan.evidence) == ("NO_PROBES", ())
+
+
 # (field, polynomial, probe budget, the stop reason of each branch in order)
 STOP_CASES = [
     ("Qp(2)", "x^2-2", 8, [TERMINATED]),

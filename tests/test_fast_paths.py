@@ -1,21 +1,22 @@
 """Differential properties of the sparse arithmetic paths and early exits.
 
-``RatFuncField.make`` cancels v^k directly when one side is a monomial,
 ``fpoly`` runs plain int loops over the nonzero terms when the field is
 exactly ``GFp``, and ``FpPerfField`` combines the sparse Laurent terms of
 its elements, falling back to dense rational functions in u only for a
 denominator that is not a monomial.
 ``phi_expansion`` takes its last coefficient without dividing, ``divmod_``
 returns at once for a shorter dividend and skips the inverse of a monic
-divisor's leading coefficient, and ``taylor_shift`` at 0 is the identity.
+divisor's leading coefficient, ``monic`` returns a monic input as it is,
+and ``taylor_shift`` at 0 is the identity.
 The engine expands g at a new degree-one key by Taylor-shifting the
 expansion it holds at the old centre, ``QpField`` keeps integral elements
 as ints, and ``factor_monic`` returns a linear input at once, building
 no random stream.  ``InductiveValuation.evaluate``
-hands inputs of lower degree than the key to the previous stage and
-reduces once modulo the key at a terminal stage, and ``truncation_eval``
-reduces once modulo a base of infinite value.  Each is compared here with
-the general algorithm it stands in for.  ``fpoly.evaluate`` and
+hands inputs of lower degree than the key to the previous stage.  Each is
+compared here with the general algorithm it stands in for; so are
+``RatFuncField.make`` with a monomial side (against Euclid's reduction),
+and evaluation at a terminal stage and ``truncation_eval`` by a base of
+infinite value (against the full expansion).  ``fpoly.evaluate`` and
 ``taylor_shift`` run Horner's rule from the leading coefficient (checked
 against naive sums and by rebuilding f), and depth-zero stages skip their
 trivial twists (checked by lifting graded reductions back).  Each field's
@@ -38,7 +39,7 @@ from corpus import FPPERF2, FPPERF3, FQ2T, FQ3T, QP2, QP3, QP5
 from mlvkit import fpoly
 from mlvkit.engine import TERMINATED, _new_values, mac_lane_chains
 from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
-from mlvkit.ffield import GFp, GFq, factor_monic, is_irreducible
+from mlvkit.ffield import ExtField, GFp, GFq, factor_monic, is_irreducible
 from mlvkit.fields import ADD, INV, MUL, FpPerfField, PerfElem, QpField, field_arith
 from mlvkit.indval import InductiveValuation, truncation_eval
 from mlvkit.parsing import parse_field, parse_poly
@@ -583,6 +584,21 @@ def test_a_linear_input_is_its_own_factorization(monkeypatch):
     for F in (GFp(2), GFp(3), GFq(4), GFq(9)):
         for f in ((F.one(), F.one()), (F.zero(), F.from_int(2) if F.char > 2 else F.one())):
             assert factor_monic(F, f) == [(fpoly.monic(F, f), 1)]
+
+
+def test_a_monic_input_is_not_rescaled(monkeypatch):
+    """Over GF(64) as a cubic tower over GF(4), which has no log tables,
+    inverting the leading 1 of a monic input would be an xgcd."""
+    F4 = GFq(4)
+    mod = (F4.gen(), F4.zero(), F4.zero(), F4.one())  # x^3 + g: GF(4)* has no cube but 1
+    assert is_irreducible(F4, mod)
+    T = ExtField(F4, mod, "z1")
+    calls = []
+    inv = T.inv
+    monkeypatch.setattr(T, "inv", lambda a: calls.append(a) or inv(a))
+    f = (T.gen(), T.one())  # x + z1
+    assert factor_monic(T, f) == [(f, 1)] and not calls
+    assert fpoly.monic(T, fpoly.smul(T, T.gen(), f)) == f and len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)

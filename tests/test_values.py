@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from mlvkit.values import (INFINITY, ValueGroup, is_inf, split_p, value_from_str,
+from mlvkit.values import (INFINITY, ValueGroup, is_inf, ratio, split_p, value_from_str,
                            value_str, vadd, vmul)
 
 rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6,
@@ -193,6 +193,15 @@ def test_split_p_equals_one_division_at_a_time(p, k, m):
         n //= p
         k0 += 1
     assert split_p(p ** k * m, p) == (k0, n)
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(0, 3))
+def test_ratio_is_an_int_exactly_when_den_divides_num(k, den, r):
+    num = k * den + r
+    got = ratio(num, den)
+    assert got == Q(num, den)
+    assert (type(got) is int) == (num % den == 0)
 
 
 def test_a_deep_hull_denominator_is_stripped():
