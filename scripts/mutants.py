@@ -81,13 +81,22 @@ FAULTS = [
           "    if len(f) == 1 or len(g) == 1:\n",
           "    if len(f) <= 1 or len(g) <= 1:\n",
           ["tests/test_probe_facts.py::test_gcd_with_a_nonzero_constant_is_one_at_once"]),
-    Fault("linear-key-lifted-with-unit-one", "src/mlvkit/indval.py",
-          "K.canonical_unit(w0)), c0)",
-          "K.one()), c0)",
+    # a depth-zero probe moves its centre by -lift(r)*U(gamma)
+    Fault("linear-key-lifted-with-unit-one", "src/mlvkit/engine.py",
+          "K.canonical_unit(node.gamma)))",
+          "K.one()))",
           [PROBE_FACTS]),
     Fault("shifted-values-read-from-the-unshifted-expansion", "src/mlvkit/engine.py",
           "enumerate(shifted) if not K.is_zero(c)}",
           "enumerate(at_a) if not K.is_zero(c)}",
+          [PROBE_FACTS]),
+    Fault("moved-centre-sign-flipped", "src/mlvkit/engine.py",
+          "return K.add(node.center, delta), values",
+          "return K.sub(node.center, delta), values",
+          [PROBE_FACTS]),
+    Fault("moved-centre-admits-a-value-not-increased", "src/mlvkit/engine.py",
+          "if pair[0] > node.gamma]",
+          "if pair[0] >= node.gamma]",
           [PROBE_FACTS]),
     Fault("scan-evidence-includes-the-entry-node", "src/mlvkit/engine.py",
           "b.trajectory[1:probe_budget + 1]",

@@ -101,7 +101,10 @@ class TameReport:
 
 def tame_report(K: ValuedField, suite: Sequence[Poly]) -> TameReport:
     """Suite-relative tameness evidence: gr(K) perfect plus a finite
-    complete sequence for every suite polynomial."""
+    complete sequence for every suite polynomial; an empty suite examines
+    nothing, and is refused."""
+    if not suite:
+        raise ZeroInput("the suite has no polynomial: an empty suite is no evidence")
     verdict, gw = frobenius_surjective(K)
     gr_ok = verdict == "YES"
     per = []

@@ -212,6 +212,8 @@ def cmd_graded(args) -> Rendered:
 def cmd_tame(args) -> Rendered:
     K = parse_field(args.field)
     suite = [parse_poly(s, K) for s in args.suite.split(";") if s.strip()]
+    if not suite:
+        raise ParseError("--suite names no polynomial")
     tr = tame_report(K, suite)
     out = {
         "field": K.descriptor_str(),

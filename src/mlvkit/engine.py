@@ -4,7 +4,11 @@ The exploration is the effective MacLane construction: start from the
 depth-zero valuations given by the Newton polygon of g in x, then
 repeatedly factor the residual polynomial of g, lift each irreducible
 factor (other than y) to a new key polynomial, and augment along every
-principal slope of the polygon of g with respect to that key.  A branch
+principal slope of the polygon of g with respect to that key.  At a
+depth-zero stage w_(a,gamma) with e = 1 a linear factor y + r moves the
+centre instead: its key is x - a' with a' = a - lift(r)*U(gamma), and the
+augmentation [w_(a,gamma); x - a', gamma'] is w_(a',gamma') (Vaquie,
+Trans. AMS 359, 2007; Nart, Pacific J. Math. 311, 2021).  A branch
 terminates when g itself becomes a key polynomial and can be assigned
 the value infinity.  A branch in flight is one ``_State`` record, and
 one function, ``_stop``, decides whether it stops and why, trying three
@@ -182,28 +186,32 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
     """Admissible new values for ``key``: the pairs (gamma, nu) of
     ``polygon_gammas`` on g's key-expansion with gamma above mu(key);
     nu is nu(g) at the child [node; key, gamma], since the child values
-    each coefficient c_k as mu does (deg c_k < deg key).
-
-    Also returns the key-expansion of g so children can reuse it.  A
-    degree-one key x - a' arises only at depth zero, where the node
-    already holds g's expansion at its center a: the expansion at a' is
-    its Taylor shift by a' - a, and its coefficients are field elements,
-    valued by ``K.valuate``.  ``key_from_residual`` makes a' - a a single
-    term, so every product in the shift has a one-term factor, and it
-    seeds mu(key), so ``evaluate`` does not expand the key.
+    each coefficient c_k as mu does (deg c_k < deg key).  Also returns
+    the key-expansion of g so children can reuse it; ``key_from_residual``
+    has seeded mu(key), so ``evaluate`` does not expand the key.
     """
-    if node.prev is None and key.degree == 1:
-        K = node.K
-        delta = K.sub(K.neg(key[0]), node.center)
-        at_a = [c[0] for c in node.expansion(g)]
-        shifted = fpoly.taylor_shift(K, at_a, delta)
-        pts = {k: K.valuate(c) for k, c in enumerate(shifted) if not K.is_zero(c)}
-        exp = [Poly.const(K, c) for c in shifted]
-    else:
-        exp = list(phi_expansion(g, key))
-        pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
+    exp = list(phi_expansion(g, key))
+    pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
     cur = node.evaluate(key)
     return [pair for pair in polygon_gammas(pts) if pair[0] > cur], exp
+
+
+def _moved_centre(node: InductiveValuation, g: Poly, r
+                  ) -> Tuple[object, List[Tuple[Value, Value]], List[Poly]]:
+    """The centre a' = a - lift(r)*U(gamma) of a depth-zero ``node``
+    w_(a,gamma) with e = 1, and ``_new_values`` for its key x - a', which
+    lifts the residual factor y + r (r != 0), so mu(x - a') = gamma.  The
+    expansion of g at a' is the node's expansion at a Taylor-shifted by
+    the single term a' - a, and its coefficients are field elements,
+    valued by ``K.valuate``.
+    """
+    K = node.K
+    delta = K.neg(K.mul(K.lift(r), K.canonical_unit(node.gamma)))
+    at_a = [c[0] for c in node.expansion(g)]
+    shifted = fpoly.taylor_shift(K, at_a, delta)
+    pts = {k: K.valuate(c) for k, c in enumerate(shifted) if not K.is_zero(c)}
+    values = [pair for pair in polygon_gammas(pts) if pair[0] > node.gamma]
+    return K.add(node.center, delta), values, [Poly.const(K, c) for c in shifted]
 
 
 def _y_poly(kappa) -> tuple:
@@ -260,7 +268,10 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     factorization is [(monic(H), 1)], so factor_monic's distinct-degree
     pass has already proved monic(H) irreducible: ``is_key`` gets g's
     graded reduction and makes only the minimality checks, and the
-    terminal augmentation takes monic(H) as its residual.
+    terminal augmentation takes monic(H) as its residual.  A linear
+    factor at a depth-zero node with e = 1 makes depth-zero children at
+    the moved centre (``_moved_centre``), with no key lift or ``augment``;
+    every other factor is lifted by ``key_from_residual``.
     """
     node = state.node
     gr = node.graded_reduction(g)
@@ -275,12 +286,16 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     sep = state.sep + 1 if separated else 0
     out = []
     for rbar, _mult in proper:
-        key = node.key_from_residual(rbar)
-        values, exp_coeffs = _new_values(node, g, key)
+        moved = node.prev is None and node.e_rel == 1 and fpoly.deg(rbar) == 1
+        if moved:
+            centre, values, exp = _moved_centre(node, g, rbar[0])
+        else:
+            key = node.key_from_residual(rbar)
+            values, exp = _new_values(node, g, key)
         for gamma, g_value in values:
-            child = node.augment(key, gamma, _rbar=rbar)
-            if child.phi == key:
-                child.seed_expansion(g, exp_coeffs)
+            child = (InductiveValuation.depth_zero(node.K, centre, gamma) if moved
+                     else node.augment(key, gamma, _rbar=rbar))
+            child.seed_expansion(g, exp)
             out.append(_State.at(child, g_value, node, sep, state.traj))
     return out
 

@@ -28,7 +28,9 @@ A fact an exploration step already holds is seeded, not recomputed:
 ``key_from_residual`` enters mu(key) = w0, the grade of its homogeneous
 lift, in the stage's evaluation memo, and ``seed_expansion`` takes the
 key-expansion of g that the engine built for the Newton polygon (the
-engine also reads nu(g) at each child off that polygon's hull edges).  An
+engine also reads nu(g) at each child off that polygon's hull edges).  A
+depth-zero refinement [w_(a,gamma); x - a', gamma'] is built as
+``depth_zero(K, a', gamma')`` directly, with g's expansion at a' seeded.  An
 input of lower degree than the key is valued without a memo entry: by
 the previous stage, or at depth zero, where it is a constant, by the
 field's ``valuate``.
@@ -391,23 +393,16 @@ class InductiveValuation:
         """Monic key polynomial of degree e*deg(rbar)*m lifting the monic
         irreducible residual polynomial rbar.
 
-        A linear rbar = y + r0 at a depth-zero stage with e = 1 lifts to
-        x - a + lift(r0)*U(gamma), a the center: the homogeneous lift of
-        ``_lift_homog`` with its unit coefficient U(0) = 1 at (x - a),
-        built without a Taylor shift.  Every key has its value w0, the
-        grade of its lift, entered in the evaluation memo."""
+        The key has its value w0, the grade of its lift, entered in the
+        evaluation memo.  The engine lifts no linear rbar = y + r at a
+        depth-zero stage with e = 1: the key x - a + lift(r)*U(gamma) is
+        the centre move of ``engine._moved_centre``."""
         if is_inf(self.gamma):
             raise NotAKeyPolynomial("no new keys above an infinite value")
         kap = self.kappa
         fR = fpoly.deg(rbar)
         w0 = vmul(fR * self.e_rel, self.gamma)
-        if self.prev is None and fR == 1 and self.e_rel == 1:
-            K = self.K
-            c0 = K.neg(self.center)
-            if not kap.is_zero(rbar[0]):
-                c0 = K.add(K.mul(K.lift(rbar[0]), K.canonical_unit(w0)), c0)
-            Q_ = Poly(K, (c0, K.one()))
-        elif self.prev is None:  # _ymul is 1 at depth zero
+        if self.prev is None:  # _ymul is 1 at depth zero
             Q_ = self._lift_homog(rbar, 0, w0)
         else:
             lam = kap.inv(self._ymul(fR))

@@ -71,6 +71,12 @@ def test_tame_report_examples():
     assert tr3.witness["reason"] == "DEFECT_SUSPECTED"
 
 
+@pytest.mark.parametrize("K", [FpPerfField(2), QpField(2)], ids=["FpPerf(2,t)", "Qp(2)"])
+def test_an_empty_suite_is_refused(K):
+    with pytest.raises(ZeroInput):
+        tame_report(K, [])
+
+
 def test_tame_report_fp_perf_suite():
     # p does not divide any suite ramification: evidence of tameness;
     # injecting the Artin-Schreier polynomial flips the verdict

@@ -176,6 +176,14 @@ def test_tame_over_imperfect_residue_uses_the_graded_witness(capsys):
         assert e["te1"] is None and e["te2"] is None and e["te3"] is None
 
 
+@pytest.mark.parametrize("suite", ["", " ; ", ";"])
+def test_an_empty_tame_suite_is_a_parse_error(capsys, suite):
+    # nothing examined is no TAME_EVIDENCE
+    code, out, err = run(capsys, "tame", "--field", "FpPerf(2,t)", "--suite", suite, "--json")
+    assert code == 2 and out == ""
+    assert "--suite names no polynomial" in err
+
+
 @pytest.mark.parametrize("field", ["FpC(3,c,t)", "FpC(2,c,t)"])
 def test_tame_over_imperfect_residue_checks_monic(capsys, field):
     # as over Qp, a non-monic suite polynomial is an engine error; over

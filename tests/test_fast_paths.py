@@ -23,9 +23,9 @@ trivial twists (checked by lifting graded reductions back).  Each field's
 ``initial`` reads value and residue off the lowest term (checked against
 the residue of the quotient by p^w or t^w), a depth-zero lift is one
 Taylor shift (checked against the sum of Poly powers it replaced), a
-linear key at a depth-zero stage with e = 1 is built without the shift
-(checked against the lift-and-shift route), and an exploration factors
-each residual polynomial once.
+depth-zero probe with e = 1 along a linear residual factor moves the
+centre by one term (checked against the lift-and-shift key), and an
+exploration factors each residual polynomial once.
 """
 
 import random
@@ -37,7 +37,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from corpus import FPPERF2, FPPERF3, FQ2T, FQ3T, QP2, QP3, QP5
 from mlvkit import fpoly
-from mlvkit.engine import TERMINATED, _new_values, mac_lane_chains
+from mlvkit.engine import TERMINATED, _moved_centre, mac_lane_chains
 from mlvkit.errors import MixedFields, NegativeValue, NonMonicBase
 from mlvkit.ffield import ExtField, GFp, GFq, factor_monic, is_irreducible
 from mlvkit.fields import ADD, INV, MUL, FpPerfField, PerfElem, QpField, field_arith
@@ -513,12 +513,15 @@ def test_taylor_shift_of_an_expansion_equals_the_expansion_at_the_new_centre(dat
     for K in CORPUS_FIELDS:
         g = Poly(K, data.draw(valued_coeffs(K, 5)) + (K.one(),))
         a = valued_element(K, data.draw(digits))
+        node = None
         if data.draw(st.booleans()):
-            # one term lift(r) * epsilon(w), as key_from_residual makes it
+            # one term -lift(r) * epsilon(w), as a depth-zero probe at
+            # gamma = w moves its centre
             r = K.residue_field.from_int(data.draw(st.integers(1, K.p - 1)))
             level = data.draw(st.integers(0, 2)) if K.kind == "FpPerf" else 0
             w = Q(data.draw(st.integers(-2, 4)), K.p ** level)
-            delta = K.mul(K.lift(r), K.canonical_unit(w))
+            delta = K.neg(K.mul(K.lift(r), K.canonical_unit(w)))
+            node = InductiveValuation.depth_zero(K, a, w)
         else:
             delta = valued_element(K, data.draw(digits))
         key = Poly(K, (K.neg(K.add(a, delta)), K.one()))
@@ -526,9 +529,10 @@ def test_taylor_shift_of_an_expansion_equals_the_expansion_at_the_new_centre(dat
         shifted = fpoly.taylor_shift(K, fpoly.taylor_shift(K, g.coeffs, a), delta)
         assert len(shifted) == len(exp) == g.degree + 1
         assert all(K.eq(c, e[0]) for c, e in zip(shifted, exp))
-        # the engine's depth-zero path gives the same expansion
-        node = InductiveValuation.depth_zero(K, a, Q(data.draw(st.integers(0, 3))))
-        assert _new_values(node, g, key)[1] == list(exp)
+        if node is not None:
+            # the engine's depth-zero probe gives the same centre and expansion
+            centre, _values, moved_exp = _moved_centre(node, g, r)
+            assert K.eq(centre, K.add(a, delta)) and moved_exp == list(exp)
 
 
 def qp_numbers():
@@ -951,11 +955,13 @@ def linear_key_stages():
 
 
 def test_a_linear_key_is_built_directly():
-    """key_from_residual(y + r) at a depth-zero stage with e = 1 equals
-    the lift-and-shift route coefficient by coefficient, with the same
-    element types (an int or a Fraction over Qp), for every residue r of
-    a prime field and of GF(4) and for five of GF(9); its seeded value
-    is gamma, which a memo-free evaluation confirms."""
+    """A depth-zero probe with e = 1 along y + r (r != 0) moves the centre
+    to a' with x - a' equal to the lift-and-shift key coefficient by
+    coefficient, with the same element types (an int or a Fraction over
+    Qp), and g's expansion at a' seeded, for every residue r of a prime
+    field and of GF(4) and for four of GF(9); mu(x - a') = gamma by a
+    memo-free evaluation.  ``key_from_residual`` lifts y + r (r = 0 too)
+    to the same key, with gamma seeded."""
     seen = set()
     for K, stages in linear_key_stages():
         R = K.residue_field
@@ -965,14 +971,22 @@ def test_a_linear_key_is_built_directly():
         for stage in stages:
             seen.add((K.kind, R.order,
                       stage.center if K.kind == "Qp" else K.elem_str(stage.center)))
+            g = stage.phi ** 3 + Poly.const(K, K.canonical_unit(Q(1)))
             for r in residues:
                 rbar = (r, R.one())
-                key = stage.key_from_residual(rbar)
                 want = lift_and_shift_key(stage, rbar)
+                key = stage.key_from_residual(rbar)
                 assert key == want and key.degree == 1, (stage.center, stage.gamma, r)
                 assert [type(c) for c in key.coeffs] == [type(c) for c in want.coeffs]
                 assert stage._eval_cache[key.coeffs] == stage.gamma
-                assert ref_evaluate(stage, key) == stage.gamma
+                if R.is_zero(r):
+                    continue
+                centre, _values, exp = _moved_centre(stage, g, r)
+                moved = Poly(K, (K.neg(centre), K.one()))
+                assert moved == want, (stage.center, stage.gamma, r)
+                assert [type(c) for c in moved.coeffs] == [type(c) for c in want.coeffs]
+                assert ref_evaluate(stage, moved) == stage.gamma
+                assert exp == list(phi_expansion(g, moved))
     # Qp Fraction centres, GF(4) and GF(9) residues, dense FpPerf centres
     assert ("Qp", 2, Q(1, 3)) in seen and ("FpPerf", 2, "1/(t + 1)") in seen
     assert {order for _, order, _ in seen} >= {2, 3, 4, 5, 9}

@@ -14,6 +14,16 @@ g over K = F_p(t), the branches over the perfect hull FpPerf(p,t)
 correspond one to one to those over Fq(p,t), with e' the prime-to-p part
 of e and f' = f, and the defect d' is the p-part of e.
 
+The Artin-Schreier class rule (item 17(c)): over the perfect closure,
+c*t^(-r*p^j) = (c^(1/p)*t^(-r*p^(j-1)))^p, so it is congruent to
+c^(1/p^j)*t^(-r) mod {y^p - y}.  For c1, c2 in F_p^*, where Frobenius is
+the identity, x^p - x - c1/t^r - c2/t^(r*p^j) (r prime to p) is therefore
+x^p - x - (c1 + c2)/t^r up to a change of x.  A nonzero class sum gives
+an immediate extension of degree p with d = p (Kuhlmann, Illinois J.
+Math. 54, 2010), which the engine reports as one branch stopped by its
+probe budget; a zero sum leaves x^p - x, which splits into p branches
+with e = f = d = 1.
+
 Frobenius of F_q (item 17(d)): c -> c^p on the F_q coefficients of g's
 coefficients is an automorphism of Fq(q,t) that fixes t, so it keeps the
 t-adic valuation, and the branches of g and of its image have the same
@@ -23,11 +33,12 @@ multiset of (e, f, d).
 from collections import Counter
 from math import gcd
 
+import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from mlvkit import fpoly
-from mlvkit.engine import mac_lane_chains
-from mlvkit.parsing import parse_field
+from mlvkit.engine import PROBE_BUDGET, TERMINATED, mac_lane_chains
+from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly
 
 # (p, m): F_2 -> F_4 and F_8, F_3 -> F_9, F_5 -> F_25
@@ -190,3 +201,37 @@ def test_frobenius_of_the_constants_keeps_every_branch(case):
         return
     event("compared" if image != g else "compared: g fixed by Frobenius")
     assert after == before, (g.to_str(), image.to_str())
+
+
+# ---------------------------------------------------------------------------
+# The Artin-Schreier class rule
+# ---------------------------------------------------------------------------
+
+# (p, r, j, c1, c2): r prime to p, j in {1, 2}, c1, c2 in F_p^*
+CLASS_CASES = [(p, r, j, c1, c2) for p, rs in ((2, (1, 3)), (3, (1, 2)))
+               for r in rs for j in (1, 2)
+               for c1 in range(1, p) for c2 in range(1, p)]
+
+
+def stops(desc, src):
+    K = parse_field(desc)
+    return [(b.stop, b.e, b.f, b.d) for b in mac_lane_chains(K, parse_poly(src, K)).branches]
+
+
+@pytest.mark.parametrize("p,r,j,c1,c2", CLASS_CASES,
+                         ids=[f"p{p}-r{r}-j{j}-c{c1},{c2}" for p, r, j, c1, c2 in CLASS_CASES])
+def test_the_artin_schreier_class_rule(p, r, j, c1, c2):
+    got = stops(f"FpPerf({p},t)", f"x^{p}-x-{c1}/t^{r}-{c2}/t^{r * p ** j}")
+    if (c1 + c2) % p:
+        assert [stop for stop, *_ in got] == [PROBE_BUDGET]
+    else:
+        assert got == [(TERMINATED, 1, 1, 1)] * p
+
+
+def test_the_class_rule_hand_checks():
+    K2 = "FpPerf(2,t)"
+    assert [stop for stop, *_ in stops(K2, "x^2+x+1/t")] == [PROBE_BUDGET]
+    for src in ("x^2+x+1/t+1/t^2", "x^2+x+1/t^3+1/t^(3/2)"):
+        assert stops(K2, src) == [(TERMINATED, 1, 1, 1)] * 2
+    # the classes cancel and leave x^2 + x + 1, irreducible over F_2
+    assert stops(K2, "x^2+x+1/t^2+1/t+1") == [(TERMINATED, 1, 2, 1)]

@@ -45,6 +45,21 @@ README_CLI_SHA256 = {  # stdout of each README CLI example, by argv
         "e1f64345826f9bb8f474c050108bdb6f39589f5163232b60c900b5f60e67dbb2",
 }
 TAME_SURVEY_SHA256 = "f1803e45a14c3bc8cf609bffcf926b7675b33ef2eda7318de66fbad3473d1752"
+# stdout of extend --json at deep probe budgets, by (field, poly, budget):
+# the perfect_closure ladders past their benchmark budgets, and the Qp(3)
+# and Fq(3,t) clustered families of tests/test_engine.py at k = 200
+DEEP_RUNS_SHA256 = {
+    ("FpPerf(2,t)", "x^2+x+1/t", 200):
+        "fa1a20781dce18fc368d9cd94e733bc9dfddcf7abc9f65018879374fef2f874e",
+    ("FpPerf(2,t)", "x^4+x+1/t", 60):
+        "068303f24251695ba0dccf4c9a5fd30b974ddabb040f995c92631921d6959b2b",
+    ("FpPerf(3,t)", "x^3-x-1/t", 100):
+        "fca6cca541a4e2094cb15f948cf04041eb52c94a4c5c6823444a01d7f2b5f09c",
+    ("Qp(3)", "(x - 1/5)^2 - 3^200*(7)", 400):
+        "c33d7de5e33c39ff3a27de7fe7dcca6060df9cf33a999ef50c4287bc82d8f11c",
+    ("Fq(3,t)", "(x - 1/(1+t))^2 - t^200*(1+t)", 400):
+        "5d7947acce8b3891491e65d22037c82982fa6d4aab694ffb98daab97bd1d987b",
+}
 
 
 def _readme_cli_commands():
@@ -100,6 +115,16 @@ def test_readme_cli_examples_are_pinned(argv, capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == README_CLI_SHA256[" ".join(argv)]
+
+
+@pytest.mark.parametrize("field,poly,budget", sorted(DEEP_RUNS_SHA256),
+                         ids=lambda v: str(v))
+def test_deep_probe_runs_are_pinned(field, poly, budget, capsys):
+    argv = ["extend", "--json", "--field", field, "--poly", poly,
+            "--limit-probes", str(budget)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEEP_RUNS_SHA256[field, poly, budget]
 
 
 # GF(q) outputs over q = p^m, m >= 2: the residue fields that the corpus and

@@ -2,9 +2,11 @@
 the facts it no longer recomputes.
 
 ``key_from_residual`` seeds mu(key) = w0, the grade of its homogeneous
-lift; the engine reads nu(g) of every new state off the Newton polygon
-points instead of evaluating g there; ``evaluate`` values a depth-zero
-constant by the field's ``valuate``, with no memo entry; and
+lift; a depth-zero probe with e = 1 moves its centre with no key lift or
+``augment`` (checked against that route, child by child); the engine
+reads nu(g) of every new state off the Newton polygon points instead of
+evaluating g there; ``evaluate`` values a depth-zero constant by the
+field's ``valuate``, with no memo entry; and
 ``fpoly.taylor_shift`` over the perfect closure sums each output
 coefficient of sparse operands at one level.  Each fact is compared with
 an evaluation that reads no memo, over every corpus exploration and the
@@ -146,14 +148,60 @@ def check_state(g, state):
         assert (len(node._eval_cache), len(node._exp_cache)) == sizes
 
 
+def augment_route(g, node, factors):
+    """The children of one step below a depth-zero ``node`` with e = 1,
+    each with its nu(g), built by the general route: lift the key of each
+    proper residual factor, read the polygon of g's key-expansion valued
+    with no memo, and augment."""
+    out = []
+    for rbar, _mult in factors:
+        if rbar == (node.kappa.zero(), node.kappa.one()):
+            continue
+        key = InductiveValuation.key_from_residual(node, rbar)
+        exp = list(phi_expansion(g, key))
+        pts = {k: ref_evaluate(node, c) for k, c in enumerate(exp) if not c.is_zero()}
+        for gamma, g_value in engine.polygon_gammas(pts):
+            if gamma > ref_evaluate(node, key):
+                out.append((node.augment(key, gamma, _rbar=rbar), exp, g_value))
+    return out
+
+
+def check_moves(g, node, children, factorizations):
+    """Every child of a step below a depth-zero node with e = 1 equals
+    the child of the augment route in gamma, key, value group, e, seeded
+    expansion of g and nu(g); a moved centre also in its centre (with its
+    int or Fraction type over Qp) and residue field."""
+    factors = factorizations[node.kappa, node.graded_reduction(g).H]
+    want = augment_route(g, node, factors)
+    assert len(children) == len(want)
+    for state, (ref, exp, g_value) in zip(children, want):
+        child = state.node
+        assert child.prev is ref.prev
+        if child.prev is None:
+            assert child.center == ref.center
+            assert type(child.center) is type(ref.center)
+            assert child.kappa is ref.kappa
+            # the moved key x - a' lifts y + r, so mu(x - a') = gamma
+            assert ref_evaluate(node, child.phi) == node.gamma
+        assert (child.gamma, child.phi, child.group, child.e_rel) == (
+            ref.gamma, ref.phi, ref.group, ref.e_rel)
+        assert child._exp_cache[g.coeffs] == exp
+        assert state.traj[-1]["g_value"] == g_value
+
+
 def test_probe_facts_over_every_exploration(monkeypatch):
-    lifted = []
+    lifted, moved = [], []
     key_from_residual = InductiveValuation.key_from_residual
+    moved_centre = engine._moved_centre
 
     def recording_key_from_residual(self, rbar):
         key = key_from_residual(self, rbar)
         lifted.append((self, rbar, key))
         return key
+
+    def recording_moved_centre(node, g, r):
+        moved.append(node)
+        return moved_centre(node, g, r)
 
     step = engine._step
 
@@ -162,9 +210,16 @@ def test_probe_facts_over_every_exploration(monkeypatch):
         children = step(g, state, factorizations)
         for child in children:
             check_state(g, child)
+        node = state.node
+        if node.prev is None and node.e_rel == 1 and not (
+                children and children[0].node.is_terminal()):
+            with monkeypatch.context() as m:
+                m.setattr(InductiveValuation, "key_from_residual", key_from_residual)
+                check_moves(g, node, children, factorizations)
         return children
 
     monkeypatch.setattr(InductiveValuation, "key_from_residual", recording_key_from_residual)
+    monkeypatch.setattr(engine, "_moved_centre", recording_moved_centre)
     monkeypatch.setattr(engine, "_step", checking_step)
     runs = 0
     for K, g, budget in explorations():
@@ -175,8 +230,10 @@ def test_probe_facts_over_every_exploration(monkeypatch):
             if b.status == engine.LIMIT_SUSPECTED:
                 engine.psi_m_scan(report, i, b.chain.degree, probe_budget=budget)
         runs += 1
-    # the explorations make 226 lifts; a scan reads its branch and makes none
-    assert runs == 144 and len(lifted) == 226
+    # the explorations refine a node along 226 residual factors: 193 move
+    # a depth-zero centre and 33 lift a key; a scan reads its branch and
+    # makes neither
+    assert runs == 144 and (len(moved), len(lifted)) == (193, 33)
     for node, rbar, key in lifted:
         # the lift has grade w0 = deg(rbar) * e * gamma, and mu(key) is w0
         w0 = vmul(fpoly.deg(rbar) * node.e_rel, node.gamma)
