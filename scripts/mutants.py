@@ -135,6 +135,14 @@ FAULTS = [
           '"UNBOUNDED_EVIDENCE" if evidence else "NO_PROBES"',
           '"UNBOUNDED_EVIDENCE"',
           ["tests/test_engine.py::test_a_scan_with_no_probe_claims_no_evidence"]),
+    Fault("hull-generator-keeps-its-p-part", "src/mlvkit/values.py",
+          "            g = Q(_strip_p(g.numerator, hull), _strip_p(g.denominator, hull))\n",
+          "            pass\n",
+          ["tests/test_import.py::test_value_group_normalizes_compares_and_hashes"]),
+    Fault("lone-stall-keeps-no-defect-bound", "src/mlvkit/engine.py",
+          "            b.d_lower = max(2, ratio)\n",
+          "            pass\n",
+          ["tests/test_engine.py::test_artin_schreier_defect"]),
 ]
 
 

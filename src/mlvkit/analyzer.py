@@ -9,10 +9,9 @@ every negative verdict.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fpoly
 from .engine import (ExtensionReport, NoSequence, finite_complete_sequence,
@@ -33,8 +32,7 @@ from .values import Q, Value, ValueGroup, is_inf, split_p, value_str
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TEVerdict:
+class TEVerdict(NamedTuple):
     te1: bool
     te2: bool
     te3: bool
@@ -56,8 +54,7 @@ def te_conditions(report: ExtensionReport) -> TEVerdict:
     return TEVerdict(te1, te2, te3, suspected)
 
 
-@dataclass(frozen=True)
-class TE1Witness:
+class TE1Witness(NamedTuple):
     g: Poly
     verified_index: int
     method: str
@@ -90,8 +87,7 @@ def te1_witness(K: ValuedField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class TameReport:
+class TameReport(NamedTuple):
     gr_perfect: bool
     gr_witness: Optional[Tuple[str, object]]
     per_extension: List[dict]
@@ -144,8 +140,7 @@ def tame_report(K: ValuedField, suite: Sequence[Poly]) -> TameReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KahlerReport:
+class KahlerReport(NamedTuple):
     kind: str  # "PURELY_INERTIAL" | "PURELY_RAMIFIED" | "NEITHER"
     omega_trivial: Optional[bool]
     annihilator_value: Optional[Value]
@@ -234,8 +229,7 @@ def classify_kahler(report: ExtensionReport) -> KahlerReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DrvgResult:
+class DrvgResult(NamedTuple):
     verdict: str  # "HOLDS" | "HOLDS_BY_P_DIVISIBILITY" | "FAILS"
     witness: Optional[Tuple[str, str]] = None
 
@@ -261,8 +255,7 @@ def drvg_check(G: ValueGroup, p: int) -> DrvgResult:
 # probability is Schwartz-Zippel bounded by (total degree)/q.
 
 
-@dataclass(frozen=True)
-class StableValueResult:
+class StableValueResult(NamedTuple):
     stable_value: int
     stable_initial_coeff: object
     coeff_str: str

@@ -41,7 +41,6 @@ internal error.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from math import gcd, isqrt
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -53,7 +52,7 @@ from .fields import TadicField, ValuedField
 from .indval import InductiveValuation
 from .parsing import MAX_EXPONENT
 from .poly import Poly, phi_expansion
-from .values import INFINITY, Value, ratio, value_str
+from .values import INFINITY, Frozen, Value, ratio, value_str
 
 TERMINATED = "TERMINATED"
 LIMIT_SUSPECTED = "LIMIT_SUSPECTED"
@@ -70,16 +69,24 @@ class _Unstable:
 UNSTABLE = _Unstable()
 
 
-@dataclass
 class Branch:
-    chain: InductiveValuation
-    stop: str  # TERMINATED | SEPARATED_STALL | PROBE_BUDGET, from _stop
-    e: int
-    f: int
-    d: Optional[int]
-    d_lower: Optional[int]
-    trajectory: List[dict]  # probes at the stagnant degree (incl. entry node)
-    prev_chain: Optional[InductiveValuation]
+    """One extension of v: its chain, why it stopped, e, f and the defect
+    d, or None with a lower bound d_lower.  ``_assemble`` sets d or
+    d_lower of a stalled branch once all branches are known."""
+
+    __slots__ = ("chain", "stop", "e", "f", "d", "d_lower", "trajectory", "prev_chain")
+
+    def __init__(self, chain: InductiveValuation, stop: str, e: int, f: int,
+                 d: Optional[int], d_lower: Optional[int], trajectory: List[dict],
+                 prev_chain: Optional[InductiveValuation]):
+        self.chain = chain
+        self.stop = stop  # TERMINATED | SEPARATED_STALL | PROBE_BUDGET, from _stop
+        self.e = e
+        self.f = f
+        self.d = d
+        self.d_lower = d_lower
+        self.trajectory = trajectory  # probes at the stagnant degree (incl. entry node)
+        self.prev_chain = prev_chain
 
     @property
     def status(self) -> str:
@@ -90,8 +97,7 @@ class Branch:
         return [st.phi for st in self.chain.stages()]
 
 
-@dataclass
-class ExtensionReport:
+class ExtensionReport(NamedTuple):
     K: ValuedField
     g: Poly
     n: int
@@ -120,8 +126,7 @@ class ExtensionReport:
         return total
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(NamedTuple):
     degree: int
     # "EMPTY" | "MAX_ATTAINED" | "UNBOUNDED_EVIDENCE" | "NO_PROBES": a stalled
     # branch with no recorded probe (or a budget of 0) has no evidence
@@ -520,11 +525,16 @@ def psi_m_scan(report: ExtensionReport, branch_index: int, m: int,
                       max_value=induced_value(report, branch_index, st.phi))
 
 
-@dataclass(frozen=True)
-class NoSequence:
-    # "BRANCHED" | "DEFECT_SUSPECTED" | "UNRESOLVED" (a lone stalled branch
-    # whose d = 1 is already forced by sum e*f = n)
-    reason: str
+class NoSequence(Frozen):
+    """Why a report has no finite complete sequence.  It stands in for the
+    sequence, so it is neither iterable nor sized."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        # "BRANCHED" | "DEFECT_SUSPECTED" | "UNRESOLVED" (a lone stalled branch
+        # whose d = 1 is already forced by sum e*f = n)
+        object.__setattr__(self, "reason", reason)
 
 
 def finite_complete_sequence(report: ExtensionReport):

@@ -9,14 +9,13 @@ functions the twist is identically 1; override tables make it visible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Dict, List, Tuple
 
 from .errors import NegativeValue, NotInValueGroup
 from .fields import ValuedField
-from .values import Q, term_str, value_str
+from .values import Frozen, Q, term_str, value_str
 
 
 class SemigroupRingElement:
@@ -163,9 +162,14 @@ def frobenius_surjective(K: ValuedField):
     return "YES", None
 
 
-@dataclass(frozen=True)
-class NoRoot:
-    reason: str
+class NoRoot(Frozen):
+    """Why x has no p-th root.  It stands in for a root, so it is neither
+    iterable nor sized."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        object.__setattr__(self, "reason", reason)
 
 
 def pth_root(K: ValuedField, x: SemigroupRingElement):

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 from . import fpoly
 from .errors import (ImperfectResidueUnsupported, InvariantViolated, NonMonicBase,
                      NotAKeyPolynomial, ValueNotIncreased, ZeroInput)
-from .ffield import ExtField, Field, is_irreducible
+from .ffield import ExtField, is_irreducible
 from .fields import ValuedField
 from .poly import Poly, phi_expansion
 from .values import INFINITY, Q, Value, ValueGroup, is_inf, value_str, vadd, vmul
@@ -414,24 +414,10 @@ class InductiveValuation:
         self._eval_cache[Q_.coeffs] = w0
         return Q_
 
-    # -- residual data, public invariants ------------------------------------------
-
-    def residual_polynomial(self, f: Poly) -> Tuple[Field, tuple]:
-        """(kappa, residual polynomial of f over kappa)."""
-        gr = self.graded_reduction(f)
-        if is_inf(gr.value):
-            raise ZeroInput("element lies in the support")
-        return self.kappa, gr.H
-
-    def residual_field(self) -> Tuple[Field, int]:
-        """(kappa, [kappa : Kv])."""
-        return self.kappa, self.inertia_degree()
+    # -- public invariants ---------------------------------------------------------
 
     def value_group(self) -> ValueGroup:
         return self.group
-
-    def ram_indices(self) -> List[int]:
-        return [st.e_rel for st in self.stages() if not is_inf(st.gamma)]
 
     def inertia_indices(self) -> List[int]:
         return [st.fdeg for st in self.stages() if st.depth > 0]
@@ -469,17 +455,6 @@ class InductiveValuation:
         except NotAKeyPolynomial:
             return False
         return True
-
-    def equiv(self, f: Poly, g: Poly) -> bool:
-        """nu-equivalence: in(f) = in(g), i.e. nu(f-g) > nu(f) = nu(g)."""
-        if f.is_zero() or g.is_zero():
-            raise ZeroInput("equivalence is defined for nonzero polynomials")
-        if f == g:
-            return True
-        vf, vg = self.evaluate(f), self.evaluate(g)
-        if vf != vg:
-            return False
-        return self.evaluate(f - g) > vf
 
 
 def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:

@@ -15,9 +15,10 @@ from typing import Optional
 
 from . import fpoly
 from .ffield import Field, poly_pth_root
+from .values import Frozen
 
 
-class RF:
+class RF(Frozen):
     """A rational function num/den; equality and hash are those of the
     pair.  Not a tuple, so that no RF passes the GF(q) element test.
     Immutable: zero() and one() are shared, and RFs are dict keys."""
@@ -28,15 +29,7 @@ class RF:
         _set_num(self, num)
         _set_den(self, den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RF is immutable: cannot set {name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"RF is immutable: cannot delete {name}")
-
-    def __reduce__(self):
-        return RF, (self.num, self.den)
-
+    # Frozen's, written out for the arithmetic's hot path
     def __eq__(self, other):
         if other.__class__ is RF:
             return self.num == other.num and self.den == other.den
@@ -44,9 +37,6 @@ class RF:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def __repr__(self):
-        return f"RF(num={self.num!r}, den={self.den!r})"
 
 
 # the slot setters, bound once: __init__ stores past the refusing __setattr__

@@ -13,7 +13,6 @@ in comparisons, so ``min()`` / ``sorted()`` work directly on mixed lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Tuple, Union
@@ -145,27 +144,58 @@ def _strip_p(n: int, p: int) -> int:
     return split_p(abs(n), p)[1]
 
 
-@dataclass(frozen=True)
-class ValueGroup:
+class Frozen:
+    """An immutable record that is not a tuple: its fields are the names in
+    the subclass's ``__slots__``, in the order of its constructor's
+    arguments, and are set once, past the refusing ``__setattr__``.  It
+    compares, hashes and prints by its type and field values, and copies
+    and pickles rebuild it through its constructor."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot delete {name}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__name__}({args})"
+
+
+class ValueGroup(Frozen):
     """A rank-1 value group: either gen*Z or gen*Z[1/p].
 
-    Hull generators are normalized to be p-free in numerator and
-    denominator, since gen*Z[1/p] only depends on the p-free part.
+    ``hull`` is the prime p for gen*Z[1/p] and None for gen*Z.  Hull
+    generators are normalized to be p-free in numerator and denominator,
+    since gen*Z[1/p] only depends on the p-free part.
     """
 
-    gen: Fraction
-    hull: Optional[int] = None  # prime p for gen*Z[1/p], None for gen*Z
+    __slots__ = ("gen", "hull")
 
-    def __post_init__(self):
-        g = self.gen
-        if type(g) is not Q:  # an int generator: keep gen / m exact
-            g = Q(g)
+    def __init__(self, gen: Union[int, Fraction], hull: Optional[int] = None):
+        g = gen if type(gen) is Q else Q(gen)  # an int generator: keep gen / m exact
         if g <= 0:
             raise ValueError("value group generator must be positive")
-        if self.hull is not None:
-            g = Q(_strip_p(g.numerator, self.hull),
-                  _strip_p(g.denominator, self.hull))
+        if hull is not None:
+            g = Q(_strip_p(g.numerator, hull), _strip_p(g.denominator, hull))
         object.__setattr__(self, "gen", g)
+        object.__setattr__(self, "hull", hull)
 
     def _order_mod(self, v: Union[int, Fraction]) -> int:
         """Smallest e >= 1 with e*v in the group: the reduced denominator of

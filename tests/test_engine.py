@@ -404,7 +404,7 @@ def test_engine_over_prime_power_residue_fields():
     r1 = mac_lane_chains(F4, g1)
     b1 = r1.branches[0]
     assert (b1.e, b1.f, b1.d) == (1, 2, 1) and b1.status == TERMINATED
-    assert b1.chain.residual_field()[0].order == 16
+    assert b1.chain.kappa.order == 16
     # x^3 + t is totally ramified regardless of the residue field
     g2 = Poly(F4, [F4.t(), F4.zero(), F4.zero(), F4.one()])
     r2 = mac_lane_chains(F4, g2)
@@ -438,8 +438,7 @@ def test_deep_tower_sextics():
     b = r.branches[0]
     assert b.status == TERMINATED and (b.e, b.f, b.d) == (3, 2, 1)
     assert [st.degree for st in b.chain.stages()] == [1, 2, 6]
-    kappa, deg = b.chain.residual_field()
-    assert deg == 2
+    assert b.chain.inertia_degree() == 2
     # same shape over a prime-power residue field: kappa tower F4 -> F16
     F4 = FqtField(4)
     gen = F4.coeff_field.gen()
@@ -448,7 +447,7 @@ def test_deep_tower_sextics():
     r4 = mac_lane_chains(F4, g4)
     b4 = r4.branches[0]
     assert b4.status == TERMINATED and (b4.e, b4.f, b4.d) == (3, 2, 1)
-    assert b4.chain.residual_field()[0].order == 16
+    assert b4.chain.kappa.order == 16
 
 
 def test_engine_fuzz_no_crashes():

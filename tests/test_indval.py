@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mlvkit import fpoly
-from mlvkit.errors import (NotAKeyPolynomial, ValueNotIncreased, ZeroInput)
+from mlvkit.errors import NotAKeyPolynomial, ValueNotIncreased
 from mlvkit.ffield import is_irreducible
 from mlvkit.fields import FqtField, QpField
 from mlvkit.indval import InductiveValuation as IV, truncation_eval
@@ -92,31 +92,40 @@ def test_evaluate_examples():
     assert mu1(h) == Q(1)
 
 
+def ram_indices(nu):
+    """The relative ramification index of each stage with a finite value."""
+    return [st.e_rel for st in nu.stages() if not is_inf(st.gamma)]
+
+
 def test_value_group_and_ram_indices():
     K = QpField(2)
     mu = IV.depth_zero(K, Q(0), Q(0))
     nu = mu.augment(Poly.x(K), Q(1, 2))  # collapses to depth zero at 1/2
     assert str(nu.value_group()) == "(1/2)Z"
-    assert nu.ram_indices() == [2]
+    assert ram_indices(nu) == [2] and nu.ramification_index() == 2
     gauss3 = IV.depth_zero(FqtField(3), FqtField(3).zero(), Q(0))
     assert str(gauss3.value_group()) == "(1)Z"
-    assert gauss3.ram_indices() == [1]
+    assert ram_indices(gauss3) == [1] and gauss3.ramification_index() == 1
     # gammas 1/2 then 3/2
     phi = Poly.from_ints(K, [-2, 0, 1])
     chain = nu.augment(phi, Q(3, 2))
     assert str(chain.value_group()) == "(1/2)Z"
-    assert chain.ram_indices() == [2, 1]
+    assert ram_indices(chain) == [2, 1] and chain.ramification_index() == 2
 
 
 def test_equiv_examples():
+    # f ~ g (in(f) = in(g)) exactly when their graded reductions agree, and
+    # by definition when nu(f - g) > nu(f) = nu(g)
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))
     x = Poly.x(K)
-    assert gauss.equiv(Poly.from_ints(K, [2, 1]), x)
-    assert gauss.equiv(x, x)
-    assert not gauss.equiv(x, Poly.from_ints(K, [1]))
-    with pytest.raises(ZeroInput):
-        gauss.equiv(x, Poly(K, ()))
+    for f, g, equiv in [(Poly.from_ints(K, [2, 1]), x, True), (x, x, True),
+                        (x, Poly.from_ints(K, [1]), False),
+                        (Poly.from_ints(K, [1, 1]), x, False)]:
+        assert (gauss.graded_reduction(f) == gauss.graded_reduction(g)) is equiv
+        assert (gauss(f - g) > gauss(f) == gauss(g)) is equiv
+    # the zero polynomial has no initial form: its reduction is empty at oo
+    assert gauss.graded_reduction(Poly(K, ())) == (None, 0, None, INFINITY)
 
 
 def test_is_key_examples():
@@ -158,14 +167,11 @@ def test_is_key_table(case):
 def test_residual_polynomial_examples():
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))
-    kappa, H = gauss.residual_polynomial(Poly.from_ints(K, [1, 1, 1]))
-    assert H == (1, 1, 1)
+    assert gauss.graded_reduction(Poly.from_ints(K, [1, 1, 1])).H == (1, 1, 1)
     mu = IV.depth_zero(K, Q(0), Q(1, 2))
-    kappa, H = mu.residual_polynomial(Poly.from_ints(K, [-2, 0, 1]))
-    assert H == (1, 1)  # y + 1, a single root
+    assert mu.graded_reduction(Poly.from_ints(K, [-2, 0, 1])).H == (1, 1)  # y + 1, a single root
     # single attaining term gives a monomial residual
-    kappa, H = mu.residual_polynomial(Poly.from_ints(K, [1]))
-    assert fpoly.deg(H) == 0
+    assert fpoly.deg(mu.graded_reduction(Poly.from_ints(K, [1])).H) == 0
 
 
 @pytest.mark.parametrize("coeffs, value, H", [
@@ -182,17 +188,13 @@ def test_graded_reduction_at_a_terminal_stage(coeffs, value, H):
     gr = mu.graded_reduction(f)
     assert (gr.value, gr.H) == (value, H)
     assert gr.value == mu.evaluate(f)
-    if H is None:
-        with pytest.raises(ZeroInput):
-            mu.residual_polynomial(f)
 
 
 def test_residual_field_and_inertia():
     K = QpField(2)
     gauss = IV.depth_zero(K, Q(0), Q(0))
     term = gauss.augment(Poly.from_ints(K, [1, 1, 1]), INFINITY)
-    kappa, deg = term.residual_field()
-    assert deg == 2 and kappa.order == 4
+    assert term.inertia_degree() == 2 and term.kappa.order == 4
     assert term.inertia_indices() == [2]
 
 

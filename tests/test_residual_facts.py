@@ -118,7 +118,7 @@ def test_separated_keys_make_no_irreducibility_test(monkeypatch):
     b = report.branches[0]
     assert report.settled and (b.e, b.f, b.d) == (1, 2, 1)
     # the terminal stage carries monic(H) for g's residual polynomial H
-    kappa, H = b.chain.prev.residual_polynomial(report.g)
+    kappa, H = b.chain.prev.kappa, b.chain.prev.graded_reduction(report.g).H
     assert b.chain.rbar == fpoly.monic(kappa, H) and is_irreducible(kappa, H)
     assert calls == []
     # x^3 + 2x + 2 = (x - 1)^2 (x - 3) mod 5: a ramified and an unramified
