@@ -54,6 +54,7 @@ class Fault(NamedTuple):
 
 CANONICAL = "tests/test_canonical_data.py::"
 PROBE_FACTS = "tests/test_probe_facts.py::test_probe_facts_over_every_exploration"
+ONE_TERM_SHIFT = "tests/test_probe_facts.py::test_one_term_shift_equals_the_horner_loop"
 FACTOR_BY_TRIAL = "tests/test_ffield.py::test_is_irreducible_equals_trial_division"
 
 FAULTS = [
@@ -83,21 +84,36 @@ FAULTS = [
           ["tests/test_probe_facts.py::test_gcd_with_a_nonzero_constant_is_one_at_once"]),
     # a depth-zero probe moves its centre by -lift(r)*U(gamma)
     Fault("linear-key-lifted-with-unit-one", "src/mlvkit/engine.py",
-          "K.canonical_unit(node.gamma)))",
-          "K.one()))",
+          "delta = K.neg(K.term(r, node.gamma))",
+          "delta = K.neg(K.lift(r))",
           [PROBE_FACTS]),
     Fault("shifted-values-read-from-the-unshifted-expansion", "src/mlvkit/engine.py",
           "enumerate(shifted) if not K.is_zero(c)}",
           "enumerate(at_a) if not K.is_zero(c)}",
           [PROBE_FACTS]),
     Fault("moved-centre-sign-flipped", "src/mlvkit/engine.py",
-          "return K.add(node.center, delta), values",
-          "return K.sub(node.center, delta), values",
+          "return K.add(node.center, delta), probes",
+          "return K.sub(node.center, delta), probes",
           [PROBE_FACTS]),
     Fault("moved-centre-admits-a-value-not-increased", "src/mlvkit/engine.py",
-          "if pair[0] > node.gamma]",
-          "if pair[0] >= node.gamma]",
+          "        if gamma > node.gamma:\n",
+          "        if gamma >= node.gamma:\n",
           [PROBE_FACTS]),
+    # a probe child reads g's graded reduction off its polygon side
+    Fault("side-i0-not-reduced-mod-e", "src/mlvkit/indval.py",
+          "i0 = side[0] % e",
+          "i0 = side[0]",
+          ["tests/test_probe_facts.py::test_side_reductions_on_ramified_and_long_sides"]),
+    # the one-pass shift over the perfect closure
+    Fault("one-term-power-coefficient-not-raised-to-j", "src/mlvkit/fields.py",
+          "powers = [((j * e, pow(c, j, p)),) for j in range(n)]",
+          "powers = [((j * e, c),) for j in range(n)]",
+          [ONE_TERM_SHIFT]),
+    Fault("pass-through-taken-although-a-higher-coefficient-contributes",
+          "src/mlvkit/fields.py",
+          "            if not d:\n                out.append(f[i])\n",
+          "            if len(d) <= 1:\n                out.append(f[i])\n",
+          [ONE_TERM_SHIFT]),
     Fault("scan-evidence-includes-the-entry-node", "src/mlvkit/engine.py",
           "b.trajectory[1:probe_budget + 1]",
           "b.trajectory[:probe_budget]",

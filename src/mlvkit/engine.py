@@ -166,19 +166,38 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Tuple[Value, Value]]:
     The hull runs on ints: every value is scaled by L, the lcm of the
     denominators (1 when all values are integral), and gamma and nu are
     ints when they are exact."""
+    return _polygon(points)[0]
+
+
+def _polygon(points: Dict[int, Value]
+             ) -> Tuple[List[Tuple[Value, Value]], List[Tuple[int, int]], List[Tuple[int, int]]]:
+    """``polygon_gammas(points)`` with the int hull it was read from: the
+    scaled points and the hull vertices, for a probe that reads the sides
+    (``_side``)."""
     finite = [(k, v.numerator, v.denominator)
               for k, v in points.items() if v is not INFINITY]
     L = 1
     for _, _, den in finite:
         if den != 1:
             L = L * den // gcd(L, den)
-    hull = lower_hull([(k, num * (L // den)) for k, num, den in finite])
+    scaled = [(k, num * (L // den)) for k, num, den in finite]
+    hull = lower_hull(scaled)
     out: List[Tuple[Value, Value]] = [] if 0 in points else [(INFINITY, INFINITY)]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         # gamma = (v1 - v2) / ((k2 - k1) L), nu = (v1 k2 - v2 k1) / ((k2 - k1) L)
         den = (k2 - k1) * L
         out.append((ratio(v1 - v2, den), ratio(v1 * k2 - v2 * k1, den)))
-    return out
+    return out, scaled, hull
+
+
+def _side(scaled: List[Tuple[int, int]], left: Tuple[int, int], right: Tuple[int, int]
+          ) -> List[int]:
+    """The k, in increasing order, of the scaled points on the hull edge
+    from ``left`` to ``right``: its vertices and the points between them
+    on the line through both."""
+    (k1, v1), (k2, v2) = left, right
+    dk, dv = k2 - k1, v2 - v1
+    return [k for k, v in scaled if k1 <= k <= k2 and (v - v1) * dk == dv * (k - k1)]
 
 
 # ---------------------------------------------------------------------------
@@ -202,21 +221,31 @@ def _new_values(node: InductiveValuation, g: Poly, key: Poly
 
 
 def _moved_centre(node: InductiveValuation, g: Poly, r
-                  ) -> Tuple[object, List[Tuple[Value, Value]], List[Poly]]:
+                  ) -> Tuple[object, List[Tuple[Value, Value, Optional[List[int]]]], List[Poly]]:
     """The centre a' = a - lift(r)*U(gamma) of a depth-zero ``node``
     w_(a,gamma) with e = 1, and ``_new_values`` for its key x - a', which
-    lifts the residual factor y + r (r != 0), so mu(x - a') = gamma.  The
-    expansion of g at a' is the node's expansion at a Taylor-shifted by
-    the single term a' - a, and its coefficients are field elements,
-    valued by ``K.valuate``.
+    lifts the residual factor y + r (r != 0), so mu(x - a') = gamma, each
+    pair (gamma', nu) with the side of g's polygon it was read from (None
+    for gamma' = INFINITY), for ``seed_side``.  The expansion of g at a'
+    is the node's expansion at a Taylor-shifted by the single term
+    a' - a, ``K.term``, and its coefficients are field elements, valued
+    by ``K.valuate``.
     """
     K = node.K
-    delta = K.neg(K.mul(K.lift(r), K.canonical_unit(node.gamma)))
+    delta = K.neg(K.term(r, node.gamma))
     at_a = [c[0] for c in node.expansion(g)]
     shifted = fpoly.taylor_shift(K, at_a, delta)
     pts = {k: K.valuate(c) for k, c in enumerate(shifted) if not K.is_zero(c)}
-    values = [pair for pair in polygon_gammas(pts) if pair[0] > node.gamma]
-    return K.add(node.center, delta), values, [Poly.const(K, c) for c in shifted]
+    pairs, scaled, hull = _polygon(pts)
+    edges = zip(hull, hull[1:])
+    probes = []
+    for gamma, nu in pairs:
+        # one pair per hull edge, in order, after an (INFINITY, INFINITY)
+        # that has none
+        edge = None if gamma is INFINITY else next(edges)
+        if gamma > node.gamma:
+            probes.append((gamma, nu, None if edge is None else _side(scaled, *edge)))
+    return K.add(node.center, delta), probes, [Poly.const(K, c) for c in shifted]
 
 
 def _y_poly(kappa) -> tuple:
@@ -275,7 +304,8 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     graded reduction and makes only the minimality checks, and the
     terminal augmentation takes monic(H) as its residual.  A linear
     factor at a depth-zero node with e = 1 makes depth-zero children at
-    the moved centre (``_moved_centre``), with no key lift or ``augment``;
+    the moved centre (``_moved_centre``), with no key lift or ``augment``,
+    each reading g's graded reduction off its polygon side (``seed_side``);
     every other factor is lifted by ``key_from_residual``.
     """
     node = state.node
@@ -293,14 +323,17 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     for rbar, _mult in proper:
         moved = node.prev is None and node.e_rel == 1 and fpoly.deg(rbar) == 1
         if moved:
-            centre, values, exp = _moved_centre(node, g, rbar[0])
+            centre, probes, exp = _moved_centre(node, g, rbar[0])
         else:
             key = node.key_from_residual(rbar)
             values, exp = _new_values(node, g, key)
-        for gamma, g_value in values:
+            probes = [(gamma, g_value, None) for gamma, g_value in values]
+        for gamma, g_value, side in probes:
             child = (InductiveValuation.depth_zero(node.K, centre, gamma) if moved
                      else node.augment(key, gamma, _rbar=rbar))
             child.seed_expansion(g, exp)
+            if side is not None:
+                child.seed_side(g, exp, side, g_value)
             out.append(_State.at(child, g_value, node, sep, state.traj))
     return out
 

@@ -89,6 +89,10 @@ class ValuedField(Field):
     * ``_pth_root(a)``: the p-th root of a, or None when there is none
       (positive characteristic only).
 
+    ``term(r, w)``, the element lift(r) * U(w) of residue r and value w
+    (zero when r = 0), is that product by default; a family may build it
+    directly, with the same check of w.
+
     It declares its descriptor as ``name`` and ``args`` (the integer
     argument, then fixed variable names: "Fq" and "q,t" for Fq(4,t)).
     The rules built on these, and the errors they raise, live here once.
@@ -122,8 +126,16 @@ class ValuedField(Field):
     def canonical_unit(self, w):
         """The default multiplicative section of the valuation (any w in vK)."""
         if not self.value_group.contains(w):
-            raise NotInValueGroup(f"{w} is not in {self.value_group}")
+            raise self._outside(w)
         return self._unit(w)
+
+    def _outside(self, w) -> NotInValueGroup:
+        return NotInValueGroup(f"{w} is not in {self.value_group}")
+
+    def term(self, r, w):
+        """lift(r) * U(w) for a residue r and w in vK: the coefficient of a
+        depth-zero homogeneous lift and of a moved centre."""
+        return self.mul(self.lift(r), self.canonical_unit(w))
 
     def inv(self, a):
         if self.is_zero(a):
@@ -399,20 +411,28 @@ class FpPerfField(ValuedField):
         ``fpoly.taylor_shift``, when a and every coefficient of f are
         sparse; None when one is dense.  Output i is the sum over j >= i
         of binom(j, i) * f_j * a^(j-i): its terms are summed at one level,
-        the largest among the operands, and normalized once."""
+        the largest among the operands, and normalized once.  The powers
+        of a one-term a = c*u^e are the terms (j*e, c^j mod p), with no
+        product.  An output that no f_j with j > i reaches (binom(j, i) = 0
+        mod p or f_j = 0 for each) is f_i, already canonical: it is
+        passed through as it is."""
         if a.rf is not None or any(c.rf is not None for c in f):
             return None
-        p = self.p
+        p, n = self.p, len(f)
         k = max([a.level] + [c.level for c in f])
         fs = [self._terms_at(c, k) for c in f]
         at = self._terms_at(a, k)
-        powers = [((0, 1),)]  # a^j at level k
-        for _ in range(len(f) - 1):
-            powers.append(_reduced(_mul_terms(powers[-1], at), p))
+        if len(at) == 1:
+            (e, c), = at
+            powers = [((j * e, pow(c, j, p)),) for j in range(n)]
+        else:
+            powers = [((0, 1),)]  # a^j at level k
+            for _ in range(n - 1):
+                powers.append(_reduced(_mul_terms(powers[-1], at), p))
         out = []
-        for i in range(len(f)):
+        for i in range(n):
             d: Dict[int, int] = {}
-            for j in range(i, len(f)):
+            for j in range(i + 1, n):
                 b = comb(j, i) % p
                 if not b or not fs[j]:
                     continue
@@ -421,6 +441,11 @@ class FpPerfField(ValuedField):
                     for e2, c2 in powers[j - i]:
                         e = e1 + e2
                         d[e] = d.get(e, 0) + c1 * c2
+            if not d:
+                out.append(f[i])
+                continue
+            for e1, c1 in fs[i]:
+                d[e1] = d.get(e1, 0) + c1
             out.append(self._sparse(k, _reduced(d, p)))
         return out
 
@@ -479,6 +504,14 @@ class FpPerfField(ValuedField):
     def _unit(self, w):
         # w is in Z[1/p]: its denominator is p^k, k the level
         return PerfElem(split_p(w.denominator, self.p)[0], ((w.numerator, 1),))
+
+    def term(self, r, w):
+        # one term r * u^num in u = t^(1/p^level), w = num / p^level
+        level, rest = (0, 0) if w is INFINITY else split_p(w.denominator, self.p)
+        if rest != 1:
+            raise self._outside(w)
+        r %= self.p
+        return PerfElem(level, ((w.numerator, r),)) if r else self._zero
 
     def _pth_root(self, a):
         # t^(1/p^k) always has p-th roots: the same exponents one level up

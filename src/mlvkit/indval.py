@@ -30,10 +30,12 @@ lift, in the stage's evaluation memo, and ``seed_expansion`` takes the
 key-expansion of g that the engine built for the Newton polygon (the
 engine also reads nu(g) at each child off that polygon's hull edges).  A
 depth-zero refinement [w_(a,gamma); x - a', gamma'] is built as
-``depth_zero(K, a', gamma')`` directly, with g's expansion at a' seeded.  An
-input of lower degree than the key is valued without a memo entry: by
-the previous stage, or at depth zero, where it is a constant, by the
-field's ``valuate``.
+``depth_zero(K, a', gamma')`` directly, with g's expansion at a' seeded,
+and with g's graded reduction seeded by ``seed_side``: it is read off the
+side of g's Newton polygon at a' that made the stage, whose points are
+exactly the coefficients of least grade.  An input of lower degree than
+the key is valued without a memo entry: by the previous stage, or at
+depth zero, where it is a constant, by the field's ``valuate``.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class GradedForm(NamedTuple):
 class InductiveValuation:
     __slots__ = ("K", "prev", "phi", "gamma", "center", "m", "e_rel",
                  "prev_group", "group", "kappa", "rbar", "fdeg", "zgen",
-                 "depth", "_twist_cache", "_eval_cache", "_exp_cache")
+                 "depth", "_twist_cache", "_eval_cache", "_exp_cache", "_side")
 
     # -- construction ---------------------------------------------------------
 
@@ -78,6 +80,7 @@ class InductiveValuation:
         node._twist_cache = {}
         node._eval_cache = {}
         node._exp_cache = {}
+        node._side = None
         node.K = K
         node.prev = prev
         node.center = None
@@ -221,6 +224,27 @@ class InductiveValuation:
         """Memoize the phi-expansion of f."""
         self._exp_cache[f.coeffs] = coeffs
 
+    def seed_side(self, f: Poly, coeffs: List[Poly], side: List[int], value: Value) -> None:
+        """Read the graded reduction of f at this depth-zero stage off the
+        side of f's Newton polygon that has slope -gamma: ``coeffs`` is
+        f's expansion, and the k in ``side``, in increasing order, are the
+        points on that side, the coefficients of least grade ``value``.
+        Only the references are kept, and f is recognized by identity; the
+        residues are read when ``graded_reduction(f)`` is called."""
+        self._side = (f, coeffs, side, value)
+
+    def _side_reduction(self, coeffs: List[Poly], side: List[int], value: Value) -> GradedForm:
+        """``graded_reduction`` from a seeded side: every twist is 1 at
+        depth zero, so H[(k - i0)/e] is the residue of c_k / U(v(c_k))."""
+        K, e = self.K, self.e_rel
+        i0 = side[0] % e
+        H = [self.kappa.zero()] * ((side[-1] - i0) // e + 1)
+        for k in side:
+            if (k - i0) % e != 0:
+                raise InvariantViolated(f"exponent {k} is not {i0} mod e = {e}")
+            H[(k - i0) // e] = K.initial(coeffs[k].coeffs[0])[0]
+        return GradedForm(tuple(H), i0, value - vmul(i0, self.gamma), value)
+
     def _coeff_value(self, c: Poly) -> Value:
         if self.prev is None:
             return self.K.valuate(c[0]) if not c.is_zero() else INFINITY
@@ -329,6 +353,9 @@ class InductiveValuation:
 
     def graded_reduction(self, f: Poly) -> GradedForm:
         """Normalized initial form of f at this stage."""
+        side = self._side
+        if side is not None and side[0] is f:
+            return self._side_reduction(*side[1:])
         kap = self.kappa
         if f.is_zero():
             return GradedForm(None, 0, None, INFINITY)
@@ -377,7 +404,7 @@ class InductiveValuation:
             for mpow, h in enumerate(H):
                 if not kap.is_zero(h):
                     k = i0 + mpow * self.e_rel
-                    cc[k] = K.mul(K.lift(h), K.canonical_unit(w0 - vmul(k - i0, self.gamma)))
+                    cc[k] = K.term(h, w0 - vmul(k - i0, self.gamma))
             return Poly(K, fpoly.taylor_shift(K, cc, K.neg(self.center)))
         out = Poly(K, ())
         for mpow, h in enumerate(H):

@@ -46,8 +46,10 @@ README_CLI_SHA256 = {  # stdout of each README CLI example, by argv
 }
 TAME_SURVEY_SHA256 = "f1803e45a14c3bc8cf609bffcf926b7675b33ef2eda7318de66fbad3473d1752"
 # stdout of extend --json at deep probe budgets, by (field, poly, budget):
-# the perfect_closure ladders past their benchmark budgets, and the Qp(3)
-# and Fq(3,t) clustered families of tests/test_engine.py at k = 200
+# the perfect_closure ladders past their benchmark budgets, the Qp(3)
+# and Fq(3,t) clustered families of tests/test_engine.py at k = 200, and
+# two ladders whose one-term shifts pass most coefficients through
+# (binom(9, i) = 0 mod 3 and binom(8, i) = 0 mod 2 for 0 < i < 9, 8)
 DEEP_RUNS_SHA256 = {
     ("FpPerf(2,t)", "x^2+x+1/t", 200):
         "fa1a20781dce18fc368d9cd94e733bc9dfddcf7abc9f65018879374fef2f874e",
@@ -59,6 +61,10 @@ DEEP_RUNS_SHA256 = {
         "c33d7de5e33c39ff3a27de7fe7dcca6060df9cf33a999ef50c4287bc82d8f11c",
     ("Fq(3,t)", "(x - 1/(1+t))^2 - t^200*(1+t)", 400):
         "5d7947acce8b3891491e65d22037c82982fa6d4aab694ffb98daab97bd1d987b",
+    ("FpPerf(3,t)", "x^9-x-1/t", 60):
+        "a85334591ef3349780392a43b194890ef3dc54c1ec84be22546795300f21c736",
+    ("FpPerf(2,t)", "x^8+x+1/t", 100):
+        "d3c455adec633d26092f1ee1a85e173fadef6bb31319c629b813eab063f31230",
 }
 
 

@@ -3,14 +3,18 @@ the facts it no longer recomputes.
 
 ``key_from_residual`` seeds mu(key) = w0, the grade of its homogeneous
 lift; a depth-zero probe with e = 1 moves its centre with no key lift or
-``augment`` (checked against that route, child by child); the engine
-reads nu(g) of every new state off the Newton polygon points instead of
-evaluating g there; ``evaluate`` values a depth-zero constant by the
-field's ``valuate``, with no memo entry; and
+``augment`` (checked against that route, child by child), and each child
+reads g's graded reduction off the polygon side that made it (checked
+against a fresh, unseeded stage); the engine reads nu(g) of every new
+state off the Newton polygon points instead of evaluating g there;
+``evaluate`` values a depth-zero constant by the field's ``valuate``,
+with no memo entry; ``K.term(r, w)`` is lift(r) * U(w); and
 ``fpoly.taylor_shift`` over the perfect closure sums each output
-coefficient of sparse operands at one level.  Each fact is compared with
-an evaluation that reads no memo, over every corpus exploration and the
-Artin-Schreier ladders, and the shift with the generic Horner loop.
+coefficient of sparse operands at one level, takes the powers of a
+one-term shift without products and passes through an output that no
+higher coefficient reaches.  Each fact is compared with an evaluation
+that reads no memo, over every corpus exploration and the Artin-Schreier
+ladders, and the shift with the generic Horner loop.
 ``fpoly.gcd_`` returns 1 at once when an argument is a nonzero constant
 (checked against Euclid's algorithm).  ``ffield._random_elem`` draws the
 coordinates of an extension of GF(p) in one list, in the order of the
@@ -19,18 +23,20 @@ recursive draw it replaces.
 
 import random
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import corpus
 from mlvkit import engine, fpoly
+from mlvkit.errors import NotInValueGroup
 from mlvkit.ffield import ExtField, Field, GFp, GFq, _random_elem
 from mlvkit.fields import FpPerfField
 from mlvkit.indval import InductiveValuation
 from mlvkit.parsing import parse_field, parse_poly
 from mlvkit.poly import Poly, phi_expansion
-from mlvkit.values import INFINITY, vadd, vmul
+from mlvkit.values import INFINITY, ratio, vadd, vmul
 
 
 class GenericFpPerf(FpPerfField):
@@ -88,6 +94,46 @@ def test_a_dense_operand_takes_the_horner_loop(p, data):
     assert fpoly.taylor_shift(K, f, a) == fpoly.taylor_shift(ref, f, a)
 
 
+@st.composite
+def one_term_shifts(draw, p):
+    """(f, a): a one-term a = c*t^(e/p^level) and up to ten sparse
+    coefficients f, so that f has degree up to 9 and, over GF(p), the
+    binomials binom(j, i) of many pairs vanish: such outputs pass through."""
+    K = FpPerfField(p)
+    f = draw(st.lists(sparse_elems(K), min_size=1, max_size=10))
+    level = draw(st.integers(0, 3))
+    e = draw(st.integers(-12, 12))
+    c = draw(st.integers(1, p - 1))
+    return f, K._sparse(level, ((e, c),))
+
+
+def ladder_shift(p):
+    """x^9 - x - 1/t over FpPerf(3,t) (x^8 + x + 1/t over FpPerf(2,t)),
+    shifted by -t^(1/p): the top coefficients pass through, and c^j
+    differs from c at c = 2 over GF(3)."""
+    K = FpPerfField(p)
+    one, n = K.one(), 9 if p == 3 else 8
+    f = [K.neg(K.canonical_unit(Q(-1))), K.neg(one)] + [K.zero()] * (n - 2) + [one]
+    return f, K.neg(K.canonical_unit(Q(1, p)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([2, 3]).flatmap(lambda p: st.tuples(st.just(p), one_term_shifts(p))))
+@example((3, ladder_shift(3)))
+@example((2, ladder_shift(2)))
+def test_one_term_shift_equals_the_horner_loop(case):
+    p, (f, a) = case
+    K, ref = FpPerfField(p), GenericFpPerf(p)
+    got = K.sparse_taylor_shift(f, a)
+    want = fpoly.taylor_shift(ref, f, a)
+    assert fpoly.norm(K, got) == want
+    assert all(K.accepts(c) for c in got)
+    for i, c in enumerate(got):
+        # an output that no higher coefficient reaches is f_i itself
+        if all(comb(j, i) % p == 0 or K.is_zero(f[j]) for j in range(i + 1, len(f))):
+            assert c is f[i]
+
+
 def test_sparse_shift_examples():
     K = FpPerfField(2)
     t = K.t()
@@ -101,6 +147,44 @@ def test_sparse_shift_examples():
     quarter = K.canonical_unit(Q(1, 4))
     assert fpoly.taylor_shift(K, [quarter, K.one()], quarter) == (K.zero(), K.one())
     assert K.sparse_taylor_shift([], quarter) == []
+
+
+# ---------------------------------------------------------------------------
+# One term lift(r) * U(w)
+# ---------------------------------------------------------------------------
+
+
+TERM_FIELDS = ["Qp(2)", "Qp(3)", "Fq(3,t)", "Fq(4,t)", "FpPerf(2,t)", "FpPerf(3,t)"]
+
+
+def residues(R):
+    """Every element of GF(p), and 0, 1, z, z + 1 of GF(q)."""
+    out = [R.from_int(n) for n in range(R.char)]
+    if R.order != R.char:
+        out += [R.gen(), R.add(R.gen(), R.one())]
+    return out
+
+
+@pytest.mark.parametrize("desc", TERM_FIELDS)
+def test_term_is_the_lift_times_the_unit(desc):
+    K = parse_field(desc)
+    levels = range(4) if K.kind == "FpPerf" else range(1)
+    for r in residues(K.residue_field):
+        for level in levels:
+            for n in range(-7, 8):
+                w = ratio(n, K.p ** level)  # an int when integral, as values are
+                got = K.term(r, w)
+                assert got == K.mul(K.lift(r), K.canonical_unit(w)), (r, w)
+                assert K.accepts(got)
+    # outside vK, r = 0 included, both routes raise the same error
+    outside = [Q(1, 5), Q(-7, 10), INFINITY] if K.kind == "FpPerf" else [Q(1, 2), Q(-4, 3), INFINITY]
+    for r in residues(K.residue_field)[:2]:
+        for w in outside:
+            with pytest.raises(NotInValueGroup) as direct:
+                K.term(r, w)
+            with pytest.raises(NotInValueGroup) as product:
+                K.mul(K.lift(r), K.canonical_unit(w))
+            assert str(direct.value) == str(product.value)
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +232,18 @@ def check_state(g, state):
         assert (len(node._eval_cache), len(node._exp_cache)) == sizes
 
 
+def check_side(g, node) -> bool:
+    """Whether ``node`` reads g's graded reduction off a seeded polygon
+    side; if so, that reduction equals the one of a fresh, unseeded
+    depth-zero stage at its centre and gamma."""
+    if node._side is None:
+        return False
+    assert node._side[0] is g
+    fresh = InductiveValuation.depth_zero(node.K, node.center, node.gamma)
+    assert node.graded_reduction(g) == fresh.graded_reduction(g)
+    return True
+
+
 def augment_route(g, node, factors):
     """The children of one step below a depth-zero ``node`` with e = 1,
     each with its nu(g), built by the general route: lift the key of each
@@ -181,6 +277,8 @@ def check_moves(g, node, children, factorizations):
             assert child.center == ref.center
             assert type(child.center) is type(ref.center)
             assert child.kappa is ref.kappa
+            # every child but a terminal one has its side seeded
+            assert (child._side is None) == child.is_terminal()
             # the moved key x - a' lifts y + r, so mu(x - a') = gamma
             assert ref_evaluate(node, child.phi) == node.gamma
         assert (child.gamma, child.phi, child.group, child.e_rel) == (
@@ -190,7 +288,7 @@ def check_moves(g, node, children, factorizations):
 
 
 def test_probe_facts_over_every_exploration(monkeypatch):
-    lifted, moved = [], []
+    lifted, moved, sides = [], [], []
     key_from_residual = InductiveValuation.key_from_residual
     moved_centre = engine._moved_centre
 
@@ -210,6 +308,8 @@ def test_probe_facts_over_every_exploration(monkeypatch):
         children = step(g, state, factorizations)
         for child in children:
             check_state(g, child)
+            if check_side(g, child.node):
+                sides.append(child.node)
         node = state.node
         if node.prev is None and node.e_rel == 1 and not (
                 children and children[0].node.is_terminal()):
@@ -234,11 +334,38 @@ def test_probe_facts_over_every_exploration(monkeypatch):
     # a depth-zero centre and 33 lift a key; a scan reads its branch and
     # makes neither
     assert runs == 144 and (len(moved), len(lifted)) == (193, 33)
+    # every non-terminal moved child read g's reduction off its side
+    assert len(sides) == 194
     for node, rbar, key in lifted:
         # the lift has grade w0 = deg(rbar) * e * gamma, and mu(key) is w0
         w0 = vmul(fpoly.deg(rbar) * node.e_rel, node.gamma)
         assert ref_evaluate(node, key) == w0
         assert node.evaluate(key) == w0
+
+
+# (K, g): probes whose sides the explorations above never reach.  Over
+# Qp(2), x^4 + 8x^3 + 32x^2 + 64x + 8240 is y^4 + 8y^2 + 2^13 at the
+# moved centre -2 (y = x + 2): its side of slope -3/2 starts at k = 2, at
+# e = 2.  x^2 + 12x + 84 is y^2 + 8y + 64 there: a side of three points.
+SIDE_CASES = [("Qp(2)", "x^4+8*x^3+32*x^2+64*x+8240"), ("Qp(2)", "x^2+12*x+84")]
+
+
+def test_side_reductions_on_ramified_and_long_sides(monkeypatch):
+    seeded = []
+    seed_side = InductiveValuation.seed_side
+
+    def recording_seed_side(self, f, coeffs, side, value):
+        seeded.append((self, f, list(side)))
+        seed_side(self, f, coeffs, side, value)
+
+    monkeypatch.setattr(InductiveValuation, "seed_side", recording_seed_side)
+    for desc, src in SIDE_CASES:
+        K = parse_field(desc)
+        engine.mac_lane_chains(K, parse_poly(src, K))
+    for node, g, _side in seeded:
+        assert check_side(g, node)
+    shapes = {(node.e_rel, tuple(side)) for node, _g, side in seeded}
+    assert (2, (2, 4)) in shapes and (1, (0, 1, 2)) in shapes
 
 
 # ---------------------------------------------------------------------------
