@@ -54,6 +54,7 @@ class Fault(NamedTuple):
 
 CANONICAL = "tests/test_canonical_data.py::"
 PROBE_FACTS = "tests/test_probe_facts.py::test_probe_facts_over_every_exploration"
+SIDES = "tests/test_probe_facts.py::test_side_reductions_on_ramified_and_long_sides"
 ONE_TERM_SHIFT = "tests/test_probe_facts.py::test_one_term_shift_equals_the_horner_loop"
 FACTOR_BY_TRIAL = "tests/test_ffield.py::test_is_irreducible_equals_trial_division"
 
@@ -88,22 +89,39 @@ FAULTS = [
           "delta = K.neg(K.lift(r))",
           [PROBE_FACTS]),
     Fault("shifted-values-read-from-the-unshifted-expansion", "src/mlvkit/engine.py",
-          "enumerate(shifted) if not K.is_zero(c)}",
-          "enumerate(at_a) if not K.is_zero(c)}",
+          "K.valuate(c.coeffs[0]) for k, c in enumerate(exp) if c.coeffs}",
+          "K.valuate(c.coeffs[0]) for k, c in enumerate(node.expansion(g)) if c.coeffs}",
           [PROBE_FACTS]),
     Fault("moved-centre-sign-flipped", "src/mlvkit/engine.py",
-          "return K.add(node.center, delta), probes",
-          "return K.sub(node.center, delta), probes",
+          "return K.add(node.center, delta), [Poly.const",
+          "return K.sub(node.center, delta), [Poly.const",
           [PROBE_FACTS]),
     Fault("moved-centre-admits-a-value-not-increased", "src/mlvkit/engine.py",
-          "        if gamma > node.gamma:\n",
-          "        if gamma >= node.gamma:\n",
+          "        if gamma > floor:\n",
+          "        if gamma >= floor:\n",
           [PROBE_FACTS]),
-    # a probe child reads g's graded reduction off its polygon side
+    # one polygon reader for both kinds of key
+    Fault("lifted-key-floor-read-as-node-gamma", "src/mlvkit/engine.py",
+          "            floor = node.evaluate(key)\n",
+          "            floor = node.gamma\n",
+          [SIDES]),
+    Fault("infinity-pair-consumes-a-hull-edge", "src/mlvkit/engine.py",
+          "edge = None if gamma is INFINITY else next(edges)",
+          "edge = next(edges, None)",
+          [SIDES]),
+    # a child reads g's graded reduction off its polygon side, at any depth
     Fault("side-i0-not-reduced-mod-e", "src/mlvkit/indval.py",
-          "i0 = side[0] % e",
-          "i0 = side[0]",
-          ["tests/test_probe_facts.py::test_side_reductions_on_ramified_and_long_sides"]),
+          "i0 = effective[0][0] % e",
+          "i0 = effective[0][0]",
+          [PROBE_FACTS]),
+    Fault("side-read-as-at-depth-zero", "src/mlvkit/indval.py",
+          "effective = [(k, *self._coef(cc[k])) for k in ks]",
+          "effective = [(k, *self.K.initial(cc[k][0])) for k in ks]",
+          [SIDES]),
+    Fault("side-coefficient-twisted-by-its-grade", "src/mlvkit/indval.py",
+          "effective = [(k, *self._coef(cc[k])) for k in ks]",
+          "effective = [(k, self._coef(cc[k])[0], best) for k in ks]",
+          [PROBE_FACTS]),
     # the one-pass shift over the perfect closure
     Fault("one-term-power-coefficient-not-raised-to-j", "src/mlvkit/fields.py",
           "powers = [((j * e, pow(c, j, p)),) for j in range(n)]",

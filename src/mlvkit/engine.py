@@ -8,7 +8,11 @@ principal slope of the polygon of g with respect to that key.  At a
 depth-zero stage w_(a,gamma) with e = 1 a linear factor y + r moves the
 centre instead: its key is x - a' with a' = a - lift(r)*U(gamma), and the
 augmentation [w_(a,gamma); x - a', gamma'] is w_(a',gamma') (Vaquie,
-Trans. AMS 359, 2007; Nart, Pacific J. Math. 311, 2021).  A branch
+Trans. AMS 359, 2007; Nart, Pacific J. Math. 311, 2021).  Both kinds of
+key go through one reader of g's Newton polygon (``_probes``), and each
+child learns g's expansion, nu(g) and its residual polynomial from one
+seed: the side of that polygon that made it (the theorem of the residual
+polynomial, Guardia-Montes-Nart, Trans. AMS 364, 2012).  A branch
 terminates when g itself becomes a key polynomial and can be assigned
 the value infinity.  A branch in flight is one ``_State`` record, and
 one function, ``_stop``, decides whether it stops and why, trying three
@@ -172,8 +176,8 @@ def polygon_gammas(points: Dict[int, Value]) -> List[Tuple[Value, Value]]:
 def _polygon(points: Dict[int, Value]
              ) -> Tuple[List[Tuple[Value, Value]], List[Tuple[int, int]], List[Tuple[int, int]]]:
     """``polygon_gammas(points)`` with the int hull it was read from: the
-    scaled points and the hull vertices, for a probe that reads the sides
-    (``_side``)."""
+    scaled points and the hull vertices, for ``_probes``, which reads the
+    sides."""
     finite = [(k, v.numerator, v.denominator)
               for k, v in points.items() if v is not INFINITY]
     L = 1
@@ -205,47 +209,38 @@ def _side(scaled: List[Tuple[int, int]], left: Tuple[int, int], right: Tuple[int
 # ---------------------------------------------------------------------------
 
 
-def _new_values(node: InductiveValuation, g: Poly, key: Poly
-                ) -> Tuple[List[Tuple[Value, Value]], List[Poly]]:
-    """Admissible new values for ``key``: the pairs (gamma, nu) of
-    ``polygon_gammas`` on g's key-expansion with gamma above mu(key);
-    nu is nu(g) at the child [node; key, gamma], since the child values
-    each coefficient c_k as mu does (deg c_k < deg key).  Also returns
-    the key-expansion of g so children can reuse it; ``key_from_residual``
-    has seeded mu(key), so ``evaluate`` does not expand the key.
-    """
-    exp = list(phi_expansion(g, key))
-    pts = {k: node.evaluate(c) for k, c in enumerate(exp) if not c.is_zero()}
-    cur = node.evaluate(key)
-    return [pair for pair in polygon_gammas(pts) if pair[0] > cur], exp
-
-
-def _moved_centre(node: InductiveValuation, g: Poly, r
-                  ) -> Tuple[object, List[Tuple[Value, Value, Optional[List[int]]]], List[Poly]]:
-    """The centre a' = a - lift(r)*U(gamma) of a depth-zero ``node``
-    w_(a,gamma) with e = 1, and ``_new_values`` for its key x - a', which
-    lifts the residual factor y + r (r != 0), so mu(x - a') = gamma, each
-    pair (gamma', nu) with the side of g's polygon it was read from (None
-    for gamma' = INFINITY), for ``seed_side``.  The expansion of g at a'
-    is the node's expansion at a Taylor-shifted by the single term
-    a' - a, ``K.term``, and its coefficients are field elements, valued
-    by ``K.valuate``.
-    """
-    K = node.K
-    delta = K.neg(K.term(r, node.gamma))
-    at_a = [c[0] for c in node.expansion(g)]
-    shifted = fpoly.taylor_shift(K, at_a, delta)
-    pts = {k: K.valuate(c) for k, c in enumerate(shifted) if not K.is_zero(c)}
-    pairs, scaled, hull = _polygon(pts)
+def _probes(points: Dict[int, Value], floor: Value
+            ) -> List[Tuple[Value, Value, Optional[List[int]]]]:
+    """The children of one key: the pairs (gamma, nu) of
+    ``polygon_gammas(points)`` with gamma above ``floor``, mu(key), each
+    with the k, in increasing order, of the points on its side (None for
+    gamma = INFINITY, which has none).  The points are (k, mu(c_k)) over
+    g's key-expansion; the child [mu; key, gamma] values each c_k as mu
+    does (deg c_k < deg key), so nu is nu(g) there, and the points on the
+    side are g's coefficients of least grade, which ``seed_side`` gives
+    the child."""
+    pairs, scaled, hull = _polygon(points)
     edges = zip(hull, hull[1:])
-    probes = []
+    out = []
     for gamma, nu in pairs:
         # one pair per hull edge, in order, after an (INFINITY, INFINITY)
         # that has none
         edge = None if gamma is INFINITY else next(edges)
-        if gamma > node.gamma:
-            probes.append((gamma, nu, None if edge is None else _side(scaled, *edge)))
-    return K.add(node.center, delta), probes, [Poly.const(K, c) for c in shifted]
+        if gamma > floor:
+            out.append((gamma, nu, None if edge is None else _side(scaled, *edge)))
+    return out
+
+
+def _moved_centre(node: InductiveValuation, g: Poly, r) -> Tuple[object, List[Poly]]:
+    """The centre a' = a - lift(r)*U(gamma) of a depth-zero ``node``
+    w_(a,gamma) with e = 1, whose key x - a' lifts the residual factor
+    y + r (r != 0), so mu(x - a') = gamma, and the expansion of g at a':
+    the node's expansion at a Taylor-shifted by the single term a' - a,
+    ``K.term``."""
+    K = node.K
+    delta = K.neg(K.term(r, node.gamma))
+    shifted = fpoly.taylor_shift(K, [c[0] for c in node.expansion(g)], delta)
+    return K.add(node.center, delta), [Poly.const(K, c) for c in shifted]
 
 
 def _y_poly(kappa) -> tuple:
@@ -302,15 +297,17 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     factorization is [(monic(H), 1)], so factor_monic's distinct-degree
     pass has already proved monic(H) irreducible: ``is_key`` gets g's
     graded reduction and makes only the minimality checks, and the
-    terminal augmentation takes monic(H) as its residual.  A linear
-    factor at a depth-zero node with e = 1 makes depth-zero children at
-    the moved centre (``_moved_centre``), with no key lift or ``augment``,
-    each reading g's graded reduction off its polygon side (``seed_side``);
-    every other factor is lifted by ``key_from_residual``.
+    terminal augmentation takes monic(H) as its residual.  Any other
+    proper factor gives a key: a linear one at a depth-zero node with
+    e = 1 moves the centre (``_moved_centre``; mu(x - a') = gamma), with
+    no key lift or ``augment``, and ``key_from_residual`` lifts the rest.
+    One reader, ``_probes``, takes the children off the polygon of g's
+    expansion in the key, and every non-terminal child gets one seed
+    (``seed_side``): g, that expansion and the side that made it.
     """
     node = state.node
     gr = node.graded_reduction(g)
-    kappa = node.kappa
+    K, kappa = node.K, node.kappa
     factors = factorizations.get((kappa, gr.H))
     if factors is None:
         factors = factorizations[kappa, gr.H] = factor_monic(kappa, gr.H)
@@ -323,15 +320,18 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     for rbar, _mult in proper:
         moved = node.prev is None and node.e_rel == 1 and fpoly.deg(rbar) == 1
         if moved:
-            centre, probes, exp = _moved_centre(node, g, rbar[0])
+            # the coefficients are constants, valued by the field
+            centre, exp = _moved_centre(node, g, rbar[0])
+            pts = {k: K.valuate(c.coeffs[0]) for k, c in enumerate(exp) if c.coeffs}
+            floor = node.gamma
         else:
             key = node.key_from_residual(rbar)
-            values, exp = _new_values(node, g, key)
-            probes = [(gamma, g_value, None) for gamma, g_value in values]
-        for gamma, g_value, side in probes:
-            child = (InductiveValuation.depth_zero(node.K, centre, gamma) if moved
+            exp = list(phi_expansion(g, key))
+            pts = {k: node.evaluate(c) for k, c in enumerate(exp) if c.coeffs}
+            floor = node.evaluate(key)
+        for gamma, g_value, side in _probes(pts, floor):
+            child = (InductiveValuation.depth_zero(K, centre, gamma) if moved
                      else node.augment(key, gamma, _rbar=rbar))
-            child.seed_expansion(g, exp)
             if side is not None:
                 child.seed_side(g, exp, side, g_value)
             out.append(_State.at(child, g_value, node, sep, state.traj))

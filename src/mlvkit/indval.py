@@ -26,21 +26,22 @@ factorizations meaningful.
 
 A fact an exploration step already holds is seeded, not recomputed:
 ``key_from_residual`` enters mu(key) = w0, the grade of its homogeneous
-lift, in the stage's evaluation memo, and ``seed_expansion`` takes the
-key-expansion of g that the engine built for the Newton polygon (the
-engine also reads nu(g) at each child off that polygon's hull edges).  A
-depth-zero refinement [w_(a,gamma); x - a', gamma'] is built as
-``depth_zero(K, a', gamma')`` directly, with g's expansion at a' seeded,
-and with g's graded reduction seeded by ``seed_side``: it is read off the
-side of g's Newton polygon at a' that made the stage, whose points are
-exactly the coefficients of least grade.  An input of lower degree than
-the key is valued without a memo entry: by the previous stage, or at
-depth zero, where it is a constant, by the field's ``valuate``.
+lift, in the stage's evaluation memo, and every non-terminal child the
+engine builds, at any depth, takes one seed of g (``seed_side``): g's
+expansion in the child's key, built for the Newton polygon, and the side
+of that polygon that made the child, whose points are exactly the
+coefficients of least grade.  ``expansion(g)`` returns the seeded
+expansion, and the one ``graded_reduction`` reduces the side's
+coefficients alone.  A depth-zero refinement
+[w_(a,gamma); x - a', gamma'] is built as ``depth_zero(K, a', gamma')``
+directly.  An input of lower degree than the key is valued without a
+memo entry: by the previous stage, or at depth zero, where it is a
+constant, by the field's ``valuate``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import fpoly
 from .errors import (ImperfectResidueUnsupported, InvariantViolated, NonMonicBase,
@@ -210,6 +211,9 @@ class InductiveValuation:
         """Coefficients of the phi-expansion of f (constants at depth zero)."""
         if self.prev is None and f.degree == 0:
             return [f]
+        side = self._side
+        if side is not None and side[0] is f:
+            return side[1]
         hit = self._exp_cache.get(f.coeffs)
         if hit is not None:
             return hit
@@ -217,33 +221,18 @@ class InductiveValuation:
             out = [Poly.const(self.K, c) for c in f.taylor_coeffs(self.center)]
         else:
             out = list(phi_expansion(f, self.phi))
-        self.seed_expansion(f, out)
+        self._exp_cache[f.coeffs] = out
         return out
 
-    def seed_expansion(self, f: Poly, coeffs: List[Poly]) -> None:
-        """Memoize the phi-expansion of f."""
-        self._exp_cache[f.coeffs] = coeffs
-
     def seed_side(self, f: Poly, coeffs: List[Poly], side: List[int], value: Value) -> None:
-        """Read the graded reduction of f at this depth-zero stage off the
-        side of f's Newton polygon that has slope -gamma: ``coeffs`` is
-        f's expansion, and the k in ``side``, in increasing order, are the
-        points on that side, the coefficients of least grade ``value``.
-        Only the references are kept, and f is recognized by identity; the
-        residues are read when ``graded_reduction(f)`` is called."""
+        """Seed what the step that made this stage holds of f: ``coeffs``
+        is f's phi-expansion, and the k in ``side``, in increasing order,
+        are the points on the side of f's Newton polygon that has slope
+        -gamma, the coefficients of least grade ``value`` = nu(f).  Only
+        the references are kept, and f is recognized by identity:
+        ``expansion(f)`` returns ``coeffs`` and ``graded_reduction(f)``
+        reads the side's coefficients alone."""
         self._side = (f, coeffs, side, value)
-
-    def _side_reduction(self, coeffs: List[Poly], side: List[int], value: Value) -> GradedForm:
-        """``graded_reduction`` from a seeded side: every twist is 1 at
-        depth zero, so H[(k - i0)/e] is the residue of c_k / U(v(c_k))."""
-        K, e = self.K, self.e_rel
-        i0 = side[0] % e
-        H = [self.kappa.zero()] * ((side[-1] - i0) // e + 1)
-        for k in side:
-            if (k - i0) % e != 0:
-                raise InvariantViolated(f"exponent {k} is not {i0} mod e = {e}")
-            H[(k - i0) // e] = K.initial(coeffs[k].coeffs[0])[0]
-        return GradedForm(tuple(H), i0, value - vmul(i0, self.gamma), value)
 
     def _coeff_value(self, c: Poly) -> Value:
         if self.prev is None:
@@ -352,10 +341,8 @@ class InductiveValuation:
         return self.prev._lift_homog(coeffs, i1, w1)
 
     def graded_reduction(self, f: Poly) -> GradedForm:
-        """Normalized initial form of f at this stage."""
-        side = self._side
-        if side is not None and side[0] is f:
-            return self._side_reduction(*side[1:])
+        """Normalized initial form of f at this stage: H[(k - i0)/e] is the
+        twisted residue of the k-th coefficient of least grade."""
         kap = self.kappa
         if f.is_zero():
             return GradedForm(None, 0, None, INFINITY)
@@ -365,33 +352,36 @@ class InductiveValuation:
                 return GradedForm(None, 0, None, INFINITY)
             b, w = self._coef(c)
             return GradedForm((b,) if not kap.is_zero(b) else (), 0, w, w)
-        cc = self.expansion(f)
-        data = []
-        best: Optional[Value] = None
-        for k, c in enumerate(cc):
-            if c.is_zero():
-                continue
-            b, w = self._coef(c)
-            grade = vadd(w, vmul(k, self.gamma)) if k else w
-            data.append((k, b, w, grade))
-            if best is None or grade < best:
-                best = grade
-        effective = [(k, b, w) for k, b, w, grade in data if grade == best]
-        i0 = effective[0][0] % self.e_rel
-        w0 = best - vmul(i0, self.gamma)
-        H: Dict[int, object] = {}
+        side = self._side
+        if side is not None and side[0] is f:
+            _, cc, ks, best = side
+            effective = [(k, *self._coef(cc[k])) for k in ks]
+        else:
+            data = []
+            best: Optional[Value] = None
+            for k, c in enumerate(self.expansion(f)):
+                if c.is_zero():
+                    continue
+                b, w = self._coef(c)
+                grade = vadd(w, vmul(k, self.gamma)) if k else w
+                data.append((k, b, w, grade))
+                if best is None or grade < best:
+                    best = grade
+            effective = [(k, b, w) for k, b, w, grade in data if grade == best]
+        e = self.e_rel
+        i0 = effective[0][0] % e
+        H = []
         for k, b, w in effective:
-            if (k - i0) % self.e_rel != 0:
-                raise InvariantViolated(f"exponent {k} is not {i0} mod e = {self.e_rel}")
-            mpow = (k - i0) // self.e_rel
+            if (k - i0) % e != 0:
+                raise InvariantViolated(f"exponent {k} is not {i0} mod e = {e}")
+            mpow = (k - i0) // e
             if self.prev is not None:  # twists and _ymul are 1 at depth zero
-                b = kap.div(kap.mul(b, self._twist(w, vmul(mpow * self.e_rel, self.gamma))),
+                b = kap.div(kap.mul(b, self._twist(w, vmul(mpow * e, self.gamma))),
                             self._ymul(mpow))
-            H[mpow] = b
-        coeffs = [kap.zero()] * (max(H) + 1)
-        for mpow, b in H.items():
-            coeffs[mpow] = b
-        return GradedForm(fpoly.norm(kap, coeffs), i0, w0, best)
+            # k increases along the coefficients, so mpow does too
+            H += [kap.zero()] * (mpow - len(H))
+            H.append(b)
+        return GradedForm(fpoly.norm(kap, H), i0, best - vmul(i0, self.gamma), best)
 
     def _lift_homog(self, H: Sequence, i0: int, w0: Q) -> Poly:
         """Inverse of graded_reduction on homogeneous data."""

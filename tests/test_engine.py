@@ -778,6 +778,32 @@ def test_clustered_roots_at_the_default_budget(desc, a, c, k):
     assert not [b for b in report.branches if b.d_lower is not None and b.d_lower >= 2]
 
 
+# phi^2 - 2^40 * 17 with phi = x^2 + x + 1/3.  17 = 1 mod 8 is a square in
+# Q_2, so g = (phi - c)(phi + c) with c = 2^20 * sqrt(17), and each factor
+# has discriminant -1/3 +- 4c = 5 mod 8: two unramified quadratic
+# extensions, e = 1, f = 2, d = 1.  The probes at the key phi of degree 2
+# approach both factors together until they separate, after 12 probes.
+DEGREE_TWO_CLUSTER = ("Qp(2)", "(x^2+x+1/3)^2-2^40*17")
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2(a), key of degree 2")
+def test_clustered_degree_two_factors_at_the_default_budget():
+    """The default budget of 8 stops the probes at the degree-two key
+    before the factors separate; today the report claims one branch with
+    a defect of at least 2."""
+    K = parse_field(DEGREE_TWO_CLUSTER[0])
+    report = mac_lane_chains(K, parse_poly(DEGREE_TWO_CLUSTER[1], K))
+    assert report.unibranched is not True
+    assert not [b for b in report.branches if b.d_lower is not None and b.d_lower >= 2]
+
+
+def test_clustered_degree_two_factors_split_within_a_budget_of_20():
+    K = parse_field(DEGREE_TWO_CLUSTER[0])
+    report = mac_lane_chains(K, parse_poly(DEGREE_TWO_CLUSTER[1], K), max_limit_probes=20)
+    assert [(b.e, b.f, b.d) for b in report.branches] == [(1, 2, 1), (1, 2, 1)]
+    assert not report.unibranched
+
+
 # ---------------------------------------------------------------------------
 # Non-squarefree g
 # ---------------------------------------------------------------------------

@@ -49,7 +49,9 @@ TAME_SURVEY_SHA256 = "f1803e45a14c3bc8cf609bffcf926b7675b33ef2eda7318de66fbad347
 # the perfect_closure ladders past their benchmark budgets, the Qp(3)
 # and Fq(3,t) clustered families of tests/test_engine.py at k = 200, and
 # two ladders whose one-term shifts pass most coefficients through
-# (binom(9, i) = 0 mod 3 and binom(8, i) = 0 mod 2 for 0 < i < 9, 8)
+# (binom(9, i) = 0 mod 3 and binom(8, i) = 0 mod 2 for 0 < i < 9, 8), and
+# a ladder at depth one over Qp(2): phi^2 - 2^400 * 17, phi = x^2 + x + 1/3,
+# whose two branches make 104 and 105 probes at the key phi of degree 2
 DEEP_RUNS_SHA256 = {
     ("FpPerf(2,t)", "x^2+x+1/t", 200):
         "fa1a20781dce18fc368d9cd94e733bc9dfddcf7abc9f65018879374fef2f874e",
@@ -65,6 +67,8 @@ DEEP_RUNS_SHA256 = {
         "a85334591ef3349780392a43b194890ef3dc54c1ec84be22546795300f21c736",
     ("FpPerf(2,t)", "x^8+x+1/t", 100):
         "d3c455adec633d26092f1ee1a85e173fadef6bb31319c629b813eab063f31230",
+    ("Qp(2)", "(x^2+x+1/3)^2-2^400*17", 400):
+        "812c66b9b8a866e330dbbd02f30755635346d642ac32111c377239ae63525de1",
 }
 
 

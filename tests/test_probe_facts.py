@@ -3,10 +3,12 @@ the facts it no longer recomputes.
 
 ``key_from_residual`` seeds mu(key) = w0, the grade of its homogeneous
 lift; a depth-zero probe with e = 1 moves its centre with no key lift or
-``augment`` (checked against that route, child by child), and each child
-reads g's graded reduction off the polygon side that made it (checked
-against a fresh, unseeded stage); the engine reads nu(g) of every new
-state off the Newton polygon points instead of evaluating g there;
+``augment`` (checked against that route, child by child); every
+non-terminal child, at any depth, carries one seed, from which it reads
+g's expansion and g's graded reduction off the polygon side that made it
+(checked against the same stage with its seed cleared); the engine reads
+nu(g) of every new state off the Newton polygon points instead of
+evaluating g there;
 ``evaluate`` values a depth-zero constant by the field's ``valuate``,
 with no memo entry; ``K.term(r, w)`` is lift(r) * U(w); and
 ``fpoly.taylor_shift`` over the perfect closure sums each output
@@ -232,16 +234,33 @@ def check_state(g, state):
         assert (len(node._eval_cache), len(node._exp_cache)) == sizes
 
 
+def unseeded(g, node):
+    """g's expansion and graded reduction at ``node`` with its seed
+    cleared; the memo entry this expansion makes is dropped again."""
+    seed, node._side = node._side, None
+    try:
+        return node.expansion(g), node.graded_reduction(g)
+    finally:
+        node._side = seed
+        node._exp_cache.pop(g.coeffs, None)
+
+
 def check_side(g, node) -> bool:
-    """Whether ``node`` reads g's graded reduction off a seeded polygon
-    side; if so, that reduction equals the one of a fresh, unseeded
-    depth-zero stage at its centre and gamma."""
+    """Whether ``node`` carries a seed for g; if so, the expansion and
+    graded reduction it reads off the seed equal the ones the same stage
+    computes with its seed cleared."""
     if node._side is None:
         return False
     assert node._side[0] is g
-    fresh = InductiveValuation.depth_zero(node.K, node.center, node.gamma)
-    assert node.graded_reduction(g) == fresh.graded_reduction(g)
+    assert (node.expansion(g), node.graded_reduction(g)) == unseeded(g, node)
     return True
+
+
+def check_children(g, children) -> None:
+    """Every non-terminal child carries a seed, which ``check_side``
+    checks, and no terminal one does."""
+    for state in children:
+        assert check_side(g, state.node) != state.node.is_terminal()
 
 
 def augment_route(g, node, factors):
@@ -277,18 +296,16 @@ def check_moves(g, node, children, factorizations):
             assert child.center == ref.center
             assert type(child.center) is type(ref.center)
             assert child.kappa is ref.kappa
-            # every child but a terminal one has its side seeded
-            assert (child._side is None) == child.is_terminal()
             # the moved key x - a' lifts y + r, so mu(x - a') = gamma
             assert ref_evaluate(node, child.phi) == node.gamma
         assert (child.gamma, child.phi, child.group, child.e_rel) == (
             ref.gamma, ref.phi, ref.group, ref.e_rel)
-        assert child._exp_cache[g.coeffs] == exp
+        assert child.expansion(g) == exp
         assert state.traj[-1]["g_value"] == g_value
 
 
 def test_probe_facts_over_every_exploration(monkeypatch):
-    lifted, moved, sides = [], [], []
+    lifted, moved, sides = [], [], [0, 0]
     key_from_residual = InductiveValuation.key_from_residual
     moved_centre = engine._moved_centre
 
@@ -306,10 +323,12 @@ def test_probe_facts_over_every_exploration(monkeypatch):
     def checking_step(g, state, factorizations):
         check_state(g, state)
         children = step(g, state, factorizations)
+        check_children(g, children)
         for child in children:
             check_state(g, child)
-            if check_side(g, child.node):
-                sides.append(child.node)
+            if child.node._side is not None:
+                # a child at a moved centre is at depth zero
+                sides[child.node.prev is not None] += 1
         node = state.node
         if node.prev is None and node.e_rel == 1 and not (
                 children and children[0].node.is_terminal()):
@@ -325,6 +344,9 @@ def test_probe_facts_over_every_exploration(monkeypatch):
     for K, g, budget in explorations():
         report = engine.mac_lane_chains(K, g, max_limit_probes=budget)
         for i, b in enumerate(report.branches):
+            # a finished chain, terminal or not, reduces g as it would
+            # with its seed cleared
+            assert b.chain.graded_reduction(g) == unseeded(g, b.chain)[1]
             if b.trajectory:
                 assert b.trajectory[-1]["g_value"] == ref_evaluate(b.chain, g)
             if b.status == engine.LIMIT_SUSPECTED:
@@ -334,8 +356,9 @@ def test_probe_facts_over_every_exploration(monkeypatch):
     # a depth-zero centre and 33 lift a key; a scan reads its branch and
     # makes neither
     assert runs == 144 and (len(moved), len(lifted)) == (193, 33)
-    # every non-terminal moved child read g's reduction off its side
-    assert len(sides) == 194
+    # every non-terminal child, moved (194) or lifted (33), reads g's
+    # reduction off its side
+    assert sides == [194, 33]
     for node, rbar, key in lifted:
         # the lift has grade w0 = deg(rbar) * e * gamma, and mu(key) is w0
         w0 = vmul(fpoly.deg(rbar) * node.e_rel, node.gamma)
@@ -347,25 +370,40 @@ def test_probe_facts_over_every_exploration(monkeypatch):
 # Qp(2), x^4 + 8x^3 + 32x^2 + 64x + 8240 is y^4 + 8y^2 + 2^13 at the
 # moved centre -2 (y = x + 2): its side of slope -3/2 starts at k = 2, at
 # e = 2.  x^2 + 12x + 84 is y^2 + 8y + 64 there: a side of three points.
-SIDE_CASES = [("Qp(2)", "x^4+8*x^3+32*x^2+64*x+8240"), ("Qp(2)", "x^2+12*x+84")]
+# x^2 + 1028x + 2052 = (x + 2)(x + 1026) is y^2 + 1024y there: one
+# polygon with the pair of gamma = oo (y divides g) and a side of slope
+# -10.  phi^2 - 2^40 * 17 with phi = x^2 + x + 1/3 has its probes at
+# depth one, in steps over GF(4).  g = (x - 2)phi^2 + (4x + 16)phi + 2^20
+# with phi = x^2 + 2x + 4, the key lifted from y^2 + y + 1 at w_(0,1),
+# where mu(phi) = 2: its polygon in phi has a side of slope -17 and one
+# of slope -mu(phi), which makes no child.
+SIDE_CASES = [("Qp(2)", "x^4+8*x^3+32*x^2+64*x+8240"), ("Qp(2)", "x^2+12*x+84"),
+              ("Qp(2)", "x^2+1028*x+2052"), ("Qp(2)", "(x^2+x+1/3)^2-2^40*17"),
+              ("Qp(2)", "(x^2+2*x+4)*(x^3+4*x+8)+2^20")]
 
 
 def test_side_reductions_on_ramified_and_long_sides(monkeypatch):
     seeded = []
     seed_side = InductiveValuation.seed_side
+    step = engine._step
 
     def recording_seed_side(self, f, coeffs, side, value):
-        seeded.append((self, f, list(side)))
+        seeded.append((self, list(side)))
         seed_side(self, f, coeffs, side, value)
 
+    def checking_step(g, state, factorizations):
+        children = step(g, state, factorizations)
+        check_children(g, children)
+        return children
+
     monkeypatch.setattr(InductiveValuation, "seed_side", recording_seed_side)
+    monkeypatch.setattr(engine, "_step", checking_step)
     for desc, src in SIDE_CASES:
         K = parse_field(desc)
         engine.mac_lane_chains(K, parse_poly(src, K))
-    for node, g, _side in seeded:
-        assert check_side(g, node)
-    shapes = {(node.e_rel, tuple(side)) for node, _g, side in seeded}
-    assert (2, (2, 4)) in shapes and (1, (0, 1, 2)) in shapes
+    shapes = {(node.depth, node.kappa.order, node.e_rel, tuple(side)) for node, side in seeded}
+    assert {(0, 2, 2, (2, 4)), (0, 2, 1, (0, 1, 2)), (0, 2, 1, (1, 2))} <= shapes
+    assert any(depth == 1 and order == 4 for depth, order, _e, _side in shapes)
 
 
 # ---------------------------------------------------------------------------
