@@ -78,7 +78,7 @@ FAULTS = [
     Fault("polygon-nu-without-k1-gamma", "src/mlvkit/engine.py",
           "ratio(v1 * k2 - v2 * k1, den)",
           "ratio(v1 * (k2 - k1), den)",
-          ["tests/test_engine.py::test_polygon_gammas_match_the_fraction_hull"]),
+          ["tests/test_engine.py::test_probes_match_the_fraction_hull"]),
     Fault("gcd-early-exit-on-a-zero-argument", "src/mlvkit/fpoly.py",
           "    if len(f) == 1 or len(g) == 1:\n",
           "    if len(f) <= 1 or len(g) <= 1:\n",
@@ -97,8 +97,8 @@ FAULTS = [
           "return K.sub(node.center, delta), [Poly.const",
           [PROBE_FACTS]),
     Fault("moved-centre-admits-a-value-not-increased", "src/mlvkit/engine.py",
-          "        if gamma > floor:\n",
-          "        if gamma >= floor:\n",
+          "            if gamma <= floor:\n",
+          "            if gamma < floor:\n",
           [PROBE_FACTS]),
     # one polygon reader for both kinds of key
     Fault("lifted-key-floor-read-as-node-gamma", "src/mlvkit/engine.py",
@@ -106,9 +106,22 @@ FAULTS = [
           "            floor = node.gamma\n",
           [SIDES]),
     Fault("infinity-pair-consumes-a-hull-edge", "src/mlvkit/engine.py",
-          "edge = None if gamma is INFINITY else next(edges)",
-          "edge = next(edges, None)",
+          "    for (k1, v1), (k2, v2) in zip(hull, hull[1:]):\n",
+          "    for (k1, v1), (k2, v2) in zip(hull[len(out):], hull[len(out) + 1:]):\n",
           [SIDES]),
+    # every node, entry nodes included, is seeded by the one reader
+    Fault("entry-node-seeded-with-another-edges-side", "src/mlvkit/engine.py",
+          "            node.seed_side(g, exp, side, g_value)\n",
+          "            node.seed_side(g, exp, _probes(pts)[-1][2], g_value)\n",
+          [PROBE_FACTS]),
+    Fault("seeded-value-returned-for-any-input", "src/mlvkit/indval.py",
+          "        if side is not None and side[0] is f:\n            return side[3]\n",
+          "        if side is not None:\n            return side[3]\n",
+          [PROBE_FACTS]),
+    Fault("least-grade-keeps-the-first-k-of-a-tie", "src/mlvkit/indval.py",
+          "        elif v == best:\n            ks.append(k)\n",
+          "        elif v == best:\n            pass\n",
+          [PROBE_FACTS]),
     # a child reads g's graded reduction off its polygon side, at any depth
     Fault("side-i0-not-reduced-mod-e", "src/mlvkit/indval.py",
           "i0 = effective[0][0] % e",
@@ -177,6 +190,22 @@ FAULTS = [
           "            b.d_lower = max(2, ratio)\n",
           "            pass\n",
           ["tests/test_engine.py::test_artin_schreier_defect"]),
+    Fault("induced-value-without-its-stability-check", "src/mlvkit/engine.py",
+          "        if v1 == v2:\n",
+          "        if True:\n",
+          ["tests/test_engine.py::test_induced_value_matches_padic_roots"]),
+    Fault("residue-always-perfect", "src/mlvkit/fields.py",
+          "        if self.residue_field.order is not None:\n",
+          "        if True:\n",
+          ["tests/test_fields.py::test_residue_perfect"]),
+    Fault("clone-shares-the-override-table", "src/mlvkit/fields.py",
+          "        other.choice_overrides = {}\n",
+          "        other.choice_overrides = self.choice_overrides\n",
+          ["tests/test_fields.py::test_with_choice_overrides_copies_the_descriptor"]),
+    Fault("truncation-base-not-checked-for-monic", "src/mlvkit/indval.py",
+          "    if not q.is_monic():\n        raise NonMonicBase(\"truncation base must be monic\")\n",
+          "",
+          ["tests/test_indval.py::test_truncation_base_is_checked_before_its_input"]),
 ]
 
 

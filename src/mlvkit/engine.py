@@ -8,11 +8,12 @@ principal slope of the polygon of g with respect to that key.  At a
 depth-zero stage w_(a,gamma) with e = 1 a linear factor y + r moves the
 centre instead: its key is x - a' with a' = a - lift(r)*U(gamma), and the
 augmentation [w_(a,gamma); x - a', gamma'] is w_(a',gamma') (Vaquie,
-Trans. AMS 359, 2007; Nart, Pacific J. Math. 311, 2021).  Both kinds of
-key go through one reader of g's Newton polygon (``_probes``), and each
-child learns g's expansion, nu(g) and its residual polynomial from one
-seed: the side of that polygon that made it (the theorem of the residual
-polynomial, Guardia-Montes-Nart, Trans. AMS 364, 2012).  A branch
+Trans. AMS 359, 2007; Nart, Pacific J. Math. 311, 2021).  Every node the
+exploration steps, entry nodes included, is read off g's Newton polygon
+(in x, or in a key of either kind) by one reader, ``_probes``, and learns
+g's expansion, nu(g) and its residual polynomial from one seed: the side
+of that polygon that made it (the theorem of the residual polynomial,
+Guardia-Montes-Nart, Trans. AMS 364, 2012).  A branch
 terminates when g itself becomes a key polynomial and can be assigned
 the value infinity.  A branch in flight is one ``_State`` record, and
 one function, ``_stop``, decides whether it stops and why, trying three
@@ -159,76 +160,44 @@ def lower_hull(points: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
     return hull
 
 
-def polygon_gammas(points: Dict[int, Value]) -> List[Tuple[Value, Value]]:
-    """Candidate key values from the points (k, v(a_k)) of the nonzero
-    coefficients, each with min_k v(a_k) + k*gamma: (INFINITY, INFINITY)
+def _probes(points: Dict[int, Value]) -> List[Tuple[Value, Value, Optional[List[int]]]]:
+    """The children of one key, read off the Newton polygon of the points
+    (k, v(a_k)) of the nonzero coefficients: (INFINITY, INFINITY, None)
     first when there is no constant term (the key divides g), then
-    (gamma, nu) for each lower-hull edge, gamma = -(slope) and
+    (gamma, nu, side) for each lower-hull edge, gamma = -(slope),
     nu = v_k1 + k1*gamma read at the edge's left end (k1, v_k1), where the
-    minimum is attained.
+    minimum min_k v(a_k) + k*gamma is attained, and side the k, in
+    increasing order, of the points on the edge.  Over g's key-expansion,
+    with points (k, mu(c_k)), the child [mu; key, gamma] values each c_k
+    as mu does (deg c_k < deg key), so nu is nu(g) there, and the points
+    on the side are g's coefficients of least grade, which ``seed_side``
+    gives the child.
 
     The hull runs on ints: every value is scaled by L, the lcm of the
     denominators (1 when all values are integral), and gamma and nu are
     ints when they are exact."""
-    return _polygon(points)[0]
-
-
-def _polygon(points: Dict[int, Value]
-             ) -> Tuple[List[Tuple[Value, Value]], List[Tuple[int, int]], List[Tuple[int, int]]]:
-    """``polygon_gammas(points)`` with the int hull it was read from: the
-    scaled points and the hull vertices, for ``_probes``, which reads the
-    sides."""
     finite = [(k, v.numerator, v.denominator)
-              for k, v in points.items() if v is not INFINITY]
+              for k, v in sorted(points.items()) if v is not INFINITY]
     L = 1
     for _, _, den in finite:
         if den != 1:
             L = L * den // gcd(L, den)
     scaled = [(k, num * (L // den)) for k, num, den in finite]
     hull = lower_hull(scaled)
-    out: List[Tuple[Value, Value]] = [] if 0 in points else [(INFINITY, INFINITY)]
+    out = [] if 0 in points else [(INFINITY, INFINITY, None)]
     for (k1, v1), (k2, v2) in zip(hull, hull[1:]):
         # gamma = (v1 - v2) / ((k2 - k1) L), nu = (v1 k2 - v2 k1) / ((k2 - k1) L)
-        den = (k2 - k1) * L
-        out.append((ratio(v1 - v2, den), ratio(v1 * k2 - v2 * k1, den)))
-    return out, scaled, hull
-
-
-def _side(scaled: List[Tuple[int, int]], left: Tuple[int, int], right: Tuple[int, int]
-          ) -> List[int]:
-    """The k, in increasing order, of the scaled points on the hull edge
-    from ``left`` to ``right``: its vertices and the points between them
-    on the line through both."""
-    (k1, v1), (k2, v2) = left, right
-    dk, dv = k2 - k1, v2 - v1
-    return [k for k, v in scaled if k1 <= k <= k2 and (v - v1) * dk == dv * (k - k1)]
+        dk, dv = k2 - k1, v2 - v1
+        den = dk * L
+        # the side: the edge's vertices and the points on the line between
+        side = [k for k, v in scaled if k1 <= k <= k2 and (v - v1) * dk == dv * (k - k1)]
+        out.append((ratio(v1 - v2, den), ratio(v1 * k2 - v2 * k1, den), side))
+    return out
 
 
 # ---------------------------------------------------------------------------
 # Exploration
 # ---------------------------------------------------------------------------
-
-
-def _probes(points: Dict[int, Value], floor: Value
-            ) -> List[Tuple[Value, Value, Optional[List[int]]]]:
-    """The children of one key: the pairs (gamma, nu) of
-    ``polygon_gammas(points)`` with gamma above ``floor``, mu(key), each
-    with the k, in increasing order, of the points on its side (None for
-    gamma = INFINITY, which has none).  The points are (k, mu(c_k)) over
-    g's key-expansion; the child [mu; key, gamma] values each c_k as mu
-    does (deg c_k < deg key), so nu is nu(g) there, and the points on the
-    side are g's coefficients of least grade, which ``seed_side`` gives
-    the child."""
-    pairs, scaled, hull = _polygon(points)
-    edges = zip(hull, hull[1:])
-    out = []
-    for gamma, nu in pairs:
-        # one pair per hull edge, in order, after an (INFINITY, INFINITY)
-        # that has none
-        edge = None if gamma is INFINITY else next(edges)
-        if gamma > floor:
-            out.append((gamma, nu, None if edge is None else _side(scaled, *edge)))
-    return out
 
 
 def _moved_centre(node: InductiveValuation, g: Poly, r) -> Tuple[object, List[Poly]]:
@@ -302,8 +271,10 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
     e = 1 moves the centre (``_moved_centre``; mu(x - a') = gamma), with
     no key lift or ``augment``, and ``key_from_residual`` lifts the rest.
     One reader, ``_probes``, takes the children off the polygon of g's
-    expansion in the key, and every non-terminal child gets one seed
-    (``seed_side``): g, that expansion and the side that made it.
+    expansion in the key, keeping those with gamma above mu(key), and
+    every non-terminal child gets one seed (``seed_side``): g, that
+    expansion and the side that made it, as ``mac_lane_chains`` seeds
+    the entry nodes.
     """
     node = state.node
     gr = node.graded_reduction(g)
@@ -329,7 +300,9 @@ def _step(g: Poly, state: _State, factorizations: dict) -> List[_State]:
             exp = list(phi_expansion(g, key))
             pts = {k: node.evaluate(c) for k, c in enumerate(exp) if c.coeffs}
             floor = node.evaluate(key)
-        for gamma, g_value, side in _probes(pts, floor):
+        for gamma, g_value, side in _probes(pts):
+            if gamma <= floor:
+                continue
             child = (InductiveValuation.depth_zero(K, centre, gamma) if moved
                      else node.augment(key, gamma, _rbar=rbar))
             if side is not None:
@@ -414,9 +387,15 @@ def mac_lane_chains(K: ValuedField, g: Poly, max_depth: int = 32,
 
     branches: List[Branch] = []
     factorizations: Dict[tuple, list] = {}
+    # g's expansion at the centre 0 is its coefficients, valued by the field
+    exp = [Poly.const(K, c) for c in g.coeffs]
     pts = {k: K.valuate(c) for k, c in enumerate(g.coeffs) if not K.is_zero(c)}
-    work = deque(_State.at(InductiveValuation.depth_zero(K, K.zero(), gamma), g_value)
-                 for gamma, g_value in polygon_gammas(pts))
+    work = deque()
+    for gamma, g_value, side in _probes(pts):
+        node = InductiveValuation.depth_zero(K, K.zero(), gamma)
+        if side is not None:
+            node.seed_side(g, exp, side, g_value)
+        work.append(_State.at(node, g_value))
     while work:
         state = work.popleft()
         reason = _stop(state, max_limit_probes)

@@ -26,13 +26,17 @@ factorizations meaningful.
 
 A fact an exploration step already holds is seeded, not recomputed:
 ``key_from_residual`` enters mu(key) = w0, the grade of its homogeneous
-lift, in the stage's evaluation memo, and every non-terminal child the
-engine builds, at any depth, takes one seed of g (``seed_side``): g's
-expansion in the child's key, built for the Newton polygon, and the side
-of that polygon that made the child, whose points are exactly the
-coefficients of least grade.  ``expansion(g)`` returns the seeded
-expansion, and the one ``graded_reduction`` reduces the side's
-coefficients alone.  A depth-zero refinement
+lift, in the stage's evaluation memo, and every non-terminal node the
+engine builds, entry node or child at any depth, takes one seed of g
+(``seed_side``): g's expansion in the node's key, built for the Newton
+polygon, and the side of that polygon that made the node, whose points
+are exactly the coefficients of least grade, of grade nu(g).
+``expansion(g)`` returns the seeded expansion, ``evaluate(g)`` the
+seeded nu(g), and the one ``graded_reduction`` reduces the side's
+coefficients alone.  Without a seed, one helper, ``_least_grade``, finds
+the least grade and where it is attained, for ``evaluate``,
+``truncation_eval`` and ``graded_reduction`` alike; only evaluations and
+twists are memoized.  A depth-zero refinement
 [w_(a,gamma); x - a', gamma'] is built as ``depth_zero(K, a', gamma')``
 directly.  An input of lower degree than the key is valued without a
 memo entry: by the previous stage, or at depth zero, where it is a
@@ -64,7 +68,7 @@ class GradedForm(NamedTuple):
 class InductiveValuation:
     __slots__ = ("K", "prev", "phi", "gamma", "center", "m", "e_rel",
                  "prev_group", "group", "kappa", "rbar", "fdeg", "zgen",
-                 "depth", "_twist_cache", "_eval_cache", "_exp_cache", "_side")
+                 "depth", "_twist_cache", "_eval_cache", "_side")
 
     # -- construction ---------------------------------------------------------
 
@@ -80,7 +84,6 @@ class InductiveValuation:
         node = object.__new__(InductiveValuation)
         node._twist_cache = {}
         node._eval_cache = {}
-        node._exp_cache = {}
         node._side = None
         node.K = K
         node.prev = prev
@@ -214,15 +217,9 @@ class InductiveValuation:
         side = self._side
         if side is not None and side[0] is f:
             return side[1]
-        hit = self._exp_cache.get(f.coeffs)
-        if hit is not None:
-            return hit
         if self.prev is None:
-            out = [Poly.const(self.K, c) for c in f.taylor_coeffs(self.center)]
-        else:
-            out = list(phi_expansion(f, self.phi))
-        self._exp_cache[f.coeffs] = out
-        return out
+            return [Poly.const(self.K, c) for c in f.taylor_coeffs(self.center)]
+        return list(phi_expansion(f, self.phi))
 
     def seed_side(self, f: Poly, coeffs: List[Poly], side: List[int], value: Value) -> None:
         """Seed what the step that made this stage holds of f: ``coeffs``
@@ -230,8 +227,9 @@ class InductiveValuation:
         are the points on the side of f's Newton polygon that has slope
         -gamma, the coefficients of least grade ``value`` = nu(f).  Only
         the references are kept, and f is recognized by identity:
-        ``expansion(f)`` returns ``coeffs`` and ``graded_reduction(f)``
-        reads the side's coefficients alone."""
+        ``expansion(f)`` returns ``coeffs``, ``evaluate(f)`` returns
+        ``value`` and ``graded_reduction(f)`` reads the side's coefficients
+        alone."""
         self._side = (f, coeffs, side, value)
 
     def _coeff_value(self, c: Poly) -> Value:
@@ -246,11 +244,14 @@ class InductiveValuation:
         if f.degree < self.m:
             # the phi-expansion of f is [f]; at depth zero f is a constant
             return prev.evaluate(f) if prev is not None else self.K.valuate(f[0])
+        side = self._side
+        if side is not None and side[0] is f:
+            return side[3]
         key = f.coeffs
         hit = self._eval_cache.get(key)
         if hit is not None:
             return hit
-        out = _expansion_min(self.expansion(f), self._coeff_value, self.gamma)
+        out = _least_grade(self.expansion(f), self._coeff_value, self.gamma)[0]
         self._eval_cache[key] = out
         return out
 
@@ -355,19 +356,10 @@ class InductiveValuation:
         side = self._side
         if side is not None and side[0] is f:
             _, cc, ks, best = side
-            effective = [(k, *self._coef(cc[k])) for k in ks]
         else:
-            data = []
-            best: Optional[Value] = None
-            for k, c in enumerate(self.expansion(f)):
-                if c.is_zero():
-                    continue
-                b, w = self._coef(c)
-                grade = vadd(w, vmul(k, self.gamma)) if k else w
-                data.append((k, b, w, grade))
-                if best is None or grade < best:
-                    best = grade
-            effective = [(k, b, w) for k, b, w, grade in data if grade == best]
+            cc = self.expansion(f)
+            best, ks = _least_grade(cc, self._coeff_value, self.gamma)
+        effective = [(k, *self._coef(cc[k])) for k in ks]
         e = self.e_rel
         i0 = effective[0][0] % e
         H = []
@@ -486,19 +478,23 @@ def truncation_eval(nu: Callable[[Poly], Value], q: Poly, f: Poly) -> Value:
         raise NonMonicBase("truncation base must be monic")
     if f.is_zero():
         return INFINITY
-    return _expansion_min(phi_expansion(f, q), nu, nu(q))
+    return _least_grade(phi_expansion(f, q), nu, nu(q))[0]
 
 
-def _expansion_min(cc: Sequence[Poly], value_of: Callable[[Poly], Value],
-                   gamma: Value) -> Value:
-    """min_k value_of(c_k) + k*gamma over the nonzero c_k (oo if none)."""
-    best: Optional[Value] = None
+def _least_grade(cc: Sequence[Poly], value_of: Callable[[Poly], Value],
+                 gamma: Value) -> Tuple[Value, List[int]]:
+    """min_k value_of(c_k) + k*gamma over the nonzero c_k (oo if none),
+    and the k, in increasing order, where it is attained."""
+    best: Value = INFINITY
+    ks: List[int] = []
     for k, c in enumerate(cc):
         if c.is_zero():
             continue
         v = value_of(c)
         if k:
             v = vadd(v, vmul(k, gamma))
-        if best is None or v < best:
-            best = v
-    return INFINITY if best is None else best
+        if v < best:
+            best, ks = v, [k]
+        elif v == best:
+            ks.append(k)
+    return best, ks

@@ -46,6 +46,23 @@ def test_extend_text_at_probe_budget_zero(capsys):
     assert "finite complete sequence: NONE (DEFECT_SUSPECTED)" in out
 
 
+def test_extend_text_prints_its_warnings(capsys):
+    code, out, _ = run(capsys, "extend", "--field", "Qp(2)", "--poly", "x^2-4")
+    assert code == 0
+    assert "  warning: rational root 2: g is reducible over Q\n" in out
+
+
+def test_graded_choice_at_zero_must_be_one(capsys):
+    code, out, err = run(capsys, "graded", "--field", "Qp(3)", "--mul", "T", "T",
+                         "--choice", "0=2")
+    assert (code, out) == (2, "")
+    assert err == "parse error: epsilon(0) must be 1\n"
+    # epsilon(0) = 1 is accepted, and changes nothing
+    code, out, err = run(capsys, "graded", "--field", "Qp(3)", "--mul", "T", "T",
+                         "--choice", "0=1")
+    assert (code, out, err) == (0, "T^2\n", "")
+
+
 def test_graded_override_example(capsys):
     code, out, _ = run(capsys, "graded", "--field", "Qp(3)",
                        "--mul", "T^1", "T^1", "--choice", "1=3,2=18")

@@ -9,7 +9,7 @@ from mlvkit import engine
 from mlvkit.engine import (LIMIT_SUSPECTED, PROBE_BUDGET, SEPARATED_STALL,
                            TERMINATED, UNSTABLE, NoSequence, defect,
                            finite_complete_sequence, induced_value,
-                           mac_lane_chains, polygon_gammas, psi_m_scan)
+                           mac_lane_chains, psi_m_scan)
 from mlvkit.errors import NotMonic, NotSquarefree, ResidueUnsupported
 from mlvkit.fields import FpPerfField, FpctField, FqtField, QpField
 from mlvkit.indval import truncation_eval
@@ -121,6 +121,12 @@ def test_psi_scans():
     assert [v for _, v in s.evidence] == [Q(k) for k in range(1, 4)]
     vals = [v for _, v in s.evidence]
     assert all(a < b for a, b in zip(vals, vals[1:]))
+    # a scan of degree 0 (or below) has no keys to read and is refused
+    from mlvkit.errors import ZeroInput
+    for m in (0, -1):
+        with pytest.raises(ZeroInput) as exc:
+            psi_m_scan(r, 0, m)
+        assert exc.value.code == "ZERO_INPUT"
 
 
 def test_psi_scan_max_value_matches_induced_value():
@@ -699,21 +705,23 @@ _point_values = (st.integers(-50, 50)
 @example({1: 3, 2: Q(1, 3), 4: 0}, False)  # no constant term
 @example({0: 3, 1: 2, 2: 1, 3: 0}, True)  # collinear points: one edge
 @example({0: Q(1, 2), 1: Q(1, 3), 2: 5, 4: Q(-1, 6)}, True)  # a point above the hull
-def test_polygon_gammas_match_the_fraction_hull(points, constant):
-    """Each gamma is a slope of the Fraction hull, and its nu is the
-    minimum of v_k + k*gamma over every finite point, by brute force."""
+def test_probes_match_the_fraction_hull(points, constant):
+    """Each gamma is a slope of the Fraction hull, its nu is the minimum
+    of v_k + k*gamma over every finite point, by brute force, and its side
+    is the k, in increasing order, where that minimum is attained."""
     if not constant:
         points.pop(0, None)
-    got = polygon_gammas(points)
-    assert [gamma for gamma, _ in got] == _reference_gammas(points)
-    finite = [(k, Q(v)) for k, v in points.items() if not is_inf(v)]
-    for gamma, nu in got:
+    got = engine._probes(points)
+    assert [gamma for gamma, _, _ in got] == _reference_gammas(points)
+    finite = sorted((k, Q(v)) for k, v in points.items() if not is_inf(v))
+    for gamma, nu, side in got:
         if is_inf(gamma):
-            assert nu is INFINITY
+            assert nu is INFINITY and side is None
         else:
             assert nu == min(v + k * gamma for k, v in finite)
-    assert all(_is_value(g) and _is_value(nu) for g, nu in got), got
-    assert (got[:1] == [(INFINITY, INFINITY)]) == (0 not in points)
+            assert side == [k for k, v in finite if v + k * gamma == nu]
+    assert all(_is_value(g) and _is_value(nu) for g, nu, _ in got), got
+    assert (got[:1] == [(INFINITY, INFINITY, None)]) == (0 not in points)
 
 
 def test_corpus_values_are_ints_or_proper_fractions():

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 import pytest
 
 from mlvkit import fpoly
-from mlvkit.errors import NotAKeyPolynomial, ValueNotIncreased
+from mlvkit.errors import NonMonicBase, NotAKeyPolynomial, ValueNotIncreased, ZeroInput
 from mlvkit.ffield import is_irreducible
 from mlvkit.fields import FqtField, QpField
 from mlvkit.indval import InductiveValuation as IV, truncation_eval
@@ -235,6 +235,19 @@ def test_truncation_examples_and_bound():
             continue
         assert truncation_eval(nu, x, f) <= nu(f)
         assert truncation_eval(nu, g, f) <= nu(f)
+
+
+def test_truncation_base_is_checked_before_its_input():
+    """A base that is not monic, or constant, is refused even for f = 0,
+    whose value would otherwise be oo without an expansion."""
+    K = QpField(2)
+    nu = IV.depth_zero(K, Q(0), Q(1, 2))
+    zero, x = Poly(K, ()), Poly.x(K)
+    assert is_inf(truncation_eval(nu, x, zero))
+    with pytest.raises(NonMonicBase):
+        truncation_eval(nu, Poly.from_ints(K, [1, 2]), zero)
+    with pytest.raises(ZeroInput):
+        truncation_eval(nu, Poly.from_ints(K, [3]), zero)
 
 
 def test_truncation_monotonicity_along_chain():

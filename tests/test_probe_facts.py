@@ -3,12 +3,14 @@ the facts it no longer recomputes.
 
 ``key_from_residual`` seeds mu(key) = w0, the grade of its homogeneous
 lift; a depth-zero probe with e = 1 moves its centre with no key lift or
-``augment`` (checked against that route, child by child); every
-non-terminal child, at any depth, carries one seed, from which it reads
-g's expansion and g's graded reduction off the polygon side that made it
-(checked against the same stage with its seed cleared); the engine reads
-nu(g) of every new state off the Newton polygon points instead of
-evaluating g there;
+``augment`` (checked against that route, child by child); every node
+stepped, entry node or child at any depth, carries one seed, from which
+it reads g's expansion, nu(g) and g's graded reduction off the polygon
+side that made it (checked against the same stage with its seed cleared,
+which finds the least grade with ``_least_grade``, the one least-grade
+reader, and against nu(g) by division, with no memo entry for g); the
+engine reads nu(g) of every new state off the Newton polygon points
+instead of evaluating g there;
 ``evaluate`` values a depth-zero constant by the field's ``valuate``,
 with no memo entry; ``K.term(r, w)`` is lift(r) * U(w); and
 ``fpoly.taylor_shift`` over the perfect closure sums each output
@@ -225,34 +227,36 @@ def check_state(g, state):
         return
     assert state.traj[-1]["g_value"] == ref_evaluate(node, g)
     if node.depth == 0:
-        # a constant is valued by the field, and no memo grows
+        # a constant is valued by the field, and the memo does not grow
         K = node.K
-        sizes = (len(node._eval_cache), len(node._exp_cache))
+        size = len(node._eval_cache)
         for c in (*g.coeffs, node.center):
             assert node.evaluate(Poly.const(K, c)) == (
                 INFINITY if K.is_zero(c) else K.valuate(c))
-        assert (len(node._eval_cache), len(node._exp_cache)) == sizes
+        assert len(node._eval_cache) == size
 
 
 def unseeded(g, node):
     """g's expansion and graded reduction at ``node`` with its seed
-    cleared; the memo entry this expansion makes is dropped again."""
+    cleared."""
     seed, node._side = node._side, None
     try:
         return node.expansion(g), node.graded_reduction(g)
     finally:
         node._side = seed
-        node._exp_cache.pop(g.coeffs, None)
 
 
 def check_side(g, node) -> bool:
     """Whether ``node`` carries a seed for g; if so, the expansion and
     graded reduction it reads off the seed equal the ones the same stage
-    computes with its seed cleared."""
+    computes with its seed cleared, and nu(g) is the seeded value, which
+    no memo entry holds."""
     if node._side is None:
         return False
     assert node._side[0] is g
     assert (node.expansion(g), node.graded_reduction(g)) == unseeded(g, node)
+    assert node.evaluate(g) == ref_evaluate(node, g)
+    assert g.coeffs not in node._eval_cache
     return True
 
 
@@ -275,7 +279,7 @@ def augment_route(g, node, factors):
         key = InductiveValuation.key_from_residual(node, rbar)
         exp = list(phi_expansion(g, key))
         pts = {k: ref_evaluate(node, c) for k, c in enumerate(exp) if not c.is_zero()}
-        for gamma, g_value in engine.polygon_gammas(pts):
+        for gamma, g_value, _side in engine._probes(pts):
             if gamma > ref_evaluate(node, key):
                 out.append((node.augment(key, gamma, _rbar=rbar), exp, g_value))
     return out
@@ -305,7 +309,7 @@ def check_moves(g, node, children, factorizations):
 
 
 def test_probe_facts_over_every_exploration(monkeypatch):
-    lifted, moved, sides = [], [], [0, 0]
+    lifted, moved, sides, entries = [], [], [0, 0], []
     key_from_residual = InductiveValuation.key_from_residual
     moved_centre = engine._moved_centre
 
@@ -322,6 +326,11 @@ def test_probe_facts_over_every_exploration(monkeypatch):
 
     def checking_step(g, state, factorizations):
         check_state(g, state)
+        # every node stepped, an entry node of the polygon of g in x too,
+        # carries its seed
+        assert check_side(g, state.node)
+        if state.parent is None:
+            entries.append(state.node)
         children = step(g, state, factorizations)
         check_children(g, children)
         for child in children:
@@ -359,6 +368,8 @@ def test_probe_facts_over_every_exploration(monkeypatch):
     # every non-terminal child, moved (194) or lifted (33), reads g's
     # reduction off its side
     assert sides == [194, 33]
+    # 164 entry nodes are stepped, each seeded by mac_lane_chains
+    assert len(entries) == 164
     for node, rbar, key in lifted:
         # the lift has grade w0 = deg(rbar) * e * gamma, and mu(key) is w0
         w0 = vmul(fpoly.deg(rbar) * node.e_rel, node.gamma)
